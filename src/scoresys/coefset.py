@@ -73,12 +73,8 @@ class CoefficientDomain:
 
     def describe(self) -> str:
         if self.is_contiguous_integers():
-            return f"integers {vs_str(self.values[0])}..{vs_str(self.values[-1])}"
-        return "{" + ", ".join(vs_str(v) for v in self.values) + "}"
-
-
-def vs_str(v: Fraction) -> str:
-    return fraction_str(v)
+            return f"integers {fraction_str(self.values[0])}..{fraction_str(self.values[-1])}"
+        return "{" + ", ".join(fraction_str(v) for v in self.values) + "}"
 
 
 def bounded_integers(max_coef: int = 100) -> CoefficientDomain:
@@ -142,7 +138,7 @@ def digit_values(digits: int, min_exp: int, max_exp: int) -> CoefficientDomain:
 def explicit_values(values) -> CoefficientDomain:
     """Arbitrary finite list of exact decimal values; must include 0."""
     fr = tuple(to_fraction(v) for v in values)
-    return CoefficientDomain("set", fr, {"values": [vs_str(v) for v in sorted(set(fr))]})
+    return CoefficientDomain("set", fr, {"values": [fraction_str(v) for v in sorted(set(fr))]})
 
 
 @dataclass(frozen=True)
@@ -208,7 +204,7 @@ class CoefficientSet:
             if v in t.values:
                 return t.cost
         raise DomainError(
-            f"value {vs_str(v)} is outside every tier of coefficient {j}")
+            f"value {fraction_str(v)} is outside every tier of coefficient {j}")
 
 
 def _check_tiers(domain: CoefficientDomain, spec, j: int):
@@ -220,7 +216,7 @@ def _check_tiers(domain: CoefficientDomain, spec, j: int):
         if t.cost <= prev:
             raise DomainError(
                 f"coefficient {j}: tier costs must be strictly increasing "
-                f"and positive (tier {r} cost {vs_str(t.cost)})")
+                f"and positive (tier {r} cost {fraction_str(t.cost)})")
         prev = t.cost
         if not t.values:
             raise DomainError(f"coefficient {j}: tier {r} is empty")
@@ -246,7 +242,7 @@ def coprime_reduce(lam) -> tuple[int, ...]:
     for v in lam:
         f = to_fraction(v)
         if f.denominator != 1:
-            raise DomainError(f"coprime_reduce needs integers, got {vs_str(f)}")
+            raise DomainError(f"coprime_reduce needs integers, got {fraction_str(f)}")
         ints.append(f.numerator)
     g = math.gcd(*ints) if ints else 1
     if g <= 1:

@@ -24,6 +24,7 @@ from .exactnum import common_denominator, scaled_int, to_fraction
 
 INTERCEPT_NAME = "(Intercept)"
 _MISSING = {"", "?", "na", "nan"}
+_EXACT_INT_MAX = 2.0**53  # every integer up to here is a float, spelled by its repr
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +78,23 @@ class Dataset:
         return int(np.sum(self.y == 1))
 
     def exact_column(self, j: int) -> tuple[np.ndarray, int]:
-        """Column j as (integer numerators, common denominator), exact."""
+        """Column j as (integer numerators, common denominator), exact.
+
+        Numerators are Python ints in an object array.  A column of
+        integral floats with |x| <= 2**53 is read as integers directly:
+        there every float is an integer whose repr spells it exactly.
+        Any other column goes cell by cell through to_fraction (1e23
+        reads as 10**23, which int(1e23) is not)."""
         got = self._exact_cols.get(j)
         if got is None:
-            fracs = [to_fraction(v) for v in self.x[:, j].tolist()]
-            denom = common_denominator(fracs)
-            nums = np.array([scaled_int(f, denom) for f in fracs], dtype=object)
-            got = (nums, denom)
+            col = self.x[:, j]
+            if np.all(np.abs(col) <= _EXACT_INT_MAX) and np.all(col == np.trunc(col)):
+                got = (col.astype(np.int64).astype(object), 1)
+            else:
+                fracs = [to_fraction(v) for v in col.tolist()]
+                denom = common_denominator(fracs)
+                nums = np.array([scaled_int(f, denom) for f in fracs], dtype=object)
+                got = (nums, denom)
             self._exact_cols[j] = got
         return got
 

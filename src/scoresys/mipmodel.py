@@ -19,15 +19,18 @@ integer bounds cannot express.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .coefset import CoefficientSet, Tier
 from .data import Dataset
 from .errors import ConfigError, DomainError, VerifyError
 from .exactnum import fraction_str, to_fraction
-from .objective import ObjectiveValue, TrainConfig, evaluate
+from .objective import ObjectiveValue, TrainConfig, evaluate, score_ints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,17 +93,6 @@ class MipModel:
                     raise ConfigError(
                         f"constraint {c.name!r} references unknown variable {name!r}")
 
-    def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-
-def _exact_cell(d: Dataset, i: int, j: int) -> Fraction:
-    nums, den = d.exact_column(j)
-    return Fraction(int(nums[i]), den)
-
 
 def big_m_for(d: Dataset, s: CoefficientSet, gamma: Fraction, i: int) -> Fraction:
     """Loss activation constant for example i: gamma plus the largest
@@ -110,10 +102,31 @@ def big_m_for(d: Dataset, s: CoefficientSet, gamma: Fraction, i: int) -> Fractio
     total = to_fraction(gamma)
     y = int(d.y[i])
     for j in range(d.p):
-        c = y * _exact_cell(d, i, j)
+        nums, den = d.exact_column(j)
+        c = y * Fraction(int(nums[i]), den)
         vs = s.domains[j].values
         total += max(-c * vs[0], -c * vs[-1])
     return total
+
+
+def _big_m_numerators(signed: list, s: CoefficientSet,
+                      gamma: Fraction) -> tuple[list[int], int]:
+    """big_m_for of every example at once, as integer numerators over
+    one common denominator.  signed[j] is (y_i x_ij numerators, their
+    denominator) for column j."""
+    den = gamma.denominator
+    parts = []
+    for (c, cden), dom in zip(signed, s.domains):
+        vs = dom.values
+        vden = math.lcm(vs[0].denominator, vs[-1].denominator)
+        lo, hi = (int(v * vden) for v in (vs[0], vs[-1]))
+        parts.append((np.maximum(c * -lo, c * -hi), cden * vden))
+        den = math.lcm(den, cden * vden)
+    total = np.full(len(signed[0][0]), gamma.numerator * (den // gamma.denominator),
+                    dtype=object)
+    for term, tden in parts:
+        total = total + term * (den // tden)
+    return total.tolist(), den
 
 
 def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
@@ -173,16 +186,28 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         objective.append((f"I_{j}", ONE))
 
     # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma
-    for i in range(n):
-        mi = _dec(big_m_for(d, s, gamma, i))
+    y = d.y.astype(object)
+    signed = []
+    for j in range(p):
+        nums, den = d.exact_column(j)
+        signed.append((y * nums, den))
+    big_m, m_den = _big_m_numerators(signed, s, gamma)
+    m_dec: dict = {}
+    cols = [(f"lam_{j}", c.tolist(), den, {}) for j, (c, den) in enumerate(signed)]
+    for i, (yi, mnum) in enumerate(zip(d.y.tolist(), big_m)):
+        mi = m_dec.get(mnum)
+        if mi is None:
+            mi = m_dec[mnum] = _dec(Fraction(mnum, m_den))
         terms = [(f"z_{i}", mi)]
-        y = int(d.y[i])
-        for j in range(p):
-            c = _dec(y * _exact_cell(d, i, j))
-            if c != 0:
-                terms.append((f"lam_{j}", c))
+        for name, col, den, c_dec in cols:
+            num = col[i]
+            if num:  # a data cell is a nonzero decimal, so _dec keeps it nonzero
+                c = c_dec.get(num)
+                if c is None:
+                    c = c_dec[num] = _dec(Fraction(num, den))
+                terms.append((name, c))
         if variant == "weighted":
-            name = f"loss_pos_{i}" if y == 1 else f"loss_neg_{i}"
+            name = f"loss_pos_{i}" if yi == 1 else f"loss_neg_{i}"
         else:
             name = f"loss_{i}"
         constraints.append(Constraint(name, tuple(terms), ">=", gamma))
@@ -264,14 +289,19 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
 
 # --- LP text ------------------------------------------------------------------
 
-def _terms_str(terms) -> str:
-    parts = []
-    for k, (name, coef) in enumerate(terms):
-        mag = fraction_str(abs(coef))
-        if k == 0:
-            parts.append(f"{'-' if coef < 0 else ''}{mag} {name}")
-        else:
-            parts.append(f"{'-' if coef < 0 else '+'} {mag} {name}")
+class _Numbers(dict):
+    """fraction_str of each distinct number, computed once (one per
+    write_lp call).  A value maps to (first-term, later-term) spellings,
+    e.g. 0.5 -> ("0.5", "+ 0.5"), -2 -> ("-2", "- 2")."""
+
+    def __missing__(self, f):
+        mag = fraction_str(abs(f))
+        got = self[f] = ((f"-{mag}", f"- {mag}") if f < 0 else (mag, f"+ {mag}"))
+        return got
+
+
+def _terms_str(terms, nums: _Numbers) -> str:
+    parts = [f"{nums[coef][k > 0]} {name}" for k, (name, coef) in enumerate(terms)]
     return " ".join(parts)
 
 
@@ -279,20 +309,24 @@ def write_lp(m: MipModel, path=None) -> str:
     """Serialize to LP text; byte-stable for equal models.  Every
     variable gets a Bounds line (in declaration order), which is what
     lets parse_lp rebuild the exact model."""
-    out = ["Minimize", f" obj: {_terms_str(m.objective)}", "Subject To"]
+    nums = _Numbers()
+
+    def num(f):
+        return nums[f][0]
+
+    out = ["Minimize", f" obj: {_terms_str(m.objective, nums)}", "Subject To"]
     for c in m.linear_constraints:
-        out.append(f" {c.name}: {_terms_str(c.terms)} {c.sense} {fraction_str(c.rhs)}")
+        out.append(f" {c.name}: {_terms_str(c.terms, nums)} {c.sense} {num(c.rhs)}")
     out.append("Bounds")
     for v in m.variables:
         if v.lower is None and v.upper is None:
             out.append(f" {v.name} free")
         elif v.upper is None:
-            out.append(f" {v.name} >= {fraction_str(v.lower)}")
+            out.append(f" {v.name} >= {num(v.lower)}")
         elif v.lower is None:
-            out.append(f" {v.name} <= {fraction_str(v.upper)}")
+            out.append(f" {v.name} <= {num(v.upper)}")
         else:
-            out.append(f" {fraction_str(v.lower)} <= {v.name} <= "
-                       f"{fraction_str(v.upper)}")
+            out.append(f" {num(v.lower)} <= {v.name} <= {num(v.upper)}")
     generals = [v.name for v in m.variables if v.kind == "integer"]
     binaries = [v.name for v in m.variables if v.kind == "binary"]
     for header, names in (("Generals", generals), ("Binaries", binaries)):
@@ -315,7 +349,23 @@ _BOUND_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
 _BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
 
 
-def _parse_terms(text: str):
+class _Tokens(dict):
+    """to_fraction of each distinct numeric token, computed once (one
+    per parse_lp call); a term's key is its (sign, digits) pair."""
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            got = to_fraction(key)
+        else:
+            sign, num = key
+            got = to_fraction(num) if num else ONE
+            if sign == "-":
+                got = -got
+        self[key] = got
+        return got
+
+
+def _parse_terms(text: str, tokens: _Tokens):
     terms = []
     pos = 0
     while pos < len(text):
@@ -325,10 +375,7 @@ def _parse_terms(text: str):
                 raise ConfigError(f"cannot parse LP terms near {text[pos:pos+30]!r}")
             break
         sign, num, name = mm.groups()
-        coef = to_fraction(num) if num else ONE
-        if sign == "-":
-            coef = -coef
-        terms.append((name, coef))
+        terms.append((name, tokens[sign, num]))
         pos = mm.end()
         while pos < len(text) and text[pos].isspace():
             pos += 1
@@ -349,6 +396,7 @@ def parse_lp(text: str) -> MipModel:
                "generals": "gen", "binaries": "bin", "end": "end",
                "st": "cons", "st.": "cons", "s.t.": "cons"}
     pending_obj = []
+    tokens = _Tokens()
     for raw in text.splitlines():
         line = raw.split("\\")[0].strip()
         if not line:
@@ -370,13 +418,13 @@ def parse_lp(text: str) -> MipModel:
             sense = sm[-1].group(1)
             lhs, rhs = body[: sm[-1].start()], body[sm[-1].end():]
             constraints.append(Constraint(
-                name.strip(), _parse_terms(lhs.strip()), sense,
-                to_fraction(rhs.strip())))
+                name.strip(), _parse_terms(lhs.strip(), tokens), sense,
+                tokens[rhs.strip()]))
         elif section == "bounds":
             mm = _BOUND_BOTH.match(line)
             if mm:
-                bounds.append((mm.group(2), to_fraction(mm.group(1)),
-                               to_fraction(mm.group(3))))
+                bounds.append((mm.group(2), tokens[mm.group(1)],
+                               tokens[mm.group(3)]))
                 continue
             if line.endswith(" free"):
                 bounds.append((line[:-5].strip(), None, None))
@@ -386,9 +434,9 @@ def parse_lp(text: str) -> MipModel:
                 raise ConfigError(f"cannot parse bounds line {line!r}")
             name, sense, num = mm.groups()
             if sense == ">=":
-                bounds.append((name, to_fraction(num), None))
+                bounds.append((name, tokens[num], None))
             else:
-                bounds.append((name, None, to_fraction(num)))
+                bounds.append((name, None, tokens[num]))
         elif section == "gen":
             generals.update(line.split())
         elif section == "bin":
@@ -398,7 +446,7 @@ def parse_lp(text: str) -> MipModel:
         else:
             raise ConfigError(f"LP line outside any section: {line!r}")
     if pending_obj:
-        objective = _parse_terms(" ".join(pending_obj))
+        objective = _parse_terms(" ".join(pending_obj), tokens)
     seen = [b[0] for b in bounds]
     mentioned = {n for n, _ in objective}
     for c in constraints:
@@ -448,18 +496,23 @@ def _lam_names(m: MipModel) -> list[str]:
     return sorted(names, key=lambda s: int(s.split("_")[1]))
 
 
-def _domain_values_from_model(m: MipModel, j: int) -> list[Fraction] | None:
+def _constraints_by_name(m: MipModel) -> dict:
+    """name -> constraint; the first of equally named rows wins."""
+    return {c.name: c for c in reversed(m.linear_constraints)}
+
+
+def _domain_values_from_model(cons: dict, j: int) -> list[Fraction] | None:
     """Values the one-of-K rows allow for lam_j; None when lam_j is a
-    plain integer range."""
-    for c in m.linear_constraints:
-        if c.name == f"def_lam_{j}":
-            vals = {ZERO}
-            for name, coef in c.terms:
-                if name.startswith("u_"):
-                    vals.add(-coef)
-            # u variables for the value 0 carry no def_lam term
-            return sorted(vals)
-    return None
+    plain integer range.  cons is _constraints_by_name of the model."""
+    c = cons.get(f"def_lam_{j}")
+    if c is None:
+        return None
+    vals = {ZERO}
+    for name, coef in c.terms:
+        if name.startswith("u_"):
+            vals.add(-coef)
+    # u variables for the value 0 carry no def_lam term
+    return sorted(vals)
 
 
 def tiers_from_model(m: MipModel):
@@ -474,6 +527,7 @@ def tiers_from_model(m: MipModel):
     if not cost:
         return None
     lam_count = len(_lam_names(m))
+    cons = _constraints_by_name(m)
     value_of = {}
     for c in m.linear_constraints:
         if c.name.startswith("def_lam_"):
@@ -485,8 +539,7 @@ def tiers_from_model(m: MipModel):
         rows = []
         r = 0
         while True:
-            row = next((c for c in m.linear_constraints
-                        if c.name == f"tier_{j}_{r}"), None)
+            row = cons.get(f"tier_{j}_{r}")
             if row is None:
                 break
             members = [name for name, _ in row.terms if name.startswith("u_")]
@@ -517,10 +570,11 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
             break
     if gamma is None:
         raise ConfigError("model has no loss rows")
-    for i in range(d.n):
-        margin = sum((int(d.y[i]) * _exact_cell(d, i, j) * lam[j]
-                      for j in range(len(lam))), ZERO)
-        out[f"z_{i}"] = ONE if margin < gamma else ZERO
+    # margin_i = y_i score_i / q < gamma, compared as integers (q > 0)
+    score, q = score_ints(d, lam)
+    cut = gamma.numerator * q
+    for i, (yi, si) in enumerate(zip(d.y.tolist(), score.tolist())):
+        out[f"z_{i}"] = ONE if yi * si * gamma.denominator < cut else ZERO
     declared = {v.name for v in m.variables}
     for j in range(len(lam)):
         if f"alpha_{j}" in declared:
@@ -547,11 +601,11 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
         out[v.name] = ONE if want else ZERO
         if want:
             picked.add(j)
+    cons = _constraints_by_name(m)
     for v in m.variables:
         if v.name.startswith("s_"):
             _, j, r = v.name.split("_")
-            row = next(c for c in m.linear_constraints
-                       if c.name == f"tier_{j}_{r}")
+            row = cons[f"tier_{j}_{r}"]
             members = [name for name, _ in row.terms if name.startswith("u_")]
             out[v.name] = ONE if any(out.get(name) == ONE for name in members) else ZERO
     for c in m.linear_constraints:
@@ -615,10 +669,11 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
                           violations=violations)
 
     lam = []
+    cons = _constraints_by_name(m)
     for name in _lam_names(m):
         j = int(name.split("_")[1])
         x = vals[name]
-        allowed = _domain_values_from_model(m, j)
+        allowed = _domain_values_from_model(cons, j)
         snapped = (Fraction(round(x)) if allowed is None
                    else min(allowed, key=lambda v: (abs(v - x), abs(v))))
         if abs(x - snapped) > TOL:

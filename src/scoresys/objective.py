@@ -308,12 +308,6 @@ class CompiledInstance:
         self.zero_index = [int(np.nonzero(v == 0)[0][0]) for v in vi]
         self.values = dom_vals  # Fractions, aligned with vi/pen/l1i
 
-    def objective_fraction(self, obj_int: int) -> Fraction:
-        return Fraction(int(obj_int), self.pen_den)
-
-    def leaf_loss_int(self, margin: np.ndarray) -> int:
-        return int(self.cost[margin <= 0].sum())
-
     def margin_extrema(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-example min and max of the margin contribution of
         coefficient j over its domain (at margin_den scale)."""

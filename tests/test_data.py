@@ -6,6 +6,7 @@ import pytest
 
 from scoresys.data import Dataset, load_csv, split_folds, to_csv
 from scoresys.errors import DataError
+from scoresys.exactnum import common_denominator, scaled_int, to_fraction
 
 from helpers import write_csv
 
@@ -136,6 +137,29 @@ def test_exact_column():
     ints, den = d.exact_column(0)
     assert den == 2
     assert ints.tolist() == [1, 3]
+
+
+def _exact_column_by_fractions(col):
+    """Reference: one to_fraction per cell, then a common denominator."""
+    fracs = [to_fraction(v) for v in col]
+    den = common_denominator(fracs)
+    return [scaled_int(f, den) for f in fracs], den
+
+
+@pytest.mark.parametrize("col", [
+    [3.0, -7.0, -0.0, 0.0, 12.0],     # integer path
+    [2.0**53, -(2.0**53), 1.0],       # integer path, at its limit
+    [1.0, 1e23, -4.0],                # Fraction path: 10**23, not int(1e23)
+    [1.0, 0.5, -3.0],                 # Fraction path: not integral
+])
+def test_exact_column_integer_path_matches_fractions(col):
+    x = np.array(col)[:, None]
+    d = Dataset(x=x, y=np.resize([1, -1], len(col)),
+                feature_names=("a",), intercept_index=None)
+    nums, den = d.exact_column(0)
+    ref_nums, ref_den = _exact_column_by_fractions(col)
+    assert (nums.tolist(), den) == (ref_nums, ref_den)
+    assert all(type(v) is int for v in nums.tolist())
 
 
 def test_subset_and_counts():

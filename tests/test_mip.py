@@ -8,10 +8,11 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
-from scoresys.mipmodel import (big_m_for, build_model, complete_assignment,
+from scoresys.exactnum import to_fraction
+from scoresys.mipmodel import (_dec, big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
                                tiers_from_model, verify_solution, write_lp)
-from scoresys.objective import TrainConfig, evaluate
+from scoresys.objective import TrainConfig, default_weights, evaluate
 
 from helpers import brute_solve, rand_dataset
 
@@ -38,6 +39,33 @@ def test_big_m_worked_example():
                 intercept_index=None)
     s = uniform(bounded_integers(10), 2)
     assert big_m_for(d, s, Fraction(1, 10), 0) == Fraction(301, 10)
+
+
+@pytest.mark.parametrize("variant", ["standard", "weighted"])
+def test_loss_rows_match_per_cell_reference(variant):
+    """The column-wise loss rows equal the single-row big_m_for and the
+    per-cell Fraction coefficients, on a table with a non-integral
+    column, a gapped domain and a gamma with no terminating decimal."""
+    rng = np.random.default_rng(21)
+    d0 = rand_dataset(rng, 12, 3, intercept=True)
+    x = d0.x.copy()
+    x[:, 2] = rng.integers(-8, 9, size=d0.n) * 0.25 + 0.1
+    d = Dataset(x=x, y=d0.y, feature_names=d0.feature_names, intercept_index=0)
+    s = uniform(explicit_values([0, 1, -1, 10, -10]), d.p)
+    w = (1, 1) if variant == "standard" else default_weights(d.n, d.n_pos)
+    cfg = _resolved(d, s, gamma=Fraction(1, 3), w_pos=w[0], w_neg=w[1])
+    m = build_model(d, s, cfg, variant)
+    gamma = _dec(cfg.gamma)
+    rows = [c for c in m.linear_constraints if c.name.startswith("loss")]
+    assert len(rows) == d.n
+    for i, row in enumerate(rows):
+        y = int(d.y[i])
+        terms = dict(row.terms)
+        assert row.rhs == gamma
+        assert terms.pop(f"z_{i}") == _dec(big_m_for(d, s, gamma, i))
+        want = {f"lam_{j}": _dec(y * to_fraction(float(d.x[i, j])))
+                for j in range(d.p) if d.x[i, j] != 0}
+        assert terms == want
 
 
 def test_standard_model_shape():
@@ -196,6 +224,21 @@ def test_complete_assignment_is_feasible_and_scored():
         ov = verify_solution(m, a, d, cfg)
         assert ov.total == evaluate(d, list(combo), cfg).total
         assert model_objective_value(m, a) == ov.total
+
+
+def test_complete_assignment_loss_indicator_at_the_margin():
+    # margins 1/2 - 1/4 = 1/4 (= gamma, row holds with z = 0) and
+    # 1/2 - 1/2 = 0 (< gamma, needs z = 1); a non-integral column makes
+    # the exact scores sit at a denominator other than 1
+    x = np.array([[0.5, 0.25], [0.5, 0.5]])
+    d = Dataset(x=x, y=np.array([1, 1]), feature_names=("a", "b"),
+                intercept_index=None)
+    s = uniform(bounded_integers(1), 2)
+    cfg = _resolved(d, s, gamma=Fraction(1, 4))
+    m = build_model(d, s, cfg)
+    a = complete_assignment(m, d, [Fraction(1), Fraction(-1)])
+    assert (a["z_0"], a["z_1"]) == (0, 1)
+    verify_solution(m, a, d, cfg)
 
 
 def test_non_decimal_n_drift_stays_inside_tolerance():
