@@ -113,8 +113,7 @@ def _cmd_train(args) -> int:
     print(f"config_hash: {model.provenance['config_hash']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(model.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(model.to_json())
         print(f"model written to {args.out}")
     print()
     print(render_score_sheet(model, labels=parse_label_map(args.labels)))

@@ -197,14 +197,20 @@ class CoefficientSet:
     def tier_cost(self, j: int, value) -> Fraction:
         """Cost of the tier containing value at coefficient j; 0 when the
         coefficient has no tiers."""
-        if self.tiers is None or self.tiers[j] is None:
-            return ZERO
-        v = to_fraction(value)
-        for t in self.tiers[j]:
-            if v in t.values:
-                return t.cost
-        raise DomainError(
-            f"value {fraction_str(v)} is outside every tier of coefficient {j}")
+        return tier_cost_in(None if self.tiers is None else self.tiers[j], value, j)
+
+
+def tier_cost_in(tiers_j, value, j: int) -> Fraction:
+    """Cost of the tier in tiers_j (coefficient j's Tier list, or None
+    for no tiers) that contains value; 0 when tiers_j is None."""
+    if tiers_j is None:
+        return ZERO
+    v = to_fraction(value)
+    for t in tiers_j:
+        if v in t.values:
+            return t.cost
+    raise DomainError(
+        f"value {fraction_str(v)} is outside every tier of coefficient {j}")
 
 
 def _check_tiers(domain: CoefficientDomain, spec, j: int):

@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefset import CoefficientSet
+from .coefset import CoefficientSet, tier_cost_in
 from .data import Dataset
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .exactnum import common_denominator, fraction_str, scaled_int, to_fraction
 
 ZERO = Fraction(0)
@@ -200,15 +200,6 @@ def score_ints(d: Dataset, lam) -> tuple[np.ndarray, int]:
     return total, q
 
 
-def tier_cost_of(tiers_j, value: Fraction) -> Fraction:
-    if tiers_j is None:
-        return ZERO
-    for t in tiers_j:
-        if value in t.values:
-            return t.cost
-    raise DomainError(f"value {fraction_str(value)} is outside every tier")
-
-
 def evaluate(d: Dataset, lam, cfg: TrainConfig, tiers=None) -> ObjectiveValue:
     """Exact objective of a coefficient vector (not restricted to any
     domain).  tiers, when given, is a per-coefficient tuple of Tier
@@ -229,7 +220,7 @@ def evaluate(d: Dataset, lam, cfg: TrainConfig, tiers=None) -> ObjectiveValue:
     if tiers is not None:
         if len(tiers) != d.p:
             raise ConfigError("tiers tuple must align with coefficients")
-        tier = sum((tier_cost_of(tiers[j], vals[j]) for j in range(d.p)), ZERO)
+        tier = sum((tier_cost_in(tiers[j], vals[j], j) for j in range(d.p)), ZERO)
     return ObjectiveValue(
         total=loss + l0 + l1 + tier, loss_term=loss, l0_term=l0, l1_term=l1,
         tier_term=tier, misclassified_count=mis_pos + mis_neg, nnz=nnz, n=d.n)
@@ -240,12 +231,18 @@ def evaluate(d: Dataset, lam, cfg: TrainConfig, tiers=None) -> ObjectiveValue:
 class CompiledInstance:
     """Dataset x coefficient-set x config flattened to integer arrays.
 
-    Margins live at denominator margin_den: the margin of example i is
-    (sum_j b_cols[j][i] * vi[j][k_j]) / margin_den where k_j indexes
+    Rows are the distinct vectors y_i x_i: examples with equal vectors
+    have equal margins under every lam, so they merge into one row
+    whose loss cost is the sum of theirs (n_rows <= d.n).  Margins live
+    at denominator margin_den: the margin of row r is
+    (sum_j b_cols[j][r] * vi[j][k_j]) / margin_den where k_j indexes
     the chosen domain value.  Loss costs and per-value penalties live
     at denominator pen_den, so any two objective values compare as
-    plain integers.  Arrays are int64 when a precomputed worst-case
-    bound fits comfortably, else Python-int object arrays.
+    plain integers.  Rows twin_a[q] and twin_b[q] have opposite
+    vectors, so their margins are m and -m: every lam loses at least
+    one of them and pays at least twin_cost[q], the smaller cost.
+    Arrays are int64 when a precomputed worst-case bound fits
+    comfortably, else Python-int object arrays.
     """
 
     def __init__(self, d: Dataset, s: CoefficientSet, cfg: TrainConfig):
@@ -254,7 +251,7 @@ class CompiledInstance:
         if cfg.c1 is None:
             raise ConfigError("cfg.c1 is unresolved; call cfg.resolve first")
         self.d, self.s, self.cfg = d, s, cfg
-        self.n, self.p = d.n, d.p
+        self.p = d.p
 
         dom_vals = [dom.values for dom in s.domains]
         val_dens = [common_denominator(vs) for vs in dom_vals]
@@ -263,10 +260,9 @@ class CompiledInstance:
 
         pen_fracs: list[list[Fraction]] = []
         for j, vs in enumerate(dom_vals):
-            tiers_j = None if s.tiers is None else s.tiers[j]
             pen_fracs.append([
                 (cfg.c0 if v != 0 else ZERO) + cfg.c1 * abs(v)
-                + tier_cost_of(tiers_j, v) for v in vs])
+                + s.tier_cost(j, v) for v in vs])
         cost_pos = cfg.w_pos / d.n
         cost_neg = cfg.w_neg / d.n
         self.pen_den = common_denominator(
@@ -304,14 +300,76 @@ class CompiledInstance:
             pen = [p_.astype(np.int64) for p_ in pen]
             l1i = [l.astype(np.int64) for l in l1i]
             cost = cost.astype(np.int64)
-        self.b_cols, self.vi, self.pen, self.l1i, self.cost = b_cols, vi, pen, l1i, cost
+            first, group, twin_a, twin_b = _merge_rows_int64(np.stack(b_cols, axis=1))
+        else:
+            first, group, twin_a, twin_b = _merge_rows_object(b_cols)
+        self.n_rows = len(first)
+        merged = np.zeros(self.n_rows, dtype=cost.dtype)
+        np.add.at(merged, group, cost)
+        self.b_cols = [b[first] for b in b_cols]
+        self.vi, self.pen, self.l1i, self.cost = vi, pen, l1i, merged
+        self.twin_a, self.twin_b = twin_a, twin_b
+        self.twin_cost = np.minimum(merged[twin_a], merged[twin_b])
         self.zero_index = [int(np.nonzero(v == 0)[0][0]) for v in vi]
         self.values = dom_vals  # Fractions, aligned with vi/pen/l1i
 
+    def loss(self, margins):
+        """Loss (pen_den scale) of rows at these exact margins; rows run
+        along the last axis."""
+        return np.einsum("...r,r->...", margins <= 0, self.cost)
+
+    def sure_loss(self, dead):
+        """Least loss (pen_den scale) of any lam that loses every row
+        marked in dead (rows along the last axis): the cost of those
+        rows, plus the cheaper row of each twin pair with neither row
+        marked.  With dead = margins <= 0 it equals loss(margins)."""
+        loss = np.einsum("...r,r->...", dead, self.cost)
+        if len(self.twin_a):
+            live = ~(dead[..., self.twin_a] | dead[..., self.twin_b])
+            loss = loss + np.einsum("...q,q->...", live, self.twin_cost)
+        return loss
+
     def margin_extrema(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-example min and max of the margin contribution of
+        """Per-row min and max of the margin contribution of
         coefficient j over its domain (at margin_den scale)."""
         b = self.b_cols[j]
         lo, hi = self.vi[j][0], self.vi[j][-1]  # values sorted ascending
         a, c = b * lo, b * hi
         return np.minimum(a, c), np.maximum(a, c)
+
+
+def _merge_rows_int64(rows: np.ndarray):
+    """Group equal rows of an int64 matrix and pair opposite groups.
+
+    Returns (first, group, twin_a, twin_b): the first row of each group,
+    each row's group, and the groups whose rows are negations of each
+    other.  Each row is keyed with the sign that makes its first
+    nonzero entry positive, so one sort finds both."""
+    n, p = rows.shape
+    lead = rows[np.arange(n), (rows != 0).argmax(axis=1)]
+    neg = lead < 0
+    keyed = np.ascontiguousarray(np.where(neg[:, None], -rows, rows))
+    keys = keyed.view(np.dtype((np.void, keyed.itemsize * p))).ravel()
+    _, key_of = np.unique(keys, return_inverse=True)
+    ids, first, group = np.unique(2 * key_of + neg, return_index=True,
+                                  return_inverse=True)
+    twin_a = np.nonzero(ids[1:] // 2 == ids[:-1] // 2)[0]
+    return first, group, twin_a, twin_a + 1
+
+
+def _merge_rows_object(b_cols: list):
+    """_merge_rows_int64 for Python-int columns, via a dict of rows."""
+    index, first, group, twin_a, twin_b = {}, [], [], [], []
+    for i, row in enumerate(zip(*(b.tolist() for b in b_cols))):
+        g = index.get(row)
+        if g is None:
+            g = len(first)
+            twin = index.get(tuple(-v for v in row))
+            if twin is not None:
+                twin_a.append(twin)
+                twin_b.append(g)
+            index[row] = g
+            first.append(i)
+        group.append(g)
+    return tuple(np.array(a, dtype=np.intp)
+                 for a in (first, group, twin_a, twin_b))

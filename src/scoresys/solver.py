@@ -2,9 +2,13 @@
 
 The search fixes coefficients one at a time (most class-separating
 column first, small |value| first) and keeps exact integer margins for
-every example, pruning with an admissible bound: penalties already
-committed, the least penalty each remaining coefficient must add, and
-the loss of examples no completion can rescue.  Objective ties resolve
+every distinct row, pruning with an admissible bound: penalties already
+committed, the least penalty each remaining coefficient must add, the
+loss of rows no completion can rescue, and the cheaper row of each
+opposite pair neither of which is lost yet.  Below a node, every
+completion but the all-zero one pays at least one more nonzero
+penalty; when that alone prunes, the all-zero completion is scored
+exactly instead of searched.  Objective ties resolve
 to the smallest l1 norm, then to the lexicographically smallest
 coefficient vector; pruning is careful to respect that rule, so the
 returned vector is a pure function of the problem and not of traversal
@@ -53,6 +57,10 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's model and certificate.  nodes_explored counts search
+    nodes: expansions (nodes whose children were bounded) plus leaves
+    (complete vectors scored at the last level)."""
+
     best: ScoringSystem
     objective: ObjectiveValue
     lower_bound: Fraction
@@ -125,11 +133,11 @@ class SearchState:
         object.__setattr__(self, "values", vals)
 
     def margin_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-example [lo, hi] of y_i x_i . lam over all completions,
-        at margin_den scale.  Any completion's margin lies inside."""
+        """Per-row [lo, hi] of the margin over all completions, at
+        margin_den scale.  Any completion's margin lies inside."""
         ci = self.instance
-        lo = np.zeros(ci.n, dtype=object)
-        hi = np.zeros(ci.n, dtype=object)
+        lo = np.zeros(ci.n_rows, dtype=object)
+        hi = np.zeros(ci.n_rows, dtype=object)
         for j, v in enumerate(self.values):
             if v is None:
                 a, b = ci.margin_extrema(j)
@@ -141,20 +149,20 @@ class SearchState:
 
 
 def lower_bound_of(state: SearchState, cfg: TrainConfig) -> Fraction:
-    """Admissible bound: penalties of the fixed coordinates plus the
-    weighted loss of examples whose whole margin interval is <= 0.  No
-    completion of the state can cost less; a fully fixed state gives
-    evaluate()'s total exactly."""
+    """Admissible bound, the one the search computes for each node:
+    penalties of the fixed coordinates, the least penalty of each free
+    one, and CompiledInstance.sure_loss of the rows whose whole margin
+    interval is <= 0.  No completion of the state can cost less; a fully fixed
+    state gives evaluate()'s total exactly."""
     ci = state.instance
     if cfg != ci.cfg:
         raise ConfigError("state was compiled under a different config")
-    fixed_pen = 0
+    pen = 0
     for j, v in enumerate(state.values):
-        if v is not None:
-            fixed_pen += int(ci.pen[j][ci.values[j].index(v)])
+        pen += int(ci.pen[j].min() if v is None
+                   else ci.pen[j][ci.values[j].index(v)])
     _, hi = state.margin_intervals()
-    sure_loss = int(ci.cost[np.asarray(hi <= 0, dtype=bool)].sum())
-    return Fraction(fixed_pen + sure_loss, ci.pen_den)
+    return Fraction(pen + int(ci.sure_loss(hi <= 0)), ci.pen_den)
 
 
 # --- engine internals ---------------------------------------------------------
@@ -164,10 +172,9 @@ class _Prep:
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
-        self.p, self.n = ci.p, ci.n
+        self.p = ci.p
         diffs = _class_mean_diffs(ci.d)
         self.order = sorted(range(ci.p), key=lambda j: (-abs(diffs[j]), j))
-        self.costs = ci.cost
         self.B, self.VI, self.PEN, self.L1, self.KIDX = [], [], [], [], []
         mx = []
         for t, j in enumerate(self.order):
@@ -180,16 +187,24 @@ class _Prep:
             self.KIDX.append([int(k) for k in pidx])
             mx.append(ci.margin_extrema(j)[1])
         dtype = np.int64 if ci.int64_ok else object
-        self.zeros_margin = np.zeros(ci.n, dtype=dtype)
-        self.sufmax = [None] * (ci.p + 1)
-        self.sufmax[ci.p] = np.zeros(ci.n, dtype=dtype)
+        self.zeros_margin = np.zeros(ci.n_rows, dtype=dtype)
+        # suffix tables over levels t..p-1: the margin at or below which
+        # a row stays lost whatever they add, their least and their
+        # all-zero penalty, and the least extra penalty any nonzero
+        # value among them costs
+        self.lost_at = [None] * (ci.p + 1)
+        self.lost_at[ci.p] = np.zeros(ci.n_rows, dtype=dtype)
         self.sufminpen = [0] * (ci.p + 1)
         self.sufzeropen = [0] * (ci.p + 1)
+        self.sufnz = [INF] * (ci.p + 1)
         for t in range(ci.p - 1, -1, -1):
-            self.sufmax[t] = self.sufmax[t + 1] + mx[t]
-            self.sufminpen[t] = self.sufminpen[t + 1] + int(self.PEN[t].min())
-            self.sufzeropen[t] = self.sufzeropen[t + 1] + int(self.PEN[t][0])
-        total = sum(len(v) for v in self.VI) * ci.n
+            pens = self.PEN[t]  # value 0 first
+            self.lost_at[t] = self.lost_at[t + 1] - mx[t]
+            self.sufminpen[t] = self.sufminpen[t + 1] + int(pens.min())
+            self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
+            step = int(pens[1:].min()) - int(pens.min()) if len(pens) > 1 else INF
+            self.sufnz[t] = min(self.sufnz[t + 1], step)
+        total = sum(len(v) for v in self.VI) * ci.n_rows
         self.OUT = None
         if ci.int64_ok and total <= 30_000_000:
             self.OUT = [v[:, None] * b[None, :] for v, b in zip(self.VI, self.B)]
@@ -199,9 +214,19 @@ class _Prep:
             return self.OUT[t]
         return self.VI[t][:, None] * self.B[t][None, :]
 
+    def child_bounds(self, t: int, margin):
+        """Margins and bounds of the children of a level-t node whose
+        fixed levels give the margins margin, one row per value at
+        level t; the bounds leave out the penalties of levels before t.
+        Same bound as lower_bound_of, which is exact at the last level."""
+        cand = margin[None, :] + self.level_out(t)
+        if t == self.p - 1:
+            return cand, self.PEN[t] + self.ci.loss(cand)
+        dead = cand <= self.lost_at[t + 1][None, :]
+        return cand, self.PEN[t] + self.sufminpen[t + 1] + self.ci.sure_loss(dead)
+
     def root_bound(self) -> int:
-        dead = np.asarray(self.sufmax[0] <= 0, dtype=bool)
-        return self.sufminpen[0] + int(self.costs[dead].sum())
+        return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
 
 
 class _Shared:
@@ -285,6 +310,7 @@ class _Engine:
         self.next_check = CHECK_EVERY
         self.open_min = [INF] * (prep.p + 1)
         self.active = [INF] * (prep.p + 2)
+        self.zero_loss = [None] * prep.p   # per level, filled on demand
 
     def _korig(self, prefix: list) -> tuple:
         pr = self.prep
@@ -320,50 +346,67 @@ class _Engine:
             self._checkpoint(t)
         if sh.stop:
             return
-        pr = self.prep
-        costs = pr.costs
-        cand = margin[None, :] + pr.level_out(t)
-        pens = pr.PEN[t]
-        l1s = pr.L1[t]
-        last = t == pr.p - 1
-        if last:
-            bounds = fpen + pens + ((cand <= 0) * costs[None, :]).sum(axis=1)
-        else:
-            dead = (cand + pr.sufmax[t + 1][None, :]) <= 0
-            bounds = (fpen + pens + pr.sufminpen[t + 1]
-                      + (dead * costs[None, :]).sum(axis=1))
+        cand, bounds = self.prep.child_bounds(t, margin)
+        bounds = fpen + bounds
+        if t == self.prep.p - 1:
+            self.leaves(bounds, fl1, prefix)
+            return
         sm = np.minimum.accumulate(bounds[::-1])[::-1]
-        om, ac = self.open_min, self.active
-        width = len(pens)
+        om = self.open_min
+        self.zero_loss[t] = None
+        width = len(bounds)
         for k in range(width):
             om[t] = int(sm[k + 1]) if k + 1 < width else INF
             if sh.stop:
                 break
-            bk = int(bounds[k])
-            if last:
-                self.nodes += 1
-                self.consider(bk, fl1 + int(l1s[k]), prefix + [k])
-                continue
-            cur = sh.best
-            if cur is not None:
-                if bk > cur[0]:
-                    continue
-                if bk == cur[0]:
-                    l1k = fl1 + int(l1s[k])
-                    if l1k > cur[1]:
-                        continue
-                    if l1k == cur[1]:
-                        # the only completion that can still tie the
-                        # incumbent on (objective, l1) is all-zeros
-                        zloss = int(((cand[k] <= 0) * costs).sum())
-                        zobj = fpen + int(pens[k]) + pr.sufzeropen[t + 1] + zloss
-                        self.consider(zobj, l1k, prefix + [k])
-                        continue
-            ac[t + 1] = bk
-            self.dfs(t + 1, cand[k], fpen + int(pens[k]),
-                     fl1 + int(l1s[k]), prefix + [k])
-            ac[t + 1] = INF
+            self.child(t, k, cand, int(bounds[k]), fpen, fl1, prefix)
         om[t] = INF
+
+    def leaves(self, objs, fl1: int, prefix: list):
+        """Score the complete vectors prefix + [k], whose objectives are
+        objs[k]; only those at or below the incumbent can replace it."""
+        self.nodes += len(objs)
+        l1s = self.prep.L1[self.prep.p - 1]
+        cur = self.sh.best
+        ks = range(len(objs)) if cur is None else np.flatnonzero(objs <= cur[0])
+        for k in ks:
+            self.consider(int(objs[k]), fl1 + int(l1s[k]), prefix + [int(k)])
+
+    def child(self, t: int, k: int, cand, bk: int, fpen: int, fl1: int,
+              prefix: list):
+        """Visit value k at level t < p - 1, whose margins are cand[k]
+        and whose bound is bk: prune it or search below it.
+
+        Pruning keeps the returned vector a pure function of the
+        problem: a subtree is dropped only when none of its completions
+        beats the incumbent in the (objective, l1, vector) order.  With
+        incumbent (obj, l1), the child's completions cost at least bk
+        and have l1 >= l1k, so the child is dropped when bk > obj, or
+        bk == obj and l1k > l1.  Every completion but the all-zero one
+        costs at least bk + sufnz[t + 1] and has l1 > l1k, so those are
+        dropped when bk + sufnz[t + 1] > obj, or when it equals obj and
+        l1k >= l1; the all-zero completion is then scored exactly, with
+        the losses of all of cand computed once per node.  A child that
+        is searched reaches that completion anyway."""
+        pr = self.prep
+        l1k = fl1 + int(pr.L1[t][k])
+        pk = fpen + int(pr.PEN[t][k])
+        cur = self.sh.best
+        if cur is not None:
+            obj, l1 = cur[0], cur[1]
+            if bk > obj or (bk == obj and l1k > l1):
+                return
+            nz = bk + pr.sufnz[t + 1]
+            if nz > obj or (nz == obj and l1k >= l1):
+                zl = self.zero_loss[t]
+                if zl is None:
+                    zl = self.zero_loss[t] = pr.ci.loss(cand)
+                zobj = pk + pr.sufzeropen[t + 1] + int(zl[k])
+                self.consider(zobj, l1k, prefix + [k])
+                return
+        self.active[t + 1] = bk
+        self.dfs(t + 1, cand[k], pk, l1k, prefix + [k])
+        self.active[t + 1] = INF
 
 
 def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
@@ -374,7 +417,7 @@ def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
         margin = margin + prep.VI[t][k] * prep.B[t]
         obj += int(prep.PEN[t][k])
         l1 += int(prep.L1[t][k])
-    obj += int(((margin <= 0) * prep.costs).sum())
+    obj += int(prep.ci.loss(margin))
     return obj, l1
 
 
@@ -391,7 +434,7 @@ def _polish(prep: _Prep, assign: list) -> list:
         for t in range(prep.p):
             base = margin - prep.VI[t][assign[t]] * prep.B[t]
             cand = base[None, :] + prep.level_out(t)
-            tot = prep.PEN[t] + ((cand <= 0) * prep.costs[None, :]).sum(axis=1)
+            tot = prep.PEN[t] + prep.ci.loss(cand)
             k_best = min(range(len(tot)), key=lambda k: (int(tot[k]), k))
             if (int(tot[k_best]), k_best) < (int(tot[assign[t]]), assign[t]):
                 assign[t] = k_best
@@ -480,7 +523,7 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     with sh.lock:
         sh._emit(time.monotonic())
 
-    if jobs == 1:
+    if jobs == 1 or prep.p == 1:
         eng.active[0] = prep.root_bound()
         eng.dfs(0, prep.zeros_margin, 0, 0, [])
         nodes = eng.nodes
@@ -529,14 +572,8 @@ def _run_parallel(prep: _Prep, sh: _Shared, jobs: int) -> int:
     """Split the root's children into tasks consumed by a thread pool.
     Workers share the incumbent; the task list doubles as the global
     lower bound while subtrees are in flight."""
-    costs = prep.costs
-    cand = prep.zeros_margin[None, :] + prep.level_out(0)
-    if prep.p == 1:
-        bounds = prep.PEN[0] + ((cand <= 0) * costs[None, :]).sum(axis=1)
-    else:
-        dead = (cand + prep.sufmax[1][None, :]) <= 0
-        bounds = prep.PEN[0] + prep.sufminpen[1] + (dead * costs[None, :]).sum(axis=1)
-    width = len(prep.PEN[0])
+    cand, bounds = prep.child_bounds(0, prep.zeros_margin)
+    width = len(bounds)
     queue = deque(range(width))
     sh.tasks = {k: int(bounds[k]) for k in range(width)}
     counts = []
@@ -549,7 +586,9 @@ def _run_parallel(prep: _Prep, sh: _Shared, jobs: int) -> int:
                     break
                 k = queue.popleft()
             try:
-                _run_task(prep, sh, eng, k, cand[k], int(bounds[k]))
+                # every task shares the root's cand, so eng.zero_loss[0]
+                # stays valid across tasks
+                eng.child(0, k, cand, int(bounds[k]), 0, 0, [])
             finally:
                 with sh.lock:
                     sh.tasks.pop(k, None)
@@ -564,24 +603,3 @@ def _run_parallel(prep: _Prep, sh: _Shared, jobs: int) -> int:
     if sh.stop:
         sh.tasks = {}
     return sum(counts) + 1
-
-
-def _run_task(prep: _Prep, sh: _Shared, eng: _Engine, k: int, margin, bk: int):
-    fpen = int(prep.PEN[0][k])
-    fl1 = int(prep.L1[0][k])
-    if prep.p == 1:
-        eng.nodes += 1
-        eng.consider(bk, fl1, [k])
-        return
-    cur = sh.best
-    if cur is not None:
-        if bk > cur[0]:
-            return
-        if bk == cur[0]:
-            if fl1 > cur[1]:
-                return
-            if fl1 == cur[1]:
-                zloss = int(((margin <= 0) * prep.costs).sum())
-                eng.consider(fpen + prep.sufzeropen[1] + zloss, fl1, [k])
-                return
-    eng.dfs(1, margin, fpen, fl1, [k])

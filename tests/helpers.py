@@ -67,17 +67,25 @@ def brute_solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig):
 
     Everything runs on a single common integer denominator so the
     200-instance oracle loop stays well under its time limit while the
-    comparison itself is exact.  Returns (best_total, best_combo) with
-    the (total, l1, values) tie-break.  Integer data cells only.
+    comparison itself is exact.  Cells are read through
+    Dataset.exact_column, and the margins are computed in int64 only
+    when a bound on every one of them fits, else on Python ints.
+    Returns (best_total, best_combo) with the (total, l1, values)
+    tie-break.
     """
     assert cfg.c1 is not None, "resolve the config first"
     dom_vals = [dom.values for dom in s.domains]
     den = common_denominator([v for vs in dom_vals for v in vs])
     combos = list(itertools.product(*dom_vals))
-    cmat = np.array([[int(v * den) for v in c] for c in combos], dtype=np.int64)
-    xs = d.x.astype(np.int64)
-    assert np.array_equal(xs.astype(np.float64), d.x), "integer cells only"
-    margins = (cmat @ xs.T) * d.y[np.newaxis, :].astype(np.int64)
+    cols = [d.exact_column(j) for j in range(d.p)]
+    xden = math.lcm(*(cden for _, cden in cols))
+    xs = np.stack([nums * (xden // cden) for nums, cden in cols], axis=1)
+    cints = [[int(v * den) for v in c] for c in combos]
+    cmax = max(abs(v) for c in cints for v in c)
+    xmax = max(abs(int(v)) for v in xs.ravel().tolist())
+    dtype = np.int64 if d.p * cmax * xmax < 2**62 else object
+    cmat = np.array(cints, dtype=dtype)
+    margins = (cmat @ xs.astype(dtype).T) * d.y[np.newaxis, :].astype(dtype)
     wden = common_denominator([cfg.w_pos, cfg.w_neg])
     wint = np.where(d.y > 0, int(cfg.w_pos * wden), int(cfg.w_neg * wden))
     loss_int = ((margins <= 0) * wint[np.newaxis, :]).sum(axis=1).tolist()
@@ -95,15 +103,14 @@ def brute_solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig):
     m_l1_num = cfg.c1.numerator * (scale // cfg.c1.denominator)
     assert m_l1_num % den == 0
     m_l1 = m_l1_num // den
-    ks = (cmat != 0).sum(axis=1).tolist()
-    l1s = np.abs(cmat).sum(axis=1).tolist()
+    ks = [sum(1 for v in c if v) for c in cints]
+    l1s = [sum(abs(v) for v in c) for c in cints]
 
     best = None
     for ci_, combo in enumerate(combos):
         tot = loss_int[ci_] * m_loss + ks[ci_] * m_l0 + l1s[ci_] * m_l1
         if tiers_flat is not None:
-            tot += sum(tiers_flat[j][int(cmat[ci_, j])]
-                       for j in range(len(combo)))
+            tot += sum(tiers_flat[j][cints[ci_][j]] for j in range(len(combo)))
         key = (tot, l1s[ci_], combo)
         if best is None or key < best[0]:
             best = (key, combo)
@@ -120,6 +127,18 @@ def brute_check(d, s, cfg, tiers=None):
         if best is None or key < best[0]:
             best = (key, combo, ov)
     return best[0][0], best[1]
+
+
+def rand_dup_dataset(rng, n, p, lo=-3, hi=3, scale=1) -> Dataset:
+    """Rows drawn with replacement from a pool of about n/3 distinct
+    integer rows (times scale), each with a random label, so the table
+    has repeated rows and rows whose twin has the opposite label."""
+    pool = rng.integers(lo, hi + 1, size=(max(2, n // 3), p)) * scale
+    x = pool[rng.integers(0, len(pool), size=n)].astype(np.float64)
+    y = rng.choice([-1, 1], size=n)
+    y[0], y[-1] = 1, -1  # keep both classes
+    return Dataset(x=x, y=y, feature_names=tuple(f"f{j}" for j in range(p)),
+                   intercept_index=None)
 
 
 def footnote_dataset() -> Dataset:

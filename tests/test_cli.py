@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -46,6 +47,18 @@ def test_train_footnote_tiebreak(tmp_path, footnote_csv, coefset_one, capsys):
     assert "status: optimal" in captured.out
     m = ScoringSystem.from_json(out.read_text())
     assert m.coefficients == (Fraction(-1), Fraction(0))
+
+
+def test_train_model_file_is_to_json(tmp_path, small_csv, coefset_one):
+    out = tmp_path / "model.json"
+    assert main(["train", "--data", str(small_csv), "--coefset",
+                 str(coefset_one), "--c0", "0.05", "--out", str(out)]) == 0
+    m = ScoringSystem.from_json(out.read_text())
+    hand_rolled = io.StringIO()
+    json.dump(m.to_json_dict(), hand_rolled, sort_keys=True, indent=2)
+    hand_rolled.write("\n")
+    assert out.read_bytes() == m.to_json().encode()
+    assert hand_rolled.getvalue() == m.to_json()
 
 
 def test_train_trace_and_labels(tmp_path, footnote_csv, coefset_one, capsys):

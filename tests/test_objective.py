@@ -7,11 +7,12 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError
-from scoresys.objective import (ObjectiveValue, TrainConfig, c0_range,
+from scoresys.objective import (CompiledInstance, ObjectiveValue, TrainConfig,
+                                _merge_rows_int64, _merge_rows_object, c0_range,
                                 default_c1, default_weights, evaluate,
                                 score_ints)
 
-from helpers import rand_dataset
+from helpers import rand_dataset, rand_dup_dataset
 
 
 def _tiny():
@@ -169,3 +170,51 @@ def test_objective_value_to_dict():
     assert doc["n"] == 3
     assert doc["total"] == pytest.approx(1 / 3 + 0.01 + 0.001)
     assert set(doc) >= {"total", "total_exact", "loss", "l0", "l1", "tier", "nnz"}
+
+
+def _merge_reference(rows):
+    """Groups of equal rows (by first occurrence) and the pairs of
+    groups whose rows are negations of each other, by plain loops."""
+    keys = []
+    for r in rows.tolist():
+        if tuple(r) not in keys:
+            keys.append(tuple(r))
+    groups = {k: frozenset(i for i, r in enumerate(rows.tolist()) if tuple(r) == k)
+              for k in keys}
+    twins = {frozenset((groups[a], groups[b])) for a in keys for b in keys
+             if a != b and a == tuple(-v for v in b)}
+    return set(groups.values()), twins
+
+
+@pytest.mark.parametrize("merge", ["int64", "object"])
+def test_row_merge_groups_and_twins(merge):
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        n, p = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        rows = rng.integers(-2, 3, size=(n, p))
+        if merge == "int64":
+            first, group, ta, tb = _merge_rows_int64(rows)
+        else:
+            first, group, ta, tb = _merge_rows_object(
+                [rows[:, j].astype(object) for j in range(p)])
+        members = [frozenset(np.flatnonzero(group == g).tolist())
+                   for g in range(len(first))]
+        assert all(first[g] in members[g] for g in range(len(first)))
+        twins = {frozenset((members[a], members[b])) for a, b in zip(ta, tb)}
+        assert (set(members), twins) == _merge_reference(rows)
+
+
+def test_compiled_instance_merges_rows_and_keeps_total_cost():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        n, p = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+        d = rand_dup_dataset(rng, n, p)
+        s = uniform(bounded_integers(2), p)
+        cfg = TrainConfig(c0=Fraction(1, 100), w_pos=Fraction(3)).resolve(n, s)
+        ci = CompiledInstance(d, s, cfg)
+        yx = {tuple(r) for r in (d.y[:, None] * d.x).tolist()}
+        assert ci.n_rows == len(yx)
+        want = sum(cfg.w_pos if yy == 1 else cfg.w_neg for yy in d.y.tolist()) / n
+        assert Fraction(int(ci.cost.sum()), ci.pen_den) == want
+        for a, b in zip(ci.twin_a, ci.twin_b):
+            assert all(int(ci.b_cols[j][a]) == -int(ci.b_cols[j][b]) for j in range(p))

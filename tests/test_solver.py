@@ -7,14 +7,14 @@ import pytest
 
 from scoresys.coefset import (CoefficientSet, bounded_integers, coprime_reduce,
                               explicit_values, uniform)
-from scoresys.data import Dataset
+from scoresys.data import Dataset, load_csv
 from scoresys.errors import ConfigError, DomainError
 from scoresys.objective import TrainConfig, evaluate
 from scoresys.solver import (BUDGET, OPTIMAL, SearchState, SolveResult,
                              lower_bound_of, solve, warm_start)
 
-from helpers import (brute_check, brute_solve, footnote_dataset, rand_coefset,
-                     rand_dataset)
+from helpers import (bench_path, brute_check, brute_solve, footnote_dataset,
+                     rand_coefset, rand_dataset, rand_dup_dataset)
 
 
 def _cfg(rng, n, s, **kw):
@@ -169,13 +169,16 @@ def test_search_state_validation():
 def test_lower_bound_admissible():
     rng = np.random.default_rng(3)
     from scoresys.objective import CompiledInstance
-    for _ in range(15):
+    twins = 0
+    for trial in range(40):
         n = int(rng.integers(2, 12))
         p = int(rng.integers(1, 3))
-        d = rand_dataset(rng, n, p)
+        # the second half repeats rows and gives them opposite-label twins
+        d = (rand_dataset if trial < 15 else rand_dup_dataset)(rng, n, p)
         s = uniform(bounded_integers(2), p)
         cfg = _cfg(rng, n, s)
         ci = CompiledInstance(d, s, cfg)
+        twins += len(ci.twin_a)
         fixed = [None if rng.random() < 0.5 else
                  Fraction(int(rng.integers(-2, 3))) for _ in range(p)]
         st = SearchState(ci, tuple(fixed))
@@ -189,6 +192,104 @@ def test_lower_bound_admissible():
         assert lb <= best
         full = SearchState(ci, tuple(Fraction(1) for _ in range(p)))
         assert lower_bound_of(full, cfg) == evaluate(d, [1] * p, cfg).total
+    assert twins > 0
+
+
+def test_matches_brute_force_on_object_path():
+    # cells of size 1e18 put the compiled instance on Python ints; rows
+    # repeat and have opposite-label twins
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(1018)
+    on_object_path = twins = 0
+    for trial in range(40):
+        n = int(rng.integers(3, 24))
+        p = int(rng.integers(1, 4))
+        d = rand_dup_dataset(rng, n, p, scale=10**18)
+        s = rand_coefset(rng, p)
+        cfg = _cfg(rng, n, s)
+        ci = CompiledInstance(d, s, cfg)
+        on_object_path += not ci.int64_ok
+        twins += len(ci.twin_a)
+        want, _ = brute_solve(d, s, cfg)
+        res = solve(d, s, cfg)
+        assert res.status == OPTIMAL, trial
+        assert res.objective.total == want, trial
+    assert on_object_path >= 30 and twins > 0
+
+
+def test_brute_solve_is_exact_beyond_int64():
+    rng = np.random.default_rng(1019)
+    for _ in range(10):
+        n = int(rng.integers(3, 12))
+        d = rand_dup_dataset(rng, n, 2, scale=10**18)
+        s = rand_coefset(rng, 1, max_values=5)
+        s = CoefficientSet(domains=(s.domains[0],) * 2)
+        cfg = _cfg(rng, n, s)
+        fast, _ = brute_solve(d, s, cfg)
+        slow, _ = brute_check(d, s, cfg)
+        assert fast == slow
+
+
+def test_stacked_shuffled_table_searches_the_same():
+    # equal rows merge, so a table stacked on itself poses the same
+    # search: same model, objective, status and node count
+    rng = np.random.default_rng(53)
+    cases = []
+    for trial in range(12):
+        n = int(rng.integers(4, 30))
+        p = int(rng.integers(1, 4))
+        d = (rand_dup_dataset if trial % 2 else rand_dataset)(rng, n, p)
+        s = rand_coefset(rng, p)
+        cases.append((d, s, _cfg(rng, n, s)))
+    mammo = load_csv(bench_path("mammo.csv"))
+    s = uniform(bounded_integers(1), mammo.p)
+    cases.append((mammo, s, TrainConfig(c0=Fraction(1, 20)).resolve(mammo.n, s)))
+    for d, s, cfg in cases:
+        perm = rng.permutation(2 * d.n)
+        big = Dataset(x=np.vstack([d.x, d.x])[perm],
+                      y=np.concatenate([d.y, d.y])[perm],
+                      feature_names=d.feature_names,
+                      intercept_index=d.intercept_index)
+        a, b = solve(d, s, cfg), solve(big, s, cfg)
+        assert b.best.coefficients == a.best.coefficients
+        assert b.objective.total == a.objective.total
+        assert b.status == a.status == OPTIMAL
+        assert b.nodes_explored == a.nodes_explored
+
+
+def test_returned_vector_is_the_oracle_tie_break():
+    # not just the optimal objective: the very vector brute_solve picks
+    # with the (total, l1, values) order, ties included
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(2, 16))
+        p = int(rng.integers(1, 4))
+        d = (rand_dup_dataset if trial % 2 else rand_dataset)(rng, n, p)
+        s = rand_coefset(rng, p)
+        cfg = _cfg(rng, n, s)
+        _, combo = brute_solve(d, s, cfg)
+        assert solve(d, s, cfg).best.coefficients == tuple(combo), trial
+
+
+def test_search_replaces_an_incumbent_that_only_loses_the_tie():
+    # seed the mirror model (0, 1) of the footnote instance: its
+    # objective and l1 equal those of the answer (-1, 0), whose subtree
+    # has bound == incumbent, so only the tie rule can still reach it
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Engine, _evaluate_assign, _Prep, _Shared
+    d = footnote_dataset()
+    s = uniform(bounded_integers(1), 2)
+    cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
+    ci = CompiledInstance(d, s, cfg)
+    prep = _Prep(ci)
+    sh = _Shared(prep, cfg, time.monotonic(), None)
+    eng = _Engine(prep, sh, parallel=False)
+    mirror = [prep.KIDX[t].index(ci.values[j].index((0, 1)[j]))
+              for t, j in enumerate(prep.order)]
+    eng.consider(*_evaluate_assign(prep, mirror), mirror)
+    eng.dfs(0, prep.zeros_margin, 0, 0, [])
+    korig = sh.best[2]
+    assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
 
 
 def test_lower_bound_rejects_foreign_config():
