@@ -329,6 +329,29 @@ class CompiledInstance:
             loss = loss + np.einsum("...q,q->...", live, self.twin_cost)
         return loss
 
+    def value_losses(self, j: int, base):
+        """loss(base + b_cols[j] * v) for every value v of domain j, in
+        the ascending order of vi[j], by one threshold sweep instead of
+        a K x n_rows block.  A row with b > 0 is lost exactly while
+        v <= floor(-base / b), one with b < 0 exactly while
+        v >= ceil(base / |b|), and one with b == 0 for every value or
+        for none; each row adds its cost to a difference array over
+        the value indexes, whose running sum is the loss.  Exact on
+        int64 and on Python-int arrays alike."""
+        b, vi, cost = self.b_cols[j], self.vi[j], self.cost
+        k = len(vi)
+        diff = np.zeros(k + 1, dtype=cost.dtype)
+        # rows with b > 0 are lost on value indexes [0, cut)
+        r = np.flatnonzero(b > 0)
+        cut = np.searchsorted(vi, -base[r] // b[r], side="right")
+        np.add.at(diff, cut, -cost[r])
+        diff[0] += cost[r].sum() + cost[(b == 0) & (base <= 0)].sum()
+        # rows with b < 0 are lost on value indexes [cut, k)
+        r = np.flatnonzero(b < 0)
+        cut = np.searchsorted(vi, -(base[r] // b[r]), side="left")
+        np.add.at(diff, cut, cost[r])
+        return np.cumsum(diff[:k])
+
     def margin_extrema(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row min and max of the margin contribution of
         coefficient j over its domain (at margin_den scale)."""

@@ -19,6 +19,7 @@ never exceeds it.
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from collections import deque
@@ -35,7 +36,19 @@ from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate
 from .report import ScoringSystem
 
 INF = float("inf")
-CHECK_EVERY = 512          # nodes between clock reads
+# block cells (values x rows) expanded between clock reads: reads come
+# about every 16 ms on mammo's 3 x 74 blocks, every 1.6 ms on
+# breastcancer's 5 x 683, and after every block of 131072 cells or
+# more, so a block as large as 201 values x 20000 rows (tens of ms)
+# never runs twice past the deadline
+WORK_QUANTUM = 1 << 17
+# a coordinate with at least this many values is scored by
+# CompiledInstance.value_losses, not by a block.  Per call on random
+# tables (2 cores, numpy 2): the two take equal time at about 31 values
+# over 680 rows (36 vs 33 us) and 21 values over 2900 rows (96 vs
+# 76 us); at 201 values the block takes 6x (680 rows) to 21x (13200
+# rows) longer; over 74 rows both take 5-30 us at any size
+SWEEP_MIN_VALUES = 32
 TRACE_EVERY_S = 0.05       # min spacing of periodic trace points
 GAP_EPS = Fraction(1, 10**9)
 
@@ -89,8 +102,11 @@ def _class_mean_diffs(d: Dataset) -> list[Fraction]:
 
 
 def _snap(dom, target: Fraction) -> Fraction:
-    """Nearest domain value; ties prefer small |v|, then small v."""
-    return min(dom.values, key=lambda v: (abs(v - target), abs(v), v))
+    """Nearest domain value; ties prefer small |v|, then small v.  The
+    values are ascending, so only the two around target can be nearest."""
+    vals = dom.values
+    i = bisect.bisect_left(vals, target)
+    return min(vals[max(i - 1, 0):i + 1], key=lambda v: (abs(v - target), abs(v), v))
 
 
 def warm_start(d: Dataset, s: CoefficientSet) -> tuple[Fraction, ...]:
@@ -214,6 +230,14 @@ class _Prep:
             return self.OUT[t]
         return self.VI[t][:, None] * self.B[t][None, :]
 
+    def value_losses(self, t: int, base):
+        """Loss of base plus the margins of each value of level t, in
+        level order: from the block for small domains, from
+        CompiledInstance.value_losses for large ones."""
+        if len(self.VI[t]) < SWEEP_MIN_VALUES:
+            return self.ci.loss(base[None, :] + self.level_out(t))
+        return self.ci.value_losses(self.order[t], base)[self.KIDX[t]]
+
     def child_bounds(self, t: int, margin):
         """Margins and bounds of the children of a level-t node whose
         fixed levels give the margins margin, one row per value at
@@ -275,8 +299,9 @@ class _Shared:
             return True
 
     def heartbeat(self, lb_candidate):
-        """Clock check plus monotone lower-bound bookkeeping; called
-        every few hundred nodes by each worker."""
+        """Clock check plus monotone lower-bound bookkeeping; called by
+        each worker before its first expansion and then once per
+        WORK_QUANTUM block cells."""
         now = time.monotonic()
         if self.deadline is not None and now >= self.deadline:
             self.stop = True
@@ -307,7 +332,7 @@ class _Engine:
         self.sh = sh
         self.parallel = parallel
         self.nodes = 0
-        self.next_check = CHECK_EVERY
+        self.work = WORK_QUANTUM   # so the clock is read before the first expansion
         self.open_min = [INF] * (prep.p + 1)
         self.active = [INF] * (prep.p + 2)
         self.zero_loss = [None] * prep.p   # per level, filled on demand
@@ -341,12 +366,13 @@ class _Engine:
     def dfs(self, t: int, margin, fpen: int, fl1: int, prefix: list):
         sh = self.sh
         self.nodes += 1
-        if self.nodes >= self.next_check:
-            self.next_check = self.nodes + CHECK_EVERY
+        if self.work >= WORK_QUANTUM:
+            self.work = 0
             self._checkpoint(t)
         if sh.stop:
             return
         cand, bounds = self.prep.child_bounds(t, margin)
+        self.work += cand.size
         bounds = fpen + bounds
         if t == self.prep.p - 1:
             self.leaves(bounds, fl1, prefix)
@@ -421,10 +447,11 @@ def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
     return obj, l1
 
 
-def _polish(prep: _Prep, assign: list) -> list:
+def _polish(prep: _Prep, assign: list, deadline: float | None = None) -> list:
     """Coordinate descent over the compiled arrays; deterministic and
     strictly improving on (objective, then value-preference indexes),
-    so it terminates.  Used only to seed the incumbent."""
+    so it terminates.  Past the deadline it stops mid-sweep; every step
+    leaves a valid assignment.  Used only to seed the incumbent."""
     assign = list(assign)
     margin = prep.zeros_margin.copy()
     for t, k in enumerate(assign):
@@ -432,10 +459,11 @@ def _polish(prep: _Prep, assign: list) -> list:
     for _ in range(60):
         changed = False
         for t in range(prep.p):
+            if deadline is not None and time.monotonic() >= deadline:
+                return assign
             base = margin - prep.VI[t][assign[t]] * prep.B[t]
-            cand = base[None, :] + prep.level_out(t)
-            tot = prep.PEN[t] + prep.ci.loss(cand)
-            k_best = min(range(len(tot)), key=lambda k: (int(tot[k]), k))
+            tot = prep.PEN[t] + prep.value_losses(t, base)
+            k_best = int(np.argmin(tot))  # the first of equal minima
             if (int(tot[k_best]), k_best) < (int(tot[assign[t]]), assign[t]):
                 assign[t] = k_best
                 margin = base + prep.VI[t][k_best] * prep.B[t]
@@ -445,21 +473,33 @@ def _polish(prep: _Prep, assign: list) -> list:
     return assign
 
 
-def _seed_incumbent(prep: _Prep, sh: _Shared, eng: _Engine, warm):
+def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
+    """Offer the all-zero vector, the snapped warm start and the
+    coordinate descents from several starts to the incumbent, each as
+    it is found.  Past the deadline no new descent starts."""
     ci = prep.ci
+
+    def offer(a):
+        obj, l1 = _evaluate_assign(prep, a)
+        eng.consider(obj, l1, a)
+
+    def descend(a):
+        if deadline is None or time.monotonic() < deadline:
+            offer(_polish(prep, a, deadline))
+
     pos_of = []
     for t in range(prep.p):
         inv = {dk: k for k, dk in enumerate(prep.KIDX[t])}
         pos_of.append(inv)
-    starts = [[0] * prep.p]
+    offer([0] * prep.p)
     if warm is not None:
         w = []
         for t in range(prep.p):
             j = prep.order[t]
             v = _snap(ci.s.domains[j], to_fraction(warm[j]))
             w.append(pos_of[t][ci.values[j].index(v)])
-        starts.append(w)
-        starts.append(_polish(prep, w))
+        offer(w)
+        descend(w)
         # sparse truncations escape local minima the dense start gets
         # stuck in (coordinate descent can then move late-ordered
         # coefficients such as the intercept)
@@ -472,9 +512,8 @@ def _seed_incumbent(prep: _Prep, sh: _Shared, eng: _Engine, warm):
             if keep_k >= prep.p:
                 break
             keep = set(ranked[:keep_k])
-            trunc = [w[t] if t in keep else 0 for t in range(prep.p)]
-            starts.append(_polish(prep, trunc))
-    starts.append(_polish(prep, [0] * prep.p))
+            descend([w[t] if t in keep else 0 for t in range(prep.p)])
+    descend([0] * prep.p)
     # bias-only seeds: a small value on the weakest-separation level
     # (a constant intercept column always sorts last) against an
     # otherwise zero vector; descent then grows the strong
@@ -486,10 +525,7 @@ def _seed_incumbent(prep: _Prep, sh: _Shared, eng: _Engine, warm):
     for k in range(1, min(9, len(prep.KIDX[t_bias]))):
         start = [0] * prep.p
         start[t_bias] = k
-        starts.append(_polish(prep, start))
-    for a in starts:
-        obj, l1 = _evaluate_assign(prep, a)
-        eng.consider(obj, l1, a)
+        descend(start)
 
 
 def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
@@ -499,9 +535,10 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     Returns the optimum with status "optimal" when the tree is
     exhausted (or closed within cfg.gap_tolerance); if cfg.time_budget_s
     runs out first, returns the best incumbent with status
-    "feasible_budget_exhausted" and a valid lower bound.  jobs > 1
-    splits the root subtrees over threads; the returned model is
-    identical for any worker count whenever the search completes.
+    "feasible_budget_exhausted" and a valid lower bound.  The budget
+    counts from the call, so it covers compiling, seeding and search.
+    jobs > 1 splits the root subtrees over threads; the returned model
+    is identical for any worker count whenever the search completes.
     warm overrides the built-in warm start (it is snapped into the
     domains).
     """
@@ -519,7 +556,7 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     elif len(tuple(warm)) != d.p:
         raise ConfigError(f"warm start has {len(tuple(warm))} entries for {d.p} "
                           "coefficients")
-    _seed_incumbent(prep, sh, eng, warm)
+    _seed_incumbent(prep, eng, warm, sh.deadline)
     with sh.lock:
         sh._emit(time.monotonic())
 

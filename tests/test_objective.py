@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -218,3 +219,78 @@ def test_compiled_instance_merges_rows_and_keeps_total_cost():
         assert Fraction(int(ci.cost.sum()), ci.pen_den) == want
         for a, b in zip(ci.twin_a, ci.twin_b):
             assert all(int(ci.b_cols[j][a]) == -int(ci.b_cols[j][b]) for j in range(p))
+
+
+def _as_object_path(ci):
+    """The same compiled instance with Python-int arrays, as when the
+    int64 bound fails."""
+    obj = copy.copy(ci)
+    obj.b_cols = [b.astype(object) for b in ci.b_cols]
+    obj.vi = [v.astype(object) for v in ci.vi]
+    obj.cost = ci.cost.astype(object)
+    obj.int64_ok = False
+    return obj
+
+
+def _value_loss_domains():
+    return [bounded_integers(1), bounded_integers(4), bounded_integers(40),
+            explicit_values([0, 1, -1, 10, -10]),
+            explicit_values([0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                             Fraction(-3, 2), 7, -7])]
+
+
+def _random_bases(rng, ci, j):
+    """Margins of random values of every other coordinate; a third of
+    the rows then moved so that some value of j puts them exactly at 0."""
+    base = np.zeros(ci.n_rows, dtype=ci.b_cols[j].dtype)
+    for jj in range(ci.p):
+        if jj != j:
+            base = base + ci.b_cols[jj] * ci.vi[jj][int(rng.integers(len(ci.vi[jj])))]
+    hit = rng.random(ci.n_rows) < 1 / 3
+    ks = rng.integers(0, len(ci.vi[j]), size=ci.n_rows)
+    on_value = -ci.b_cols[j] * ci.vi[j][ks]
+    yield base
+    yield np.where(hit, on_value, base)
+
+
+@pytest.mark.parametrize("path", ["int64", "object"])
+def test_value_losses_equal_the_block(path):
+    # zero, negative and repeated cells with opposite-vector twins, on
+    # integer and non-integer domains; margin 0 counts as lost
+    rng = np.random.default_rng(67)
+    doms = _value_loss_domains()
+    seen_zero_b = exact_zero = 0
+    for trial in range(60):
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+        d = rand_dup_dataset(rng, n, p, lo=-3, hi=3)
+        s = CoefficientSet(domains=tuple(doms[int(rng.integers(len(doms)))]
+                                         for _ in range(p)))
+        ci = CompiledInstance(d, s, TrainConfig(c0=Fraction(1, 50),
+                                                w_pos=Fraction(3)).resolve(n, s))
+        if path == "object":
+            ci = _as_object_path(ci)
+        for j in range(p):
+            b = ci.b_cols[j]
+            seen_zero_b += int((b == 0).any())
+            for base in _random_bases(rng, ci, j):
+                block = base[None, :] + ci.vi[j][:, None] * b[None, :]
+                exact_zero += int((block == 0).any())
+                got = ci.value_losses(j, base)
+                assert got.dtype == ci.cost.dtype, trial
+                assert got.tolist() == ci.loss(block).tolist(), trial
+    assert seen_zero_b > 0 and exact_zero > 0
+
+
+def test_value_losses_beyond_int64():
+    # cells of size 1e18 put the instance on Python ints by itself
+    rng = np.random.default_rng(71)
+    for trial in range(20):
+        n, p = int(rng.integers(2, 30)), int(rng.integers(1, 3))
+        d = rand_dup_dataset(rng, n, p, scale=10**18)
+        s = uniform(bounded_integers(40), p)
+        ci = CompiledInstance(d, s, TrainConfig(c0=Fraction(1, 50)).resolve(n, s))
+        assert not ci.int64_ok
+        for j in range(p):
+            for base in _random_bases(rng, ci, j):
+                block = base[None, :] + ci.vi[j][:, None] * ci.b_cols[j][None, :]
+                assert ci.value_losses(j, base).tolist() == ci.loss(block).tolist()

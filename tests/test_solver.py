@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from scoresys.coefset import (CoefficientSet, bounded_integers, coprime_reduce,
-                              explicit_values, uniform)
+                              explicit_values, signed_integers, uniform)
 from scoresys.data import Dataset, load_csv
 from scoresys.errors import ConfigError, DomainError
 from scoresys.objective import TrainConfig, evaluate
 from scoresys.solver import (BUDGET, OPTIMAL, SearchState, SolveResult,
-                             lower_bound_of, solve, warm_start)
+                             _snap, lower_bound_of, solve, warm_start)
 
 from helpers import (bench_path, brute_check, brute_solve, footnote_dataset,
                      rand_coefset, rand_dataset, rand_dup_dataset)
@@ -381,3 +381,115 @@ def test_result_metadata():
     assert res.nodes_explored > 0
     assert res.best.provenance["dataset_hash"] == d.content_hash()
     assert res.best.feature_names == d.feature_names
+
+
+def _snap_linear(dom, target):
+    return min(dom.values, key=lambda v: (abs(v - target), abs(v), v))
+
+
+def test_snap_matches_the_linear_scan():
+    rng = np.random.default_rng(73)
+    doms = [bounded_integers(1), bounded_integers(100), signed_integers("neg", 5),
+            signed_integers("pos", 7), explicit_values([0, 1, -1, 10, -10]),
+            explicit_values([0, Fraction(1, 2), Fraction(-3, 2), 7, -7, 8])]
+    for dom in doms:
+        vals = dom.values
+        targets = list(vals)
+        targets += [(a + b) / 2 for a, b in zip(vals, vals[1:])]  # midpoints
+        targets += [vals[0] - 1, vals[-1] + 1, Fraction(0)]
+        targets += [Fraction(int(rng.integers(-2000, 2000)), int(rng.integers(1, 20)))
+                    for _ in range(200)]
+        for target in targets:
+            assert _snap(dom, target) == _snap_linear(dom, target), (dom, target)
+
+
+def _polish_reference(prep, assign):
+    """Coordinate descent scoring each value on its own and taking the
+    first of the least (objective, index) pairs."""
+    assign = list(assign)
+    for _ in range(60):
+        changed = False
+        for t in range(prep.p):
+            base = prep.zeros_margin
+            for u in range(prep.p):
+                if u != t:
+                    base = base + prep.VI[u][assign[u]] * prep.B[u]
+            tot = [int(pen) + int(prep.ci.loss(base + v * prep.B[t]))
+                   for v, pen in zip(prep.VI[t], prep.PEN[t])]
+            k = min(range(len(tot)), key=lambda k: (tot[k], k))
+            if (tot[k], k) < (tot[assign[t]], assign[t]):
+                assign[t] = k
+                changed = True
+        if not changed:
+            break
+    return assign
+
+
+@pytest.mark.parametrize("scale", [1, 10**18])
+def test_polish_is_the_same_with_either_kernel(monkeypatch, scale):
+    # the sweep and the block score a coordinate's values alike, so
+    # coordinate descent takes the same steps from any start
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(79)
+    doms = [bounded_integers(1), bounded_integers(20), bounded_integers(100),
+            explicit_values([0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                             Fraction(-3, 2), 7, -7])]
+    for trial in range(25):
+        n, p = int(rng.integers(3, 80)), int(rng.integers(1, 5))
+        d = rand_dup_dataset(rng, n, p, lo=-4, hi=4, scale=scale)
+        s = CoefficientSet(domains=tuple(doms[int(rng.integers(len(doms)))]
+                                         for _ in range(p)))
+        prep = solver._Prep(CompiledInstance(d, s, _cfg(rng, n, s)))
+        assert prep.ci.int64_ok == (scale == 1)
+        starts = [[int(rng.integers(len(prep.VI[t]))) for t in range(p)]
+                  for _ in range(4)]
+        got = {}
+        for kernel, least in (("block", 10**9), ("sweep", 0)):
+            monkeypatch.setattr(solver, "SWEEP_MIN_VALUES", least)
+            got[kernel] = [solver._polish(prep, a) for a in starts]
+        assert got["block"] == got["sweep"], trial
+        assert got["sweep"] == [_polish_reference(prep, a) for a in starts], trial
+        # past its deadline a descent takes no step
+        assert [solver._polish(prep, a, time.monotonic() - 1) for a in starts] == starts
+
+
+def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
+    # no descent starts, but the all-zero and the warm start are scored
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(89)
+    d = rand_dataset(rng, 50, 4, intercept=True)
+    s = uniform(bounded_integers(5), 4)
+    cfg = TrainConfig(c0=Fraction(1, 100)).resolve(d.n, s)
+    prep = solver._Prep(CompiledInstance(d, s, cfg))
+    sh = solver._Shared(prep, cfg, time.monotonic(), None)
+    eng = solver._Engine(prep, sh, parallel=False)
+    descents = []
+    monkeypatch.setattr(solver, "_polish",
+                        lambda prep, a, deadline=None: descents.append(a) or a)
+    warm = warm_start(d, s)
+    solver._seed_incumbent(prep, eng, warm, time.monotonic() - 1)
+    assert descents == []
+    want = min(evaluate(d, lam, cfg).total for lam in ([0] * 4, warm))
+    assert Fraction(sh.best[0], prep.ci.pen_den) == want
+
+
+def test_budget_covers_seeding_on_a_large_table():
+    # 20000 distinct rows, 20 columns, -100..100: seeding to the end
+    # takes about 6 s on 2 cores, so the deadline must stop it
+    rng = np.random.default_rng(83)
+    n, p, budget = 20000, 20, 0.5
+    x = rng.integers(0, 10, size=(n, p)).astype(np.float64)
+    score = x @ rng.integers(-3, 4, size=p) + rng.normal(0, 3.0, n)
+    y = np.where(score > np.median(score), 1, -1)
+    d = Dataset(x=x, y=y, feature_names=tuple(f"f{j}" for j in range(p)))
+    s = uniform(bounded_integers(100), p)
+    cfg = TrainConfig(c0=Fraction(1, 500), time_budget_s=budget)
+    t0 = time.monotonic()
+    res = solve(d, s, cfg)
+    took = time.monotonic() - t0
+    assert took <= budget + max(0.5, 0.1 * budget), took
+    assert res.status == BUDGET
+    assert res.objective.total == evaluate(d, res.best.coefficients,
+                                           cfg.resolve(n, s)).total
