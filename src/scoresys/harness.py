@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -183,6 +182,9 @@ def run_cv(d: Dataset, s: CoefficientSet, cfg: TrainConfig, c0_grid=None,
             payloads.append((train_d, test_d, s, replace(cfg, c0=c0), gi, fold))
 
     if jobs > 1:
+        # imported here, not at the top: it would add about a tenth to
+        # the time of `import scoresys`
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             raw = list(pool.map(_solve_one, payloads))
     else:

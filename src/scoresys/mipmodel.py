@@ -291,17 +291,20 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
 
 class _Numbers(dict):
     """fraction_str of each distinct number, computed once (one per
-    write_lp call).  A value maps to (first-term, later-term) spellings,
-    e.g. 0.5 -> ("0.5", "+ 0.5"), -2 -> ("-2", "- 2")."""
+    write_lp call).  A value's (numerator, denominator) key maps to its
+    (first-term, later-term) spellings, e.g. 0.5 -> ("0.5", "+ 0.5"),
+    -2 -> ("-2", "- 2").  Integer keys hash far faster than Fractions."""
 
-    def __missing__(self, f):
-        mag = fraction_str(abs(f))
-        got = self[f] = ((f"-{mag}", f"- {mag}") if f < 0 else (mag, f"+ {mag}"))
+    def __missing__(self, key):
+        num, den = key
+        mag = fraction_str(Fraction(abs(num), den))
+        got = self[key] = ((f"-{mag}", f"- {mag}") if num < 0 else (mag, f"+ {mag}"))
         return got
 
 
 def _terms_str(terms, nums: _Numbers) -> str:
-    parts = [f"{nums[coef][k > 0]} {name}" for k, (name, coef) in enumerate(terms)]
+    parts = [f"{nums[coef.numerator, coef.denominator][k > 0]} {name}"
+             for k, (name, coef) in enumerate(terms)]
     return " ".join(parts)
 
 
@@ -312,7 +315,7 @@ def write_lp(m: MipModel, path=None) -> str:
     nums = _Numbers()
 
     def num(f):
-        return nums[f][0]
+        return nums[f.numerator, f.denominator][0]
 
     out = ["Minimize", f" obj: {_terms_str(m.objective, nums)}", "Subject To"]
     for c in m.linear_constraints:
@@ -343,7 +346,9 @@ def write_lp(m: MipModel, path=None) -> str:
 
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TERM_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
+# a term and the whitespace after it, or else any one character: every
+# match starts where the last one ended, so the terms tile the text
+_TERM_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)\s*|[\s\S]")
 _SENSE_RE = re.compile(r"(<=|>=|=)")
 _BOUND_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
 _BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
@@ -366,19 +371,18 @@ class _Tokens(dict):
 
 
 def _parse_terms(text: str, tokens: _Tokens):
+    """Terms (an optional sign, an optional number and a name, each
+    followed by optional whitespace) from the start of text.  Where no
+    term starts, only whitespace may follow."""
     terms = []
-    pos = 0
-    while pos < len(text):
-        mm = _TERM_RE.match(text, pos)
-        if not mm:
+    for mm in _TERM_RE.finditer(text):
+        sign, num, name = mm.groups()
+        if name is None:
+            pos = mm.start()
             if text[pos:].strip():
                 raise ConfigError(f"cannot parse LP terms near {text[pos:pos+30]!r}")
             break
-        sign, num, name = mm.groups()
         terms.append((name, tokens[sign, num]))
-        pos = mm.end()
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
     return tuple(terms)
 
 
@@ -471,8 +475,10 @@ def parse_lp(text: str) -> MipModel:
 
 def read_solution(text: str) -> dict:
     """Solution files are whitespace-separated name value pairs, one
-    per line; blank lines and lines starting with # are skipped."""
+    per line; blank lines and lines starting with # are skipped.  A name
+    given twice is an error."""
     out = {}
+    line_of = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -482,6 +488,10 @@ def read_solution(text: str) -> dict:
             raise VerifyError(f"solution line {lineno}: expected 'name value', "
                               f"got {raw!r}")
         name, val = parts
+        if name in line_of:
+            raise VerifyError(f"solution line {lineno}: {name} is already given "
+                              f"on line {line_of[name]}")
+        line_of[name] = lineno
         try:
             out[name] = to_fraction(val)
         except Exception:
@@ -622,8 +632,73 @@ def _has_tiers(m: MipModel) -> bool:
     return any(v.name.startswith("s_") for v in m.variables)
 
 
+def _over_lcm(keys, den: int = 1) -> tuple[int, dict]:
+    """The lcm L of den and of every key's denominator, and each
+    (numerator, denominator) key's value as an integer over L.  Keying
+    by the integer pair avoids Fraction.__hash__, which costs a modular
+    inverse per call."""
+    den = math.lcm(den, *{d for _, d in keys})
+    return den, {k: k[0] * (den // k[1]) for k in keys}
+
+
+def _scaled_values(vals: dict, den: int = 1, more=()) -> tuple[int, dict, dict]:
+    """V, each name's value in vals as an integer over V, and each
+    (numerator, denominator) key of vals and more over V; V is the lcm
+    of den and of all their denominators."""
+    keys = {name: (x.numerator, x.denominator) for name, x in vals.items()}
+    V, over_v = _over_lcm(set(keys.values()).union(more), den)
+    return V, {name: over_v[k] for name, k in keys.items()}, over_v
+
+
 def model_objective_value(m: MipModel, assignment: dict) -> Fraction:
-    return sum((coef * assignment[name] for name, coef in m.objective), ZERO)
+    """The objective at assignment, summed in integers: values over V,
+    coefficients over C (the lcm of their denominators)."""
+    V, xs, _ = _scaled_values({name: to_fraction(assignment[name])
+                               for name, _ in m.objective})
+    C, over_c = _over_lcm({(k.numerator, k.denominator) for _, k in m.objective})
+    total = sum(over_c[k.numerator, k.denominator] * xs[name] for name, k in m.objective)
+    return Fraction(total, C * V)
+
+
+def _violations(m: MipModel, vals: dict) -> list[str]:
+    """Every bound, integrality and constraint violation beyond TOL of
+    vals (name -> Fraction, one per variable).
+
+    All comparisons are of integers: values and bounds over V (the lcm
+    of their denominators and of TOL's), coefficients and right-hand
+    sides over C (the lcm of theirs), so TOL is exactly the integer
+    V / 10**6 for a bound or an integer and V * C / 10**6 for a row."""
+    bounds = {(b.numerator, b.denominator) for v in m.variables
+              for b in (v.lower, v.upper) if b is not None}
+    V, xs, over_v = _scaled_values(vals, TOL.denominator, bounds)
+    tol = V // TOL.denominator
+    out = []
+    for v in m.variables:
+        x = xs[v.name]
+        lo, hi = v.lower, v.upper
+        if lo is not None and x < over_v[lo.numerator, lo.denominator] - tol:
+            out.append(f"bound {v.name} >= {fraction_str(lo)}")
+        if hi is not None and x > over_v[hi.numerator, hi.denominator] + tol:
+            out.append(f"bound {v.name} <= {fraction_str(hi)}")
+        if v.kind in ("binary", "integer"):
+            r = x % V               # x's fractional part, over V
+            if min(r, V - r) > tol:
+                out.append(f"integrality {v.name} = {float(vals[v.name])}")
+    rows = m.linear_constraints
+    numbers = {(k.numerator, k.denominator) for c in rows for _, k in c.terms}
+    numbers.update((c.rhs.numerator, c.rhs.denominator) for c in rows)
+    C, over_c = _over_lcm(numbers)
+    tol *= C
+    for c in rows:
+        lhs = sum(over_c[k.numerator, k.denominator] * xs[name] for name, k in c.terms)
+        rhs = over_c[c.rhs.numerator, c.rhs.denominator] * V
+        ok = (lhs <= rhs + tol if c.sense == "<=" else
+              lhs >= rhs - tol if c.sense == ">=" else
+              abs(lhs - rhs) <= tol)
+        if not ok:
+            out.append(f"constraint {c.name}: {float(Fraction(lhs, V * C))} "
+                       f"{c.sense} {float(c.rhs)}")
+    return out
 
 
 def verify_solution(m: MipModel, assignment: dict, d: Dataset,
@@ -635,7 +710,8 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
     coefficient vector is then extracted (snapped to the integer grid
     or the one-of-K values) and re-scored exactly; if the model's
     objective value disagrees with the exact objective beyond 1e-6 the
-    verification fails.  Returns the exact objective.
+    verification fails.  Returns the exact objective.  Every check is
+    exact; the sums are taken in integers over common denominators.
     """
     if cfg.c1 is None:
         raise ConfigError("cfg.c1 is unresolved; call cfg.resolve first")
@@ -644,26 +720,8 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
         raise VerifyError(
             f"assignment is missing {len(missing)} variables "
             f"(first: {', '.join(missing[:5])})", violations=missing)
-    violations = []
     vals = {v.name: to_fraction(assignment[v.name]) for v in m.variables}
-    for v in m.variables:
-        x = vals[v.name]
-        if v.lower is not None and x < v.lower - TOL:
-            violations.append(f"bound {v.name} >= {fraction_str(v.lower)}")
-        if v.upper is not None and x > v.upper + TOL:
-            violations.append(f"bound {v.name} <= {fraction_str(v.upper)}")
-        if v.kind in ("binary", "integer"):
-            nearest = Fraction(round(x))
-            if abs(x - nearest) > TOL:
-                violations.append(f"integrality {v.name} = {float(x)}")
-    for c in m.linear_constraints:
-        lhs = sum((coef * vals[name] for name, coef in c.terms), ZERO)
-        ok = (lhs <= c.rhs + TOL if c.sense == "<=" else
-              lhs >= c.rhs - TOL if c.sense == ">=" else
-              abs(lhs - c.rhs) <= TOL)
-        if not ok:
-            violations.append(
-                f"constraint {c.name}: {float(lhs)} {c.sense} {float(c.rhs)}")
+    violations = _violations(m, vals)
     if violations:
         raise VerifyError("infeasible solution: " + "; ".join(violations[:6]),
                           violations=violations)

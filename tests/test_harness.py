@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import scoresys
 from scoresys.coefset import bounded_integers, uniform
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError
@@ -166,3 +170,14 @@ def test_frontier_from_report():
     assert all(isinstance(p, FrontierPoint) for p in pts)
     dominated = [p for p in pts if p.dominated]
     assert len(dominated) == 1 and dominated[0].label == "c0=0.01"
+
+
+def test_import_leaves_process_pools_out():
+    """run_cv imports ProcessPoolExecutor only for jobs > 1, so that a
+    fresh `import scoresys` loads no concurrent.futures module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scoresys.__file__)))
+    code = ("import sys, scoresys; "
+            "print([m for m in sys.modules if m.startswith('concurrent')])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,11 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
-from scoresys.exactnum import to_fraction
-from scoresys.mipmodel import (_dec, big_m_for, build_model, complete_assignment,
+from scoresys.exactnum import fraction_str, to_fraction
+from scoresys.mipmodel import (_NUM, TOL, VARIANTS, _constraints_by_name, _dec,
+                               _domain_values_from_model, _lam_names,
+                               _parse_terms, _Tokens, _violations,
+                               big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
                                tiers_from_model, verify_solution, write_lp)
 from scoresys.objective import TrainConfig, default_weights, evaluate
@@ -184,6 +189,49 @@ def test_write_lp_to_file(tmp_path):
     assert out.read_text() == text
 
 
+_TERM_LOOP_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
+
+
+def _reference_parse_terms(text, tokens):
+    """_parse_terms as a loop of one match per term, as it was before
+    it became one tokenizer."""
+    terms = []
+    pos = 0
+    while pos < len(text):
+        mm = _TERM_LOOP_RE.match(text, pos)
+        if not mm:
+            if text[pos:].strip():
+                raise ConfigError(f"cannot parse LP terms near {text[pos:pos+30]!r}")
+            break
+        sign, num, name = mm.groups()
+        terms.append((name, tokens[sign, num]))
+        pos = mm.end()
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+    return tuple(terms)
+
+
+def test_term_tokenizer_matches_loop_reference():
+    """Same terms, or the same error, on random strings over the
+    characters of the term grammar and a few outside it."""
+    rng = np.random.default_rng(19)
+    chars = list(" \t+-.0123eE_xz!")
+    outcomes = set()
+    for _ in range(4000):
+        text = "".join(rng.choice(chars, size=int(rng.integers(0, 14))))
+        got = _parsed_or_error(_parse_terms, text)
+        assert got == _parsed_or_error(_reference_parse_terms, text), repr(text)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}
+
+
+def _parsed_or_error(parse, text):
+    try:
+        return parse(text, _Tokens())
+    except ConfigError as e:
+        return str(e)
+
+
 def test_read_solution_parsing():
     text = "# comment\nz_0 1\nlam_0 -2\n\nI_0 0.5\n"
     sol = read_solution(text)
@@ -192,6 +240,12 @@ def test_read_solution_parsing():
         read_solution("z_0\n")
     with pytest.raises(VerifyError):
         read_solution("z_0 abc\n")
+
+
+def test_read_solution_rejects_a_name_given_twice():
+    with pytest.raises(VerifyError, match=r"^solution line 4: z_0 is already "
+                                          r"given on line 1$"):
+        read_solution("z_0 1\nlam_0 -2\n# z_0 0\nz_0 0\n")
 
 
 def test_exported_model_minimum_matches_objective():
@@ -373,3 +427,198 @@ def test_pilm_verify_round_trip():
     direct = evaluate(d, [2, -1], cfg, tiers=s.tiers)
     assert ov.total == direct.total
     assert ov.tier_term == direct.tier_term
+
+
+# --- exactness of the integer checks -------------------------------------------
+
+EPS = Fraction(1, 10**12)
+# numbers whose denominators divide no value's: 10**7, and 10**16 for
+# a 1/3 rounded to 16 digits
+FINE = (Fraction("0.1234567"), _dec(Fraction(1, 3)))
+
+
+def _dot(terms, vals):
+    return sum((coef * vals[name] for name, coef in terms), Fraction(0))
+
+
+def _reference_violations(m, vals):
+    """verify_solution's feasibility checks in Fraction arithmetic, as
+    they were before it compared integers."""
+    out = []
+    for v in m.variables:
+        x = vals[v.name]
+        if v.lower is not None and x < v.lower - TOL:
+            out.append(f"bound {v.name} >= {fraction_str(v.lower)}")
+        if v.upper is not None and x > v.upper + TOL:
+            out.append(f"bound {v.name} <= {fraction_str(v.upper)}")
+        if v.kind in ("binary", "integer"):
+            if abs(x - Fraction(round(x))) > TOL:
+                out.append(f"integrality {v.name} = {float(x)}")
+    for c in m.linear_constraints:
+        lhs = _dot(c.terms, vals)
+        ok = (lhs <= c.rhs + TOL if c.sense == "<=" else
+              lhs >= c.rhs - TOL if c.sense == ">=" else
+              abs(lhs - c.rhs) <= TOL)
+        if not ok:
+            out.append(f"constraint {c.name}: {float(lhs)} {c.sense} {float(c.rhs)}")
+    return out
+
+
+def _reference_verify(m, vals, d, cfg):
+    """verify_solution in Fraction arithmetic, as it was before it
+    compared integers."""
+    violations = _reference_violations(m, vals)
+    if violations:
+        raise VerifyError("infeasible solution: " + "; ".join(violations[:6]),
+                          violations=violations)
+    lam = []
+    cons = _constraints_by_name(m)
+    for name in _lam_names(m):
+        x = vals[name]
+        allowed = _domain_values_from_model(cons, int(name.split("_")[1]))
+        snapped = (Fraction(round(x)) if allowed is None
+                   else min(allowed, key=lambda v: (abs(v - x), abs(v))))
+        if abs(x - snapped) > TOL:
+            raise VerifyError(f"{name} = {float(x)} is not a domain value",
+                              violations=[name])
+        lam.append(snapped)
+    tiers = tiers_from_model(m)
+    true_obj = evaluate(d, lam, cfg, tiers=tiers)
+    encoded = (true_obj.loss_term + true_obj.tier_term if tiers is not None
+               else true_obj.total)
+    model_obj = _dot(m.objective, vals)
+    if abs(model_obj - encoded) > TOL:
+        raise VerifyError(
+            f"objective mismatch: model {float(model_obj)} vs exact "
+            f"{float(encoded)}", violations=["objective"])
+    return true_obj
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except VerifyError as e:
+        return str(e), e.violations
+
+
+def _random_instance(rng, variant):
+    """A small model of the variant with fine-denominator c0, c1 and
+    weights, and the completed assignment of a random coefficient vector."""
+    d = rand_dataset(rng, int(rng.integers(3, 9)), 2)
+    if variant == "pilm":
+        s = _tiered_set(2)
+        cfg = _resolved(d, s, c0=FINE[0])
+    else:
+        s = CoefficientSet(domains=(bounded_integers(2),
+                                    explicit_values([0, 1, -1, 3])))
+        w = (FINE[1], Fraction(1)) if variant == "weighted" else (1, 1)
+        cfg = _resolved(d, s, c0=FINE[0], c1=FINE[1] / 100, w_pos=w[0], w_neg=w[1])
+    m = build_model(d, s, cfg, variant)
+    lam = [dom.values[int(rng.integers(0, len(dom.values)))] for dom in s.domains]
+    return d, cfg, m, complete_assignment(m, d, lam)
+
+
+def _snapped(vals):
+    """Every value rounded to a multiple of 10**-6."""
+    return {k: Fraction(round(x * 10**6), 10**6) for k, x in vals.items()}
+
+
+def _pick(rng, items):
+    return items[int(rng.integers(0, len(items)))]
+
+
+def _cases(rng, m, a):
+    """(model, values, message prefix, outside): the check the message
+    names sits exactly TOL or TOL + 1e-12 (outside=True) beyond a bound,
+    an integer or a right-hand side; or, with every value a multiple of
+    10**-6, a fine fraction of 10**-6 inside or outside TOL, with the
+    bound, the right-hand side and one coefficient of the row at
+    denominators the values do not have."""
+    bounded = [v for v in m.variables if v.lower is not None]
+    capped = [v for v in m.variables if v.upper is not None]
+    whole = [v for v in m.variables if v.kind != "continuous"]
+    rows = list(m.linear_constraints)
+    for off, outside in ((TOL, False), (TOL + EPS, True)):
+        v = _pick(rng, bounded)
+        yield m, {**a, v.name: v.lower - off}, f"bound {v.name} >=", outside
+        v = _pick(rng, capped)
+        yield m, {**a, v.name: v.upper + off}, f"bound {v.name} <=", outside
+        for sign in (1, -1):
+            v = _pick(rng, whole)
+            k = Fraction(round(a[v.name]))
+            yield m, {**a, v.name: k + sign * off}, f"integrality {v.name} ", outside
+            c = _pick(rng, rows)
+            yield _missed_row(m, c, a, off), a, f"constraint {c.name}:", outside
+    g = _snapped(a)
+    for f in FINE:
+        for outside in (False, True):
+            off = TOL + f / 10**6 if outside else TOL - f / 10**6
+            v = _pick(rng, bounded)
+            yield (_with_var(m, replace(v, lower=g[v.name] + off)), g,
+                   f"bound {v.name} >=", outside)
+            v = _pick(rng, capped)
+            yield (_with_var(m, replace(v, upper=g[v.name] - off)), g,
+                   f"bound {v.name} <=", outside)
+            c = _pick(rng, rows)
+            k = int(rng.integers(0, len(c.terms)))
+            terms = list(c.terms)
+            terms[k] = (terms[k][0], terms[k][1] + f)
+            yield _missed_row(m, replace(c, terms=tuple(terms)), g, off), g, \
+                f"constraint {c.name}:", outside
+
+
+def _with_var(m, var):
+    return replace(m, variables=tuple(var if v.name == var.name else v
+                                      for v in m.variables))
+
+
+def _missed_row(m, c, vals, off):
+    """m with c (a constraint of m, or a changed copy of one) in place
+    of its namesake, and a right-hand side that c misses by off at vals."""
+    lhs = _dot(c.terms, vals)
+    c = replace(c, rhs=lhs + off if c.sense == ">=" else lhs - off)
+    return replace(m, linear_constraints=tuple(
+        c if r.name == c.name else r for r in m.linear_constraints))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_integer_checks_equal_fraction_reference(variant):
+    """The integer checks give the violation list of the Fraction
+    checks at every kind of edge, and the edge is TOL itself."""
+    rng = np.random.default_rng(30)
+    flagged = {False: 0, True: 0}
+    for trial in range(12):
+        _, _, m, a = _random_instance(rng, variant)
+        assert model_objective_value(m, a) == _dot(m.objective, a)
+        for mm, vals, name, outside in _cases(rng, m, a):
+            got = _violations(mm, vals)
+            assert got == _reference_violations(mm, vals), (trial, name)
+            hit = any(msg.startswith(name) for msg in got)
+            assert hit == outside, (trial, name, got)
+            flagged[hit] += 1
+            assert model_objective_value(mm, vals) == _dot(mm.objective, vals)
+    assert min(flagged.values()) > 50
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_objective_check_is_exact_at_tol(variant):
+    """verify_solution equals its Fraction reference, and accepts a
+    model objective exactly TOL off the exact one but not TOL + 1e-12."""
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        d, cfg, m, a = _random_instance(rng, variant)
+        want = evaluate(d, [a[name] for name in _lam_names(m)], cfg,
+                        tiers=tiers_from_model(m))
+        encoded = want.loss_term + want.tier_term if variant == "pilm" else want.total
+        drift = _dot(m.objective, a) - encoded
+        name = next(k for k, x in a.items() if x != 0)
+        for off, outside in ((TOL, False), (TOL + EPS, True)):
+            for sign in (1, -1):
+                mm = replace(m, objective=m.objective + (
+                    (name, (sign * off - drift) / a[name]),))
+                got = _outcome(verify_solution, mm, a, d, cfg)
+                assert got == _outcome(_reference_verify, mm, a, d, cfg), trial
+                if outside:
+                    assert got[1] == ["objective"], (trial, got)
+                else:
+                    assert got == want, (trial, got)
