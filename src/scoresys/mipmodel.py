@@ -410,8 +410,9 @@ def parse_lp(text: str) -> MipModel:
             section = headers[low]
             continue
         if section == "obj":
-            body = line.split(":", 1)[1] if ":" in line else line
-            pending_obj.append(body.strip())
+            body = line.split(":", 1)[1].strip() if ":" in line else line
+            if body:  # a bare name line ("obj:") adds no terms
+                pending_obj.append(body)
         elif section == "cons":
             if ":" not in line:
                 raise ConfigError(f"constraint line without a name: {line!r}")

@@ -12,17 +12,15 @@ exactly instead of searched.  Objective ties resolve
 to the smallest l1 norm, then to the lexicographically smallest
 coefficient vector; pruning is careful to respect that rule, so the
 returned vector is a pure function of the problem and not of traversal
-order or worker count.  A time budget makes the solver anytime: the
-incumbent is always a feasible model and the reported lower bound
-never exceeds it.
+order.  One solve runs serially in one thread.  A time budget makes
+the solver anytime: the incumbent is always a feasible model and the
+reported lower bound never exceeds it.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -253,8 +251,10 @@ class _Prep:
         return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
 
 
-class _Shared:
-    """Cross-worker incumbent, lower-bound floor, stop flags, trace."""
+class _Engine:
+    """The depth-first search and its certificate: the incumbent, the
+    monotone lower-bound floor, the stop flag and deadline, the gap
+    tolerance and the trace."""
 
     def __init__(self, prep: _Prep, cfg: TrainConfig, t0: float, sink):
         self.prep = prep
@@ -265,13 +265,16 @@ class _Shared:
         if cfg.time_budget_s is not None:
             self.deadline = t0 + cfg.time_budget_s
         self.sink = sink
-        self.lock = threading.Lock()
         self.best = None           # (obj_int, l1_int, korig tuple, nnz)
         self.stop = False
         self.lb_floor = prep.root_bound()
         self.trace: list[TracePoint] = []
         self.last_emit = -INF
-        self.tasks = {}            # task id -> bound, while unfinished
+        self.nodes = 0
+        self.work = WORK_QUANTUM   # so the clock is read before the first expansion
+        self.open_min = [INF] * (prep.p + 1)
+        self.active = [INF] * (prep.p + 2)
+        self.zero_loss = [None] * prep.p   # per level, filled on demand
 
     def _emit(self, now: float):
         obj, nnz = self.best[0], self.best[3]
@@ -286,57 +289,6 @@ class _Shared:
             line = pt.csv_line() + "\n"
             self.sink(line) if callable(self.sink) else self.sink.write(line)
 
-    def consider(self, obj: int, l1: int, korig: tuple, nnz: int) -> bool:
-        cur = self.best
-        if cur is not None and (obj, l1, korig) >= cur[:3]:
-            return False
-        with self.lock:
-            cur = self.best
-            if cur is not None and (obj, l1, korig) >= cur[:3]:
-                return False
-            self.best = (obj, l1, korig, nnz)
-            self._emit(time.monotonic())
-            return True
-
-    def heartbeat(self, lb_candidate):
-        """Clock check plus monotone lower-bound bookkeeping; called by
-        each worker before its first expansion and then once per
-        WORK_QUANTUM block cells."""
-        now = time.monotonic()
-        if self.deadline is not None and now >= self.deadline:
-            self.stop = True
-        with self.lock:
-            if lb_candidate > self.lb_floor:
-                # an infinite candidate means every open subtree was
-                # pruned against the incumbent, which then is the bound
-                cand = (self.best[0] if lb_candidate == INF
-                        else min(int(lb_candidate), self.best[0]))
-                self.lb_floor = max(self.lb_floor, cand)
-            if self.tol > 0:
-                obj = Fraction(self.best[0], self.pen_den)
-                gap = obj - Fraction(self.lb_floor, self.pen_den)
-                if gap <= self.tol * max(obj, GAP_EPS):
-                    self.stop = True
-            if now - self.last_emit >= TRACE_EVERY_S:
-                self._emit(now)
-
-    def task_lb(self) -> float:
-        return min(self.tasks.values(), default=INF)
-
-
-class _Engine:
-    """One worker's depth-first search over a subtree."""
-
-    def __init__(self, prep: _Prep, sh: _Shared, parallel: bool):
-        self.prep = prep
-        self.sh = sh
-        self.parallel = parallel
-        self.nodes = 0
-        self.work = WORK_QUANTUM   # so the clock is read before the first expansion
-        self.open_min = [INF] * (prep.p + 1)
-        self.active = [INF] * (prep.p + 2)
-        self.zero_loss = [None] * prep.p   # per level, filled on demand
-
     def _korig(self, prefix: list) -> tuple:
         pr = self.prep
         k = list(pr.ci.zero_index)
@@ -349,27 +301,48 @@ class _Engine:
         return sum(1 for j, k in enumerate(korig) if k != zi[j])
 
     def consider(self, obj: int, l1: int, prefix: list):
-        cur = self.sh.best
+        """Make prefix (a full vector of level value indexes) the
+        incumbent if it is less in the (objective, l1, vector) order;
+        the vector is built only when (obj, l1) can win."""
+        obj, l1 = int(obj), int(l1)
+        cur = self.best
         if cur is not None:
             if obj > cur[0] or (obj == cur[0] and l1 > cur[1]):
                 return
         korig = self._korig(prefix)
-        self.sh.consider(int(obj), int(l1), korig, self._nnz(korig))
+        if cur is not None and (obj, l1, korig) >= cur[:3]:
+            return
+        self.best = (obj, l1, korig, self._nnz(korig))
+        self._emit(time.monotonic())
 
     def _checkpoint(self, t: int):
-        if self.parallel:
-            lb = self.sh.task_lb()
-        else:
-            lb = min(min(self.open_min[:t], default=INF), self.active[t])
-        self.sh.heartbeat(lb)
+        """Clock check plus monotone lower-bound bookkeeping; called
+        before the first expansion and then once per WORK_QUANTUM block
+        cells.  The bound is the least over the open siblings above
+        level t and the subtree being searched."""
+        now = time.monotonic()
+        if self.deadline is not None and now >= self.deadline:
+            self.stop = True
+        lb = min(min(self.open_min[:t], default=INF), self.active[t])
+        if lb > self.lb_floor:
+            # an infinite candidate means every open subtree was
+            # pruned against the incumbent, which then is the bound
+            cand = self.best[0] if lb == INF else min(int(lb), self.best[0])
+            self.lb_floor = max(self.lb_floor, cand)
+        if self.tol > 0:
+            obj = Fraction(self.best[0], self.pen_den)
+            gap = obj - Fraction(self.lb_floor, self.pen_den)
+            if gap <= self.tol * max(obj, GAP_EPS):
+                self.stop = True
+        if now - self.last_emit >= TRACE_EVERY_S:
+            self._emit(now)
 
     def dfs(self, t: int, margin, fpen: int, fl1: int, prefix: list):
-        sh = self.sh
         self.nodes += 1
         if self.work >= WORK_QUANTUM:
             self.work = 0
             self._checkpoint(t)
-        if sh.stop:
+        if self.stop:
             return
         cand, bounds = self.prep.child_bounds(t, margin)
         self.work += cand.size
@@ -383,7 +356,7 @@ class _Engine:
         width = len(bounds)
         for k in range(width):
             om[t] = int(sm[k + 1]) if k + 1 < width else INF
-            if sh.stop:
+            if self.stop:
                 break
             self.child(t, k, cand, int(bounds[k]), fpen, fl1, prefix)
         om[t] = INF
@@ -393,7 +366,7 @@ class _Engine:
         objs[k]; only those at or below the incumbent can replace it."""
         self.nodes += len(objs)
         l1s = self.prep.L1[self.prep.p - 1]
-        cur = self.sh.best
+        cur = self.best
         ks = range(len(objs)) if cur is None else np.flatnonzero(objs <= cur[0])
         for k in ks:
             self.consider(int(objs[k]), fl1 + int(l1s[k]), prefix + [int(k)])
@@ -417,7 +390,7 @@ class _Engine:
         pr = self.prep
         l1k = fl1 + int(pr.L1[t][k])
         pk = fpen + int(pr.PEN[t][k])
-        cur = self.sh.best
+        cur = self.best
         if cur is not None:
             obj, l1 = cur[0], cur[1]
             if bk > obj or (bk == obj and l1k > l1):
@@ -537,49 +510,41 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     runs out first, returns the best incumbent with status
     "feasible_budget_exhausted" and a valid lower bound.  The budget
     counts from the call, so it covers compiling, seeding and search.
-    jobs > 1 splits the root subtrees over threads; the returned model
-    is identical for any worker count whenever the search completes.
-    warm overrides the built-in warm start (it is snapped into the
-    domains).
+    One solve runs serially in one thread: jobs is accepted for
+    compatibility and changes nothing, neither the model nor the
+    status, bound, gap or node count (run_cv's jobs runs whole solves
+    in worker processes).  warm overrides the built-in warm start (it
+    is snapped into the domains).
     """
     if d.n < 1:
         raise ConfigError("dataset is empty")
     cfg = cfg.resolve(d.n, s)
-    jobs = max(1, int(jobs))
     t0 = time.monotonic()
     ci = CompiledInstance(d, s, cfg)
     prep = _Prep(ci)
-    sh = _Shared(prep, cfg, t0, trace_sink)
-    eng = _Engine(prep, sh, parallel=jobs > 1)
+    eng = _Engine(prep, cfg, t0, trace_sink)
     if warm is None:
         warm = warm_start(d, s)
     elif len(tuple(warm)) != d.p:
         raise ConfigError(f"warm start has {len(tuple(warm))} entries for {d.p} "
                           "coefficients")
-    _seed_incumbent(prep, eng, warm, sh.deadline)
-    with sh.lock:
-        sh._emit(time.monotonic())
+    _seed_incumbent(prep, eng, warm, eng.deadline)
+    eng._emit(time.monotonic())
+    eng.active[0] = prep.root_bound()
+    eng.dfs(0, prep.zeros_margin, 0, 0, [])
 
-    if jobs == 1 or prep.p == 1:
-        eng.active[0] = prep.root_bound()
-        eng.dfs(0, prep.zeros_margin, 0, 0, [])
-        nodes = eng.nodes
-    else:
-        nodes = _run_parallel(prep, sh, jobs) + eng.nodes
-
-    best = sh.best
+    best = eng.best
     if best is None:
         raise ScoresysError("internal: search ended with no incumbent")
     obj_int, _, korig, _ = best
-    exhausted = not sh.stop
-    lb_int = obj_int if exhausted else min(sh.lb_floor, obj_int)
+    exhausted = not eng.stop
+    lb_int = obj_int if exhausted else min(eng.lb_floor, obj_int)
     lower = Fraction(lb_int, ci.pen_den)
     total = Fraction(obj_int, ci.pen_den)
     gap_frac = (total - lower) / max(total, GAP_EPS)
-    status = OPTIMAL if gap_frac <= sh.tol else BUDGET
-    with sh.lock:
-        sh.lb_floor = lb_int
-        sh._emit(time.monotonic())
+    status = OPTIMAL if gap_frac <= eng.tol else BUDGET
+    eng.lb_floor = lb_int
+    eng._emit(time.monotonic())
 
     lam = tuple(ci.values[j][korig[j]] for j in range(ci.p))
     objective = evaluate(d, lam, cfg, tiers=s.tiers)
@@ -601,42 +566,6 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
         })
     return SolveResult(
         best=model, objective=objective, lower_bound=lower,
-        gap=float(gap_frac), status=status, trace=tuple(sh.trace),
-        nodes_explored=nodes)
+        gap=float(gap_frac), status=status, trace=tuple(eng.trace),
+        nodes_explored=eng.nodes)
 
-
-def _run_parallel(prep: _Prep, sh: _Shared, jobs: int) -> int:
-    """Split the root's children into tasks consumed by a thread pool.
-    Workers share the incumbent; the task list doubles as the global
-    lower bound while subtrees are in flight."""
-    cand, bounds = prep.child_bounds(0, prep.zeros_margin)
-    width = len(bounds)
-    queue = deque(range(width))
-    sh.tasks = {k: int(bounds[k]) for k in range(width)}
-    counts = []
-
-    def worker():
-        eng = _Engine(prep, sh, parallel=True)
-        while True:
-            with sh.lock:
-                if not queue or sh.stop:
-                    break
-                k = queue.popleft()
-            try:
-                # every task shares the root's cand, so eng.zero_loss[0]
-                # stays valid across tasks
-                eng.child(0, k, cand, int(bounds[k]), 0, 0, [])
-            finally:
-                with sh.lock:
-                    sh.tasks.pop(k, None)
-        counts.append(eng.nodes)
-
-    threads = [threading.Thread(target=worker, name=f"solve-{i}")
-               for i in range(jobs)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    if sh.stop:
-        sh.tasks = {}
-    return sum(counts) + 1

@@ -189,6 +189,18 @@ def test_write_lp_to_file(tmp_path):
     assert out.read_text() == text
 
 
+def test_parse_lp_accepts_a_bare_objective_name_line():
+    rest = ("Subject To\n c1: x + y >= 1\nBounds\n 0 <= x <= 1\n 0 <= y <= 1\n"
+            "End\n")
+    for sign in ("+", "-"):
+        one_line = parse_lp(f"Minimize\n obj: {sign} 2 x + 3 y\n{rest}")
+        bare = parse_lp(f"Minimize\n obj:\n {sign} 2 x + 3 y\n{rest}")
+        assert bare.objective == one_line.objective
+        assert bare.objective == (("x", Fraction(f"{sign}2")), ("y", Fraction(3)))
+    with pytest.raises(ConfigError, match="cannot parse LP terms"):
+        parse_lp(f"Minimize\n obj:\n + 2 x + * y\n{rest}")
+
+
 _TERM_LOOP_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 

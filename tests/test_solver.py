@@ -276,19 +276,18 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     # objective and l1 equal those of the answer (-1, 0), whose subtree
     # has bound == incumbent, so only the tie rule can still reach it
     from scoresys.objective import CompiledInstance
-    from scoresys.solver import _Engine, _evaluate_assign, _Prep, _Shared
+    from scoresys.solver import _Engine, _evaluate_assign, _Prep
     d = footnote_dataset()
     s = uniform(bounded_integers(1), 2)
     cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
     ci = CompiledInstance(d, s, cfg)
     prep = _Prep(ci)
-    sh = _Shared(prep, cfg, time.monotonic(), None)
-    eng = _Engine(prep, sh, parallel=False)
+    eng = _Engine(prep, cfg, time.monotonic(), None)
     mirror = [prep.KIDX[t].index(ci.values[j].index((0, 1)[j]))
               for t, j in enumerate(prep.order)]
     eng.consider(*_evaluate_assign(prep, mirror), mirror)
     eng.dfs(0, prep.zeros_margin, 0, 0, [])
-    korig = sh.best[2]
+    korig = eng.best[2]
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
 
 
@@ -351,16 +350,26 @@ def test_gap_tolerance_stops_early_with_honest_status():
 
 
 def test_jobs_determinism():
-    rng = np.random.default_rng(37)
-    d = rand_dataset(rng, 30, 4, intercept=True)
-    s = uniform(bounded_integers(3), 4)
-    cfg = TrainConfig(c0=Fraction(1, 100))
-    base = solve(d, s, cfg, jobs=1)
-    for jobs in (2, 3, 4):
-        r = solve(d, s, cfg, jobs=jobs)
-        assert r.best.coefficients == base.best.coefficients
-        assert r.objective.total == base.objective.total
-        assert r.best.to_json() == base.best.to_json()
+    # jobs changes neither the model nor the certificate: two certified
+    # instances, and one that gap_tolerance stops with a gap left open
+    small = rand_dataset(np.random.default_rng(37), 30, 4, intercept=True)
+    wide = rand_dataset(np.random.default_rng(3), 80, 5, intercept=True)
+    cases = [(small, uniform(bounded_integers(3), 4), TrainConfig(c0=Fraction(1, 100))),
+             (wide, uniform(bounded_integers(4), 5), TrainConfig(c0=Fraction(1, 100))),
+             (wide, uniform(bounded_integers(4), 5),
+              TrainConfig(c0=Fraction(1, 100), gap_tolerance=0.5))]
+    for i, (d, s, cfg) in enumerate(cases):
+        base = solve(d, s, cfg, jobs=1)
+        assert base.status == OPTIMAL, i
+        if cfg.gap_tolerance:
+            assert 0 < base.gap <= 0.5, i
+        for jobs in (2, 3, 4):
+            r = solve(d, s, cfg, jobs=jobs)
+            assert r.best.coefficients == base.best.coefficients
+            assert r.objective.total == base.objective.total
+            assert r.best.to_json() == base.best.to_json()
+            assert (r.status, r.lower_bound, r.gap, r.nodes_explored) == (
+                base.status, base.lower_bound, base.gap, base.nodes_explored), (i, jobs)
 
 
 def test_empty_dataset_rejected():
@@ -463,8 +472,7 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     s = uniform(bounded_integers(5), 4)
     cfg = TrainConfig(c0=Fraction(1, 100)).resolve(d.n, s)
     prep = solver._Prep(CompiledInstance(d, s, cfg))
-    sh = solver._Shared(prep, cfg, time.monotonic(), None)
-    eng = solver._Engine(prep, sh, parallel=False)
+    eng = solver._Engine(prep, cfg, time.monotonic(), None)
     descents = []
     monkeypatch.setattr(solver, "_polish",
                         lambda prep, a, deadline=None: descents.append(a) or a)
@@ -472,7 +480,7 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     solver._seed_incumbent(prep, eng, warm, time.monotonic() - 1)
     assert descents == []
     want = min(evaluate(d, lam, cfg).total for lam in ([0] * 4, warm))
-    assert Fraction(sh.best[0], prep.ci.pen_den) == want
+    assert Fraction(eng.best[0], prep.ci.pen_den) == want
 
 
 def test_budget_covers_seeding_on_a_large_table():
