@@ -32,8 +32,8 @@ from .solver import solve
 TRACE_HEADER = "elapsed_s,incumbent,lower_bound,nnz\n"
 
 
-def _add_data_flags(sp):
-    sp.add_argument("--data", required=True, help="labeled CSV file")
+def _add_data_flags(sp, *, data_required=True):
+    sp.add_argument("--data", required=data_required, help="labeled CSV file")
     sp.add_argument("--label", default=None,
                     help="label column name (default: last column)")
     sp.add_argument("--no-intercept", action="store_true",
@@ -186,10 +186,7 @@ def _cmd_report(args) -> int:
     if args.decision_table:
         if not args.data:
             raise ConfigError("--decision-table needs --data to check the features")
-        d = load_csv(args.data, label_column=args.label,
-                     add_intercept=not args.no_intercept,
-                     missing_policy=args.missing)
-        table = induce_decision_table(model, d)
+        table = induce_decision_table(model, _load_dataset(args))
         print()
         print(table.to_text(labels=labels))
     return 0
@@ -272,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True, help="model JSON path")
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")
     sp.add_argument("--decision-table", action="store_true")
-    sp.add_argument("--data", default=None)
-    sp.add_argument("--label", default=None)
-    sp.add_argument("--no-intercept", action="store_true")
-    sp.add_argument("--missing", default="drop", choices=["drop", "impute_mean"])
+    _add_data_flags(sp, data_required=False)
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("verify", help="check an external MIP solution")

@@ -133,11 +133,10 @@ def _solve_one(payload):
     res = solve(train_d, s, cfg, jobs=1)
     runtime = time.perf_counter() - t0
     lam = res.best.coefficients
-    cfg_r = cfg.resolve(train_d.n, s)
-    tr = evaluate(train_d, lam, cfg_r)
-    te = evaluate(test_d, lam, cfg_r)
+    # res.objective already scores lam on train_d
+    te = evaluate(test_d, lam, cfg.resolve(train_d.n, s))
     return (gi, fold,
-            Fraction(tr.misclassified_count, train_d.n),
+            Fraction(res.objective.misclassified_count, train_d.n),
             Fraction(te.misclassified_count, test_d.n),
             model_size_of(lam, train_d.intercept_index),
             res.status, res.gap, runtime, tuple(lam))

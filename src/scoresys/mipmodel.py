@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -77,7 +77,6 @@ class MipModel:
     variables: tuple
     linear_constraints: tuple
     objective: tuple             # ((var_name, coefficient), ...) minimize
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         names = [v.name for v in self.variables]
@@ -283,8 +282,7 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     return MipModel(
         variables=tuple(variables),
         linear_constraints=tuple(constraints),
-        objective=tuple(objective),
-        meta={"variant": variant, "n": n, "p": p})
+        objective=tuple(objective))
 
 
 # --- LP text ------------------------------------------------------------------
@@ -502,65 +500,85 @@ def read_solution(text: str) -> dict:
 
 # --- verification -------------------------------------------------------------
 
-def _lam_names(m: MipModel) -> list[str]:
-    names = [v.name for v in m.variables if re.fullmatch(r"lam_\d+", v.name)]
-    return sorted(names, key=lambda s: int(s.split("_")[1]))
+_LAM_NAME = re.compile(r"lam_(\d+)")
+_PICKER_INDEX = re.compile(r"u_(\d+)(?:_|$)")
 
 
-def _constraints_by_name(m: MipModel) -> dict:
-    """name -> constraint; the first of equally named rows wins."""
-    return {c.name: c for c in reversed(m.linear_constraints)}
+@dataclass(frozen=True)
+class _Layout:
+    """The coefficient structure of a model, as build_model names it."""
+    lams: dict              # j -> "lam_j", ascending in j (gaps allowed)
+    gamma: Fraction | None  # right-hand side of the first loss row
+    pickers: dict           # u name -> (j, value of lam_j it selects), model order
+    domains: dict           # j -> values lam_j may take; None: an integer range
+    tiers: dict | None      # j -> ((s name, cost, picker names), ...), one per tier
+    penalties: dict         # j -> terms of def_I_j
+
+    def tier_sets(self):
+        """tiers as CoefficientSet.tiers holds them."""
+        if self.tiers is None:
+            return None
+        return tuple(tuple(Tier(cost, frozenset(self.pickers[u][1] for u in members))
+                           for _, cost, members in rows) for rows in self.tiers.values())
 
 
-def _domain_values_from_model(cons: dict, j: int) -> list[Fraction] | None:
-    """Values the one-of-K rows allow for lam_j; None when lam_j is a
-    plain integer range.  cons is _constraints_by_name of the model."""
-    c = cons.get(f"def_lam_{j}")
-    if c is None:
-        return None
-    vals = {ZERO}
-    for name, coef in c.terms:
-        if name.startswith("u_"):
-            vals.add(-coef)
-    # u variables for the value 0 carry no def_lam term
-    return sorted(vals)
+def _layout(m: MipModel) -> _Layout:
+    """Read the naming scheme back from m, in one pass over its
+    variables and one over its rows.  lam_j is coefficient j; the u
+    terms of def_lam_j give the value each picker selects (a picker in
+    no def_lam row selects 0 for the coefficient its name gives); the
+    s terms of def_I_j give the tier costs and the u terms of tier_j_r
+    the members of tier r.  The first of equally named rows counts.  A
+    model that breaks the scheme raises VerifyError."""
+    lams, u_names = {}, []
+    for v in m.variables:
+        if v.name.startswith("u_"):
+            u_names.append(v.name)
+        elif mm := _LAM_NAME.fullmatch(v.name):
+            lams[int(mm[1])] = v.name
+    lams = dict(sorted(lams.items()))
+    rows, gamma = {}, None
+    for c in m.linear_constraints:
+        rows.setdefault(c.name, c.terms)
+        if gamma is None and c.name.startswith("loss"):
+            gamma = c.rhs
+    selects, domains = {}, {}
+    for j in lams:
+        terms = rows.get(f"def_lam_{j}")
+        vals = {name: -coef for name, coef in terms or () if name.startswith("u_")}
+        for name, val in vals.items():
+            selects.setdefault(name, (j, val))
+        domains[j] = None if terms is None else sorted({ZERO, *vals.values()})
+    pickers = {}
+    for name in u_names:
+        if name not in selects:
+            mm = _PICKER_INDEX.match(name)
+            if mm is None or int(mm[1]) not in lams:
+                raise VerifyError(f"picker {name} is in no def_lam row and its name "
+                                  f"gives no lam variable")
+            selects[name] = (int(mm[1]), ZERO)
+        pickers[name] = selects[name]
+    penalties = {j: rows[f"def_I_{j}"] for j in lams if f"def_I_{j}" in rows}
+    cost = {name: -coef for terms in penalties.values() for name, coef in terms
+            if name.startswith("s_")}
+    tiers = {} if cost else None
+    for j in lams if cost else ():
+        tiers[j], r = (), 0
+        while (terms := rows.get(f"tier_{j}_{r}")) is not None:
+            s = f"s_{j}_{r}"
+            if s not in cost:
+                raise VerifyError(f"tier_{j}_{r}: {s} has no cost in def_I_{j}")
+            tiers[j] += ((s, cost[s], tuple(n for n, _ in terms if n.startswith("u_"))),)
+            r += 1
+        if not tiers[j]:
+            raise VerifyError(f"pilm model lacks tier rows for coefficient {j}")
+    return _Layout(lams, gamma, pickers, domains, tiers, penalties)
 
 
 def tiers_from_model(m: MipModel):
     """Rebuild per-coefficient tier structures from a pilm model (costs
     from the I_j definition rows, membership from the tier rows)."""
-    cost = {}
-    for c in m.linear_constraints:
-        if c.name.startswith("def_I_"):
-            for name, coef in c.terms:
-                if name.startswith("s_"):
-                    cost[name] = -coef
-    if not cost:
-        return None
-    lam_count = len(_lam_names(m))
-    cons = _constraints_by_name(m)
-    value_of = {}
-    for c in m.linear_constraints:
-        if c.name.startswith("def_lam_"):
-            for name, coef in c.terms:
-                if name.startswith("u_"):
-                    value_of[name] = -coef
-    tiers: list = []
-    for j in range(lam_count):
-        rows = []
-        r = 0
-        while True:
-            row = cons.get(f"tier_{j}_{r}")
-            if row is None:
-                break
-            members = [name for name, _ in row.terms if name.startswith("u_")]
-            vals = frozenset(value_of.get(name, ZERO) for name in members)
-            rows.append(Tier(cost=cost[f"s_{j}_{r}"], values=vals))
-            r += 1
-        if not rows:
-            raise VerifyError(f"pilm model lacks tier rows for coefficient {j}")
-        tiers.append(tuple(rows))
-    return tuple(tiers)
+    return _layout(m).tier_sets()
 
 
 def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
@@ -568,69 +586,38 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
     vector lam: loss indicators exactly where the margin misses gamma,
     every auxiliary variable at its forced value."""
     lam = [to_fraction(v) for v in lam]
-    names = _lam_names(m)
-    if len(lam) != len(names):
-        raise ConfigError(f"{len(lam)} coefficients for {len(names)} lam variables")
-    out = {}
-    for j, v in enumerate(lam):
-        out[f"lam_{j}"] = v
-    gamma = None
-    for c in m.linear_constraints:
-        if c.name.startswith("loss"):
-            gamma = c.rhs
-            break
-    if gamma is None:
+    lay = _layout(m)
+    if len(lam) != len(lay.lams):
+        raise ConfigError(f"{len(lam)} coefficients for {len(lay.lams)} lam variables")
+    if lay.gamma is None:
         raise ConfigError("model has no loss rows")
+    out = dict(zip(lay.lams.values(), lam))
+    value = dict(zip(lay.lams, lam))
     # margin_i = y_i score_i / q < gamma, compared as integers (q > 0)
     score, q = score_ints(d, lam)
-    cut = gamma.numerator * q
+    cut = lay.gamma.numerator * q
     for i, (yi, si) in enumerate(zip(d.y.tolist(), score.tolist())):
-        out[f"z_{i}"] = ONE if yi * si * gamma.denominator < cut else ZERO
+        out[f"z_{i}"] = ONE if yi * si * lay.gamma.denominator < cut else ZERO
     declared = {v.name for v in m.variables}
-    for j in range(len(lam)):
+    for j, v in value.items():
         if f"alpha_{j}" in declared:
-            out[f"alpha_{j}"] = ONE if lam[j] != 0 else ZERO
-            out[f"beta_{j}"] = abs(lam[j])
-    value_of = {}
-    for c in m.linear_constraints:
-        if c.name.startswith("def_lam_"):
-            j = int(c.name.split("_")[-1])
-            for name, coef in c.terms:
-                if name.startswith("u_"):
-                    value_of[name] = (j, -coef)
-    tiered = _has_tiers(m)
-    for v in m.variables:
-        if v.name.startswith("u_") and v.name not in value_of:
-            j = int(v.name.split("_")[1])
-            value_of[v.name] = (j, ZERO)
+            out[f"alpha_{j}"] = ONE if v != 0 else ZERO
+            out[f"beta_{j}"] = abs(v)
     picked: set = set()
-    for v in m.variables:
-        if not v.name.startswith("u_"):
-            continue
-        j, val = value_of[v.name]
-        want = lam[j] == val and (val != 0 or tiered) and j not in picked
-        out[v.name] = ONE if want else ZERO
+    for name, (j, val) in lay.pickers.items():
+        want = value[j] == val and (val != 0 or lay.tiers is not None) and j not in picked
+        out[name] = ONE if want else ZERO
         if want:
             picked.add(j)
-    cons = _constraints_by_name(m)
-    for v in m.variables:
-        if v.name.startswith("s_"):
-            _, j, r = v.name.split("_")
-            row = cons[f"tier_{j}_{r}"]
-            members = [name for name, _ in row.terms if name.startswith("u_")]
-            out[v.name] = ONE if any(out.get(name) == ONE for name in members) else ZERO
-    for c in m.linear_constraints:
-        if c.name.startswith("def_I_"):
-            j = int(c.name.split("_")[-1])
-            coef = dict(c.terms)
-            out[f"I_{j}"] = -sum(
-                (w * out[name] for name, w in coef.items() if name != f"I_{j}"),
-                ZERO)
+    for rows in (lay.tiers or {}).values():
+        for s, _, members in rows:
+            out[s] = ONE if any(out[u] == ONE for u in members) else ZERO
+    for j, terms in lay.penalties.items():
+        try:
+            out[f"I_{j}"] = -sum((w * out[n] for n, w in terms if n != f"I_{j}"), ZERO)
+        except KeyError as e:
+            raise VerifyError(f"def_I_{j}: no value for {e.args[0]}") from None
     return out
-
-
-def _has_tiers(m: MipModel) -> bool:
-    return any(v.name.startswith("s_") for v in m.variables)
 
 
 def _over_lcm(keys, den: int = 1) -> tuple[int, dict]:
@@ -727,19 +714,18 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
         raise VerifyError("infeasible solution: " + "; ".join(violations[:6]),
                           violations=violations)
 
+    lay = _layout(m)
     lam = []
-    cons = _constraints_by_name(m)
-    for name in _lam_names(m):
-        j = int(name.split("_")[1])
+    for j, name in lay.lams.items():
         x = vals[name]
-        allowed = _domain_values_from_model(cons, j)
+        allowed = lay.domains[j]
         snapped = (Fraction(round(x)) if allowed is None
                    else min(allowed, key=lambda v: (abs(v - x), abs(v))))
         if abs(x - snapped) > TOL:
             raise VerifyError(f"{name} = {float(x)} is not a domain value",
                               violations=[name])
         lam.append(snapped)
-    tiers = tiers_from_model(m)
+    tiers = lay.tier_sets()
     true_obj = evaluate(d, lam, cfg, tiers=tiers)
     # a tier model's penalty is the tier costs alone; otherwise the
     # model encodes the full total

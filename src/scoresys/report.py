@@ -357,9 +357,4 @@ def render_results_table(r) -> str:
     fmt = lambda row: "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
     out = [fmt(headers), fmt(["-" * w for w in widths])]
     out += [fmt(row) for row in rows]
-    sel = getattr(r, "selection", None)
-    if sel:
-        out.append("")
-        out.append(f"selected c0: min-error {fraction_str(sel['min_error'])}, "
-                   f"one-se {fraction_str(sel['one_se'])}")
     return "\n".join(out) + "\n"

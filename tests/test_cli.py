@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from scoresys.cli import main
-from scoresys.mipmodel import parse_lp
+from scoresys.data import load_csv
+from scoresys.exactnum import fraction_str
+from scoresys.mipmodel import complete_assignment, parse_lp
 from scoresys.report import ScoringSystem
 
 from helpers import write_csv
@@ -239,6 +241,50 @@ def test_report_decision_table(tmp_path, capsys):
 
     rc = main(["report", "--model", str(model), "--decision-table"])
     assert rc == 1  # table induction needs the data
+
+
+def test_report_decision_table_reads_a_one_hot_table(tmp_path, capsys):
+    colors = ("red", "blue", "green")
+    rows = [(c, a, 1 if (c == "red") != (a == 1) else -1)
+            for c in colors for a in (0, 1)]
+    data = write_csv(tmp_path / "oh.csv", ("color", "A", "y"), rows)
+    cs = tmp_path / "c.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 2}}))
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", str(data), "--one-hot", "color",
+                 "--coefset", str(cs), "--c0", "0.05", "--out", str(model)]) == 0
+    capsys.readouterr()
+    rc = main(["report", "--model", str(model), "--decision-table",
+               "--data", str(data), "--one-hot", "color"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "1. if" in captured.out
+
+
+def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(
+        tmp_path, small_csv, capsys):
+    """def_I_1 without its s_1_1 term: the tier of coefficient 1 has no
+    cost, and verify says so instead of crashing."""
+    cs = tmp_path / "tiers.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 2, "tiers": [
+        {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]},
+        {"cost": 0.07, "values": [-2, 2]}]}}))
+    lp = tmp_path / "m.lp"
+    flags = ["--data", str(small_csv), "--no-intercept", "--coefset", str(cs),
+             "--c0", "0.001"]
+    assert main(["export-mip", *flags, "--variant", "pilm", "--out", str(lp)]) == 0
+    text = lp.read_text()
+    assert " - 0.03 s_1_1" in text
+    lp.write_text(text.replace(" - 0.03 s_1_1", ""))
+    d = load_csv(str(small_csv), add_intercept=False)
+    a = complete_assignment(parse_lp(text), d, [Fraction(2), Fraction(0)])
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{k} {fraction_str(v)}\n" for k, v in a.items()))
+    capsys.readouterr()
+    rc = main(["verify", "--model", str(lp), "--solution", str(sol), *flags])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: tier_1_1: s_1_1 has no cost in def_I_1\n"
 
 
 def test_verify_missing_solution_file(tmp_path, small_csv, coefset_one,

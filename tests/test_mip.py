@@ -11,8 +11,7 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
 from scoresys.exactnum import fraction_str, to_fraction
-from scoresys.mipmodel import (_NUM, TOL, VARIANTS, _constraints_by_name, _dec,
-                               _domain_values_from_model, _lam_names,
+from scoresys.mipmodel import (_NUM, TOL, VARIANTS, _dec, _layout,
                                _parse_terms, _Tokens, _violations,
                                big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
@@ -441,6 +440,38 @@ def test_pilm_verify_round_trip():
     assert ov.tier_term == direct.tier_term
 
 
+@pytest.mark.parametrize("old,new,completing,verifying", [
+    (" - 0.03 s_1_1", "", "tier_1_1: s_1_1 has no cost in def_I_1",
+     "tier_1_1: s_1_1 has no cost in def_I_1"),
+    ("u_0_0_0", "u_x", "picker u_x is in no def_lam row and its name gives no "
+     "lam variable", "assignment is missing 1 variables (first: u_x)"),
+    ("def_I_0: 1 I_0", "def_I_0: 1 I_0 - 1 I_1", "def_I_0: no value for I_1",
+     "infeasible solution: constraint def_I_0:"),
+    ("tier_1_", "other_1_", "pilm model lacks tier rows for coefficient 1",
+     "pilm model lacks tier rows for coefficient 1"),
+], ids=["tier-without-cost", "unplaced-picker", "unfillable-penalty", "no-tier-rows"])
+def test_model_that_breaks_the_naming_scheme_is_rejected(old, new, completing,
+                                                          verifying):
+    """An edited pilm model whose rows or names break build_model's
+    scheme raises VerifyError from complete_assignment, and from
+    verify_solution given the intact model's completed assignment
+    (whose rows still hold after the first and last edits), never a
+    bare KeyError or ValueError."""
+    rng = np.random.default_rng(17)
+    d = rand_dataset(rng, 5, 2)
+    s = _tiered_set(2)
+    cfg = _resolved(d, s, c0=Fraction(1, 1000))
+    m = build_model(d, s, cfg, variant="pilm")
+    text = write_lp(m)
+    assert old in text
+    bad = parse_lp(text.replace(old, new))
+    lam = [Fraction(2), Fraction(0)]  # tier 0 for coefficient 1: s_1_1 = 0
+    with pytest.raises(VerifyError, match="^" + re.escape(completing) + "$"):
+        complete_assignment(bad, d, lam)
+    with pytest.raises(VerifyError, match="^" + re.escape(verifying)):
+        verify_solution(bad, complete_assignment(m, d, lam), d, cfg)
+
+
 # --- exactness of the integer checks -------------------------------------------
 
 EPS = Fraction(1, 10**12)
@@ -484,10 +515,10 @@ def _reference_verify(m, vals, d, cfg):
         raise VerifyError("infeasible solution: " + "; ".join(violations[:6]),
                           violations=violations)
     lam = []
-    cons = _constraints_by_name(m)
-    for name in _lam_names(m):
+    lay = _layout(m)
+    for j, name in lay.lams.items():
         x = vals[name]
-        allowed = _domain_values_from_model(cons, int(name.split("_")[1]))
+        allowed = lay.domains[j]
         snapped = (Fraction(round(x)) if allowed is None
                    else min(allowed, key=lambda v: (abs(v - x), abs(v))))
         if abs(x - snapped) > TOL:
@@ -619,7 +650,7 @@ def test_objective_check_is_exact_at_tol(variant):
     rng = np.random.default_rng(31)
     for trial in range(8):
         d, cfg, m, a = _random_instance(rng, variant)
-        want = evaluate(d, [a[name] for name in _lam_names(m)], cfg,
+        want = evaluate(d, [a[name] for name in _layout(m).lams.values()], cfg,
                         tiers=tiers_from_model(m))
         encoded = want.loss_term + want.tier_term if variant == "pilm" else want.total
         drift = _dot(m.objective, a) - encoded

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scoresys.coefset import (CoefficientSet, bounded_integers, coprime_reduce,
-                              explicit_values, signed_integers, uniform)
+from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
+                              coprime_reduce, explicit_values, signed_integers,
+                              uniform)
 from scoresys.data import Dataset, load_csv
 from scoresys.errors import ConfigError, DomainError
 from scoresys.objective import TrainConfig, evaluate
@@ -193,6 +194,59 @@ def test_lower_bound_admissible():
         full = SearchState(ci, tuple(Fraction(1) for _ in range(p)))
         assert lower_bound_of(full, cfg) == evaluate(d, [1] * p, cfg).total
     assert twins > 0
+
+
+
+_TIERS = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
+          Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})),
+          Tier(Fraction(7, 100), frozenset({Fraction(2), Fraction(-2)})))
+
+
+def test_search_bound_is_lower_bound_of():
+    """The bound the search gives each child of a node (the fixed
+    levels' penalties plus _Prep.child_bounds) is lower_bound_of the
+    child's partial assignment, on tables with and without repeated
+    and twin rows, on a plain and a gapped domain, and on the object
+    path, with and without tier costs."""
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Prep
+    rng = np.random.default_rng(41)
+    seen = {"children": 0, "twins": 0, "object": 0, "last_level": 0, "tiers": 0}
+    for trial in range(200):
+        n = int(rng.integers(2, 16))
+        p = int(rng.integers(1, 5))
+        if trial % 3 == 0:
+            d = rand_dataset(rng, n, p)
+        else:  # repeats and twins; every third of these on Python ints
+            d = rand_dup_dataset(rng, n, p, scale=10**18 if trial % 3 == 2 else 1)
+        dom = bounded_integers(2) if trial % 2 else explicit_values([0, 1, -1, -2, 3])
+        s = uniform(dom, p)
+        if trial % 4 == 1:  # tier costs: the least penalty of a level is not 0
+            s = CoefficientSet(domains=s.domains, tiers=(_TIERS,) * p)
+        cfg = _cfg(rng, n, s)
+        ci = CompiledInstance(d, s, cfg)
+        pr = _Prep(ci)
+        t = int(rng.integers(0, p))
+        prefix = [int(rng.integers(0, len(pr.VI[u]))) for u in range(t)]
+        margin = pr.zeros_margin
+        fpen = 0
+        for u, k in enumerate(prefix):
+            margin = margin + pr.VI[u][k] * pr.B[u]
+            fpen += int(pr.PEN[u][k])
+        _, bounds = pr.child_bounds(t, margin)
+        for k in range(len(bounds)):
+            values = [None] * p
+            for u, kk in enumerate(prefix + [k]):
+                j = pr.order[u]
+                values[j] = ci.values[j][pr.KIDX[u][kk]]
+            lb = lower_bound_of(SearchState(ci, tuple(values)), cfg)
+            assert fpen + int(bounds[k]) == lb * ci.pen_den, (trial, t, k)
+            seen["children"] += 1
+        seen["twins"] += len(ci.twin_a) > 0
+        seen["object"] += not ci.int64_ok
+        seen["last_level"] += t == p - 1
+        seen["tiers"] += s.tiers is not None
+    assert seen["children"] >= 1000 and min(seen.values()) >= 20, seen
 
 
 def test_matches_brute_force_on_object_path():
