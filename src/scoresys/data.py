@@ -15,7 +15,7 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -127,6 +127,27 @@ def _normalize_labels(raw, where) -> np.ndarray:
     return y.astype(np.int8)
 
 
+def _parse_cells(col, numeric: bool):
+    """Parse each distinct raw cell of the tuple col once; return col's
+    values (None if missing, else float() of the stripped cell, or the
+    stripped cell if not numeric), its missing mask and the index of the
+    first cell float() rejects, or None."""
+    table, bad = {}, set()
+    for raw in set(col):
+        cell = raw.strip()
+        table[raw] = None if cell.lower() in _MISSING else cell
+        if numeric and table[raw] is not None:
+            try:
+                table[raw] = float(cell)
+            except ValueError:
+                table[raw] = None
+                bad.add(raw)
+    missing = {raw for raw, v in table.items() if v is None}
+    miss = np.fromiter(map(missing.__contains__, col), bool, len(col))
+    first_bad = min(map(col.index, bad)) if bad else None
+    return list(map(table.__getitem__, col)), miss, first_bad
+
+
 def load_csv(source, *, label_column: str | None = None, add_intercept: bool = True,
              missing_policy: str = "drop", one_hot: tuple[str, ...] = ()) -> Dataset:
     """Read a labeled CSV into a Dataset.
@@ -156,7 +177,7 @@ def load_csv(source, *, label_column: str | None = None, add_intercept: bool = T
     finally:
         if close_me:
             close_me.close()
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))  # drop blank rows
     if len(rows) < 2:
         raise DataError("CSV needs a header row and at least one data row")
     header = [c.strip() for c in rows[0]]
@@ -172,76 +193,59 @@ def load_csv(source, *, label_column: str | None = None, add_intercept: bool = T
     if unknown:
         raise DataError(f"one_hot column(s) not in data: {sorted(unknown)}")
 
-    labels, cells, rownums = [], [], []
-    for rix, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {rix} has {len(row)} cells, expected {len(header)}")
-        lab = row[li].strip()
-        if lab.lower() in _MISSING:
-            continue  # unlabeled rows are useless for training
-        try:
-            labels.append(float(lab))
-        except ValueError:
-            raise DataError(
-                f"row {rix}, column {label_column!r}: bad label {lab!r}") from None
-        cells.append([None if row[k].strip().lower() in _MISSING else row[k].strip()
-                      for k in fi])
-        rownums.append(rix)
-
-    if not cells:
+    body = rows[1:]
+    widths = np.fromiter(map(len, body), int, len(body))
+    ragged = np.flatnonzero(widths != len(header))
+    cut = int(ragged[0]) if ragged.size else len(body)  # parse only up to here
+    cols = list(zip(*body[:cut])) or [()] * len(header)
+    lab, unlabeled, bad = _parse_cells(cols[li], numeric=True)
+    if bad is not None:  # a bad label before the first ragged row comes first
+        raise DataError(f"row {bad + 2}, column {label_column!r}: "
+                        f"bad label {cols[li][bad].strip()!r}")
+    if cut < len(body):
+        raise DataError(f"row {cut + 2} has {len(body[cut])} cells, expected {len(header)}")
+    labeled = (~unlabeled).tolist()  # unlabeled rows are useless for training
+    labels = list(compress(lab, labeled))
+    if not labels:
         raise DataError("no labeled rows in CSV")
+    if unlabeled.any():
+        cols = [tuple(compress(c, labeled)) for c in cols]
     y = _normalize_labels(labels, "CSV")
-
-    # categorical expansion first, so numeric parsing only sees numeric columns
-    out_names: list[str] = []
-    out_cols: list[list] = []
-    for c, name in enumerate(names):
-        col = [r[c] for r in cells]
+    n = len(labels)
+    rownums = np.flatnonzero(labeled) + 2  # CSV row number of each labeled row
+    out_names, out_cols, out_miss = [], [], []  # out_miss: each column's missing cells
+    for k, name in zip(fi, names):
+        vals, miss, bad = _parse_cells(cols[k], numeric=name not in hot)
         if name in hot:
-            if any(v is None for v in col):
-                if missing_policy == "impute_mean":
-                    bad = next(i for i, v in enumerate(col) if v is None)
-                    raise DataError(
-                        f"row {rownums[bad]}, column {name!r}: missing "
-                        "categorical cell; impute_mean does not apply, "
-                        "use missing_policy='drop'")
-            levels = sorted({v for v in col if v is not None})
-            for lev in levels:
+            if missing_policy == "impute_mean" and miss.any():
+                raise DataError(
+                    f"row {rownums[vals.index(None)]}, column {name!r}: missing "
+                    "categorical cell; impute_mean does not apply, "
+                    "use missing_policy='drop'")
+            cells = np.array(vals, dtype=object)
+            for lev in sorted(set(vals) - {None}):
                 out_names.append(f"{name}={lev}")
-                out_cols.append([None if v is None else float(v == lev) for v in col])
+                out_cols.append((cells == lev).astype(np.float64))
+                out_miss.append(miss)
         else:
-            parsed = []
-            for i, v in enumerate(col):
-                if v is None:
-                    parsed.append(None)
-                    continue
-                try:
-                    parsed.append(float(v))
-                except ValueError:
-                    raise DataError(
-                        f"row {rownums[i]}, column {name!r}: bad numeric cell {v!r}"
-                    ) from None
+            if bad is not None:
+                raise DataError(f"row {rownums[bad]}, column {name!r}: "
+                                f"bad numeric cell {cols[k][bad].strip()!r}")
             out_names.append(name)
-            out_cols.append(parsed)
+            out_cols.append(np.array(vals, dtype=np.float64))  # None -> nan
+            out_miss.append(miss)
 
-    n = len(cells)
-    keep = [i for i in range(n)
-            if all(col[i] is not None for col in out_cols)] \
-        if missing_policy == "drop" else list(range(n))
     if missing_policy == "impute_mean":
-        for col in out_cols:
-            seen = [v for v in col if v is not None]
-            if not seen:
+        for col, miss in zip(out_cols, out_miss):
+            if miss.all():
                 raise DataError("a column is entirely missing; cannot impute")
-            mean = float(np.mean(seen))
-            for i, v in enumerate(col):
-                if v is None:
-                    col[i] = mean
-    if not keep:
-        raise DataError("every row was dropped by the missing-value policy")
-
-    x = np.array([[col[i] for col in out_cols] for i in keep], dtype=np.float64)
-    y = y[np.asarray(keep, dtype=np.intp)]
+            col[miss] = float(np.mean(col[~miss]))
+    x = np.array(out_cols, dtype=np.float64).reshape(len(out_cols), n).T
+    if missing_policy == "drop":
+        keep = ~np.array(out_miss, dtype=bool).reshape(len(out_miss), n).any(axis=0)
+        if not keep.any():
+            raise DataError("every row was dropped by the missing-value policy")
+        x, y = x[keep], y[keep]
 
     intercept_index = None
     if add_intercept:

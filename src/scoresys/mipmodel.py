@@ -153,6 +153,9 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         for j in range(s.p):
             if not s.domains[j].values:
                 raise DomainError(f"empty domain for coefficient {j}")
+            if s.tiers[j] is None:
+                raise ConfigError("pilm variant needs tiers for every coefficient; "
+                                  f"coefficient {j} ({d.feature_names[j]!r}) has none")
 
     gamma = _dec(cfg.gamma)
     n, p = d.n, d.p

@@ -285,12 +285,10 @@ class CompiledInstance:
             l1i.append(np.array(
                 [abs(x) * (self.l1_den // val_dens[j]) for x in v_int.tolist()],
                 dtype=object))
-            bmax = max((abs(int(v)) for v in b.tolist()), default=0)
-            vmax = max(abs(int(v)) for v in v_int.tolist())
-            margin_bound += bmax * vmax
-        cost = np.array(
-            [scaled_int(cost_pos if yy == 1 else cost_neg, self.pen_den)
-             for yy in d.y.tolist()], dtype=object)
+            margin_bound += int(np.abs(b).max()) * int(np.abs(v_int).max())
+        # an object array, so the sum in pen_bound cannot wrap
+        cpos = np.array(scaled_int(cost_pos, self.pen_den), dtype=object)
+        cost = np.where(d.y == 1, cpos, scaled_int(cost_neg, self.pen_den))
         pen_bound = int(cost.sum()) + sum(int(pp.max()) for pp in pen)
         self.int64_ok = (2 * margin_bound < _INT64_HEADROOM
                          and 2 * pen_bound < _INT64_HEADROOM)

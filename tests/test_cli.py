@@ -287,6 +287,21 @@ def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(
     assert err == "error: tier_1_1: s_1_1 has no cost in def_I_1\n"
 
 
+def test_export_mip_pilm_rejects_an_untiered_coefficient(tmp_path, small_csv, capsys):
+    cs = tmp_path / "tiers.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 1}, "a": {
+        "type": "integer", "max": 1, "tiers": [
+            {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]}]}}))
+    rc = main(["export-mip", "--data", str(small_csv), "--no-intercept", "--coefset",
+               str(cs), "--c0", "0.001", "--variant", "pilm",
+               "--out", str(tmp_path / "m.lp")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: pilm variant needs tiers for every coefficient; "
+                   "coefficient 1 ('b') has none\n")
+    assert not (tmp_path / "m.lp").exists()
+
+
 def test_verify_missing_solution_file(tmp_path, small_csv, coefset_one,
                                       capsys):
     lp = tmp_path / "m.lp"

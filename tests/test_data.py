@@ -1,10 +1,12 @@
+import csv
 import io
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scoresys.data import Dataset, load_csv, split_folds, to_csv
+from scoresys.data import INTERCEPT_NAME, Dataset, load_csv, split_folds, to_csv
 from scoresys.errors import DataError
 from scoresys.exactnum import common_denominator, scaled_int, to_fraction
 
@@ -116,6 +118,236 @@ def test_load_csv_bad_numeric_cell(tmp_path):
     p = _basic_csv(tmp_path, [(1, "x", 1), (3, 4, -1)])
     with pytest.raises(DataError):
         load_csv(p)
+
+
+# The row-at-a-time loader that load_csv replaced, kept verbatim (only
+# renamed) as the reference for the column-at-a-time one.
+_MISSING_REFERENCE = {"", "?", "na", "nan"}
+
+
+def _normalize_labels_reference(raw, where) -> np.ndarray:
+    vals = sorted(set(raw))
+    bad = [v for v in vals if v not in (-1.0, 0.0, 1.0)]
+    if bad:
+        raise DataError(f"label value {bad[0]!r} in {where}: expected 0/1 or -1/+1")
+    if -1.0 in vals and 0.0 in vals:
+        raise DataError(f"labels in {where} mix the 0/1 and -1/+1 conventions")
+    y = np.asarray(raw)
+    if 0.0 in vals:
+        y = np.where(y == 0.0, -1.0, y)
+    return y.astype(np.int8)
+
+
+def _load_csv_reference(source, *, label_column: str | None = None, add_intercept: bool = True,
+             missing_policy: str = "drop", one_hot: tuple[str, ...] = ()) -> Dataset:
+    """Read a labeled CSV into a Dataset.
+
+    label_column defaults to the last column.  Missing markers are ""
+    "?" "NA" "nan" (case-insensitive); missing_policy is "drop" (remove
+    the row) or "impute_mean" (column mean of the observed values;
+    rows whose *label* is missing are always dropped).  Columns named
+    in one_hot are treated as categorical and expanded into one binary
+    indicator per observed level, named "col=level" in sorted level
+    order; missing cells in those columns are only accepted under
+    "drop".  add_intercept prepends an all-ones "(Intercept)" column.
+    An existing all-ones column already named "(Intercept)" is
+    recognized instead when add_intercept is false.
+    """
+    if missing_policy not in ("drop", "impute_mean"):
+        raise DataError(f"unknown missing_policy {missing_policy!r}")
+    close_me = None
+    if isinstance(source, (str, os.PathLike)):
+        if not os.path.exists(source):
+            raise FileNotFoundError(f"no such file: {source}")
+        close_me = handle = open(source, newline="", encoding="utf-8")
+    else:
+        handle = source
+    try:
+        rows = list(csv.reader(handle))
+    finally:
+        if close_me:
+            close_me.close()
+    rows = [r for r in rows if r and any(c.strip() for c in r)]
+    if len(rows) < 2:
+        raise DataError("CSV needs a header row and at least one data row")
+    header = [c.strip() for c in rows[0]]
+    if label_column is None:
+        label_column = header[-1]
+    if label_column not in header:
+        raise DataError(f"label column {label_column!r} not in header {header}")
+    li = header.index(label_column)
+    fi = [k for k in range(len(header)) if k != li]
+    names = [header[k] for k in fi]
+    hot = set(one_hot)
+    unknown = hot - set(names)
+    if unknown:
+        raise DataError(f"one_hot column(s) not in data: {sorted(unknown)}")
+
+    labels, cells, rownums = [], [], []
+    for rix, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {rix} has {len(row)} cells, expected {len(header)}")
+        lab = row[li].strip()
+        if lab.lower() in _MISSING_REFERENCE:
+            continue  # unlabeled rows are useless for training
+        try:
+            labels.append(float(lab))
+        except ValueError:
+            raise DataError(
+                f"row {rix}, column {label_column!r}: bad label {lab!r}") from None
+        cells.append([None if row[k].strip().lower() in _MISSING_REFERENCE else row[k].strip()
+                      for k in fi])
+        rownums.append(rix)
+
+    if not cells:
+        raise DataError("no labeled rows in CSV")
+    y = _normalize_labels_reference(labels, "CSV")
+
+    # categorical expansion first, so numeric parsing only sees numeric columns
+    out_names: list[str] = []
+    out_cols: list[list] = []
+    for c, name in enumerate(names):
+        col = [r[c] for r in cells]
+        if name in hot:
+            if any(v is None for v in col):
+                if missing_policy == "impute_mean":
+                    bad = next(i for i, v in enumerate(col) if v is None)
+                    raise DataError(
+                        f"row {rownums[bad]}, column {name!r}: missing "
+                        "categorical cell; impute_mean does not apply, "
+                        "use missing_policy='drop'")
+            levels = sorted({v for v in col if v is not None})
+            for lev in levels:
+                out_names.append(f"{name}={lev}")
+                out_cols.append([None if v is None else float(v == lev) for v in col])
+        else:
+            parsed = []
+            for i, v in enumerate(col):
+                if v is None:
+                    parsed.append(None)
+                    continue
+                try:
+                    parsed.append(float(v))
+                except ValueError:
+                    raise DataError(
+                        f"row {rownums[i]}, column {name!r}: bad numeric cell {v!r}"
+                    ) from None
+            out_names.append(name)
+            out_cols.append(parsed)
+
+    n = len(cells)
+    keep = [i for i in range(n)
+            if all(col[i] is not None for col in out_cols)] \
+        if missing_policy == "drop" else list(range(n))
+    if missing_policy == "impute_mean":
+        for col in out_cols:
+            seen = [v for v in col if v is not None]
+            if not seen:
+                raise DataError("a column is entirely missing; cannot impute")
+            mean = float(np.mean(seen))
+            for i, v in enumerate(col):
+                if v is None:
+                    col[i] = mean
+    if not keep:
+        raise DataError("every row was dropped by the missing-value policy")
+
+    x = np.array([[col[i] for col in out_cols] for i in keep], dtype=np.float64)
+    y = y[np.asarray(keep, dtype=np.intp)]
+
+    intercept_index = None
+    if add_intercept:
+        if INTERCEPT_NAME in out_names:
+            raise DataError(f"data already has a column named {INTERCEPT_NAME}")
+        x = np.hstack([np.ones((x.shape[0], 1)), x])
+        out_names = [INTERCEPT_NAME] + out_names
+        intercept_index = 0
+    elif INTERCEPT_NAME in out_names:
+        j = out_names.index(INTERCEPT_NAME)
+        if np.all(x[:, j] == 1.0):
+            intercept_index = j
+
+    return Dataset(x, y, tuple(out_names), intercept_index=intercept_index,
+                   label_name=label_column)
+
+
+def _random_cell(rng, kind, fault):
+    """One raw CSV cell: numbers with the spellings float() accepts,
+    missing markers in mixed case with whitespace, a bad cell at rate
+    fault, and quoting."""
+    u = rng.random()
+    if u < 0.1:
+        cell = str(rng.choice(["", "?", "NA", "na", " Na ", "NaN", " nan", "?  ", " "]))
+    elif u < 0.1 + fault:
+        cell = str(rng.choice(["x1", "1..2", "1,5", "yes", "-nan", "inf"]))
+    elif kind == "cat":
+        cell = str(rng.choice(["a", "b", "B", " c", "a "]))
+    elif kind == "one":
+        cell = str(rng.choice(["1", "1.0", " 1", "+1", "1e0"] + ["2"] * (u > 0.97)))
+    else:
+        v = int(rng.integers(-3, 4))
+        cell = str(rng.choice([f"{v}", f" {v} ", f"{v}.0", f"{v}e0", f"{v:+d}",
+                               f"{v}.5", "-0"]))
+    return f'"{cell}"' if rng.random() < 0.1 or "," in cell else cell
+
+
+def _random_label(rng, codes, fault):
+    u = rng.random()
+    if u < 0.1:
+        return str(rng.choice(["", "?", "NA", " nan ", "Nan"]))
+    if u < 0.1 + fault:
+        return str(rng.choice(["2", "yes", "0.5", "+", "-1", "0"]))
+    return str(rng.choice(codes))
+
+
+def _random_table(rng):
+    """CSV text and load_csv keyword arguments for one random case."""
+    p = int(rng.integers(1, 5))
+    kinds = [str(rng.choice(["num", "num", "cat"])) for _ in range(p)]
+    names = [f"f{j}" for j in range(p)]
+    if rng.random() < 0.25:
+        j = int(rng.integers(p))
+        names[j], kinds[j] = "(Intercept)", "one"
+    at = int(rng.integers(p + 1))
+    header = names[:at] + ["y"] + names[at:]
+    codes = [["0", "1", " 1", "1.0"], ["-1", "1", "+1", "-1.0 "]][int(rng.integers(2))]
+    lines = [",".join(header)]
+    fault = [0.01, 0.1][int(rng.random() < 0.25)]  # rate of each kind of bad row or cell
+    for _ in range(int(rng.integers(1, 15))):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", "  ", " , ,"])))
+            continue
+        cells = [_random_cell(rng, k, fault) for k in kinds]
+        row = cells[:at] + [_random_label(rng, codes, fault)] + cells[at:]
+        if rng.random() < fault:
+            row = row[:-1] if rng.random() < 0.5 else row + ["1"]
+        lines.append(",".join(row))
+    cats = [n for n, k in zip(names, kinds) if k == "cat"]
+    one_hot = [n for n in cats if rng.random() < 0.9] + ["zz"] * (rng.random() < 0.02)
+    label = None if rng.random() < 0.5 else "y"
+    kw = dict(label_column=label if at == p or rng.random() < 0.05 else "y",
+              add_intercept=bool(rng.random() < 0.5),
+              missing_policy=str(rng.choice(["drop", "impute_mean"])),
+              one_hot=tuple(one_hot))
+    return "\n".join(lines) + "\n", kw
+
+
+def _outcome(load, text, kw):
+    try:
+        d = load(io.StringIO(text), **kw)
+    except DataError as e:
+        return ("error", str(e))
+    return (d.content_hash(), d.feature_names, d.intercept_index, d.label_name)
+
+
+def test_load_csv_matches_row_loader_reference():
+    rng = np.random.default_rng(20261018)
+    loaded = 0
+    for _ in range(400):
+        text, kw = _random_table(rng)
+        got = _outcome(load_csv, text, kw)
+        assert got == _outcome(_load_csv_reference, text, kw), (text, kw)
+        loaded += got[0] != "error"
+    assert loaded >= 150  # the cases are not all errors
 
 
 def test_to_csv_round_trip(tmp_path):

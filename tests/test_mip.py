@@ -408,6 +408,14 @@ def test_pilm_requires_tiers():
     s = uniform(bounded_integers(1), 1)
     with pytest.raises(ConfigError):
         build_model(d, s, _resolved(d, s), variant="pilm")
+    # tiers on one coefficient only: the untiered one is named
+    d = Dataset(x=np.array([[1.0, 2.0], [1.0, -1.0]]), y=np.array([1, -1]),
+                feature_names=("a", "b"))
+    t = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
+         Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})))
+    s = CoefficientSet(domains=(bounded_integers(1),) * 2, tiers=(t, None))
+    with pytest.raises(ConfigError, match="coefficient 1 \\('b'\\) has none"):
+        build_model(d, s, _resolved(d, s), variant="pilm")
 
 
 def test_pilm_minimum_matches_loss_plus_tiers():

@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError
+from scoresys.exactnum import common_denominator, scaled_int
 from scoresys.objective import (CompiledInstance, ObjectiveValue, TrainConfig,
                                 _merge_rows_int64, _merge_rows_object, c0_range,
                                 default_c1, default_weights, evaluate,
@@ -219,6 +221,75 @@ def test_compiled_instance_merges_rows_and_keeps_total_cost():
         assert Fraction(int(ci.cost.sum()), ci.pen_den) == want
         for a, b in zip(ci.twin_a, ci.twin_b):
             assert all(int(ci.b_cols[j][a]) == -int(ci.b_cols[j][b]) for j in range(p))
+
+
+def _compiled_reference(d, s, cfg):
+    """CompiledInstance's arrays built the way it first built them: the
+    margin bound and the per-row costs by Python loops over the rows."""
+    dom_vals = [dom.values for dom in s.domains]
+    val_dens = [common_denominator(vs) for vs in dom_vals]
+    col_dens = [d.exact_column(j)[1] for j in range(d.p)]
+    margin_den = math.lcm(*(val_dens[j] * col_dens[j] for j in range(d.p)))
+    pen_fracs = [[(cfg.c0 if v != 0 else 0) + cfg.c1 * abs(v) + s.tier_cost(j, v)
+                  for v in vs] for j, vs in enumerate(dom_vals)]
+    cost_pos, cost_neg = cfg.w_pos / d.n, cfg.w_neg / d.n
+    pen_den = common_denominator([cost_pos, cost_neg] + [f for fs in pen_fracs for f in fs])
+    l1_den = math.lcm(*val_dens)
+    b_cols, vi, pen, l1i = [], [], [], []
+    y = d.y.astype(object)
+    margin_bound = 0
+    for j in range(d.p):
+        nums, cden = d.exact_column(j)
+        b = y * nums * (margin_den // (val_dens[j] * cden))
+        b_cols.append(b)
+        v_int = np.array([scaled_int(v, val_dens[j]) for v in dom_vals[j]], dtype=object)
+        vi.append(v_int)
+        pen.append(np.array([scaled_int(f, pen_den) for f in pen_fracs[j]], dtype=object))
+        l1i.append(np.array([abs(x) * (l1_den // val_dens[j]) for x in v_int.tolist()],
+                            dtype=object))
+        bmax = max((abs(int(v)) for v in b.tolist()), default=0)
+        vmax = max(abs(int(v)) for v in v_int.tolist())
+        margin_bound += bmax * vmax
+    cost = np.array([scaled_int(cost_pos if yy == 1 else cost_neg, pen_den)
+                     for yy in d.y.tolist()], dtype=object)
+    pen_bound = int(cost.sum()) + sum(int(pp.max()) for pp in pen)
+    int64_ok = 2 * margin_bound < 2**61 and 2 * pen_bound < 2**61
+    if int64_ok:
+        b_cols, vi, pen, l1i = ([a.astype(np.int64) for a in arrs]
+                                for arrs in (b_cols, vi, pen, l1i))
+        cost = cost.astype(np.int64)
+        first, group, twin_a, twin_b = _merge_rows_int64(np.stack(b_cols, axis=1))
+    else:
+        first, group, twin_a, twin_b = _merge_rows_object(b_cols)
+    merged = np.zeros(len(first), dtype=cost.dtype)
+    np.add.at(merged, group, cost)
+    return dict(b_cols=[b[first] for b in b_cols], vi=vi, pen=pen, l1i=l1i,
+                cost=merged, twin_a=twin_a, twin_b=twin_b,
+                twin_cost=np.minimum(merged[twin_a], merged[twin_b]),
+                int64_ok=int64_ok, margin_den=margin_den, pen_den=pen_den)
+
+
+@pytest.mark.parametrize("case", ["int64", "big_cells", "big_values"])
+def test_compiled_instance_matches_row_loop_reference(case):
+    rng = np.random.default_rng(73)
+    for trial in range(12):
+        n, p = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+        d = rand_dup_dataset(rng, n, p, scale=10**18 if case == "big_cells" else 1)
+        dom = explicit_values([0, 10**18, -10**18]) if case == "big_values" \
+            else bounded_integers(3)
+        s = uniform(dom, p)
+        w = [(Fraction(1), Fraction(1)), (Fraction(1, 3), Fraction(2)),
+             (Fraction(2), Fraction(1, 3))][trial % 3]
+        cfg = TrainConfig(c0=Fraction(1, 50), w_pos=w[0], w_neg=w[1]).resolve(n, s)
+        ci, ref = CompiledInstance(d, s, cfg), _compiled_reference(d, s, cfg)
+        assert ci.int64_ok == ref["int64_ok"] == (case == "int64")
+        for name, want in ref.items():
+            got = getattr(ci, name)
+            if not isinstance(want, list):
+                got, want = [got], [want]
+            assert len(got) == len(want), (case, trial, name)
+            for g, r in zip(map(np.asarray, got), map(np.asarray, want)):
+                assert g.dtype == r.dtype and g.tolist() == r.tolist(), (case, trial, name)
 
 
 def _as_object_path(ci):
