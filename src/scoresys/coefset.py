@@ -33,7 +33,7 @@ ZERO = Fraction(0)
 class CoefficientDomain:
     kind: str  # "integer" | "signed_integer" | "digits" | "set"
     values: tuple[Fraction, ...]  # sorted ascending, unique, 0 included
-    params: dict = field(default_factory=dict, compare=False)
+    _value_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(sorted(set(self.values)))
@@ -42,6 +42,7 @@ class CoefficientDomain:
         if ZERO not in vals:
             raise DomainError("every coefficient domain must contain 0")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_value_set", frozenset(vals))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -51,14 +52,6 @@ class CoefficientDomain:
             return to_fraction(v) in self._value_set
         except (TypeError, ValueError):
             return False
-
-    @property
-    def _value_set(self) -> frozenset:
-        got = self.params.get("_set")
-        if got is None:
-            got = frozenset(self.values)
-            self.params["_set"] = got
-        return got
 
     @property
     def max_abs(self) -> Fraction:
@@ -82,8 +75,7 @@ def bounded_integers(max_coef: int = 100) -> CoefficientDomain:
     m = int(max_coef)
     if m < 1 or m != max_coef:
         raise DomainError(f"max_coef must be a positive integer, got {max_coef!r}")
-    return CoefficientDomain(
-        "integer", tuple(Fraction(v) for v in range(-m, m + 1)), {"max": m})
+    return CoefficientDomain("integer", tuple(Fraction(v) for v in range(-m, m + 1)))
 
 
 def signed_integers(sign: str, max_coef: int = 100) -> CoefficientDomain:
@@ -100,8 +92,7 @@ def signed_integers(sign: str, max_coef: int = 100) -> CoefficientDomain:
         vals = range(-m, 1)
     else:
         raise DomainError(f"sign must be pos/neg/free, got {sign!r}")
-    return CoefficientDomain(
-        "signed_integer", tuple(Fraction(v) for v in vals), {"max": m, "sign": sign})
+    return CoefficientDomain("signed_integer", tuple(Fraction(v) for v in vals))
 
 
 def digit_values(digits: int, min_exp: int, max_exp: int) -> CoefficientDomain:
@@ -130,15 +121,12 @@ def digit_values(digits: int, min_exp: int, max_exp: int) -> CoefficientDomain:
             for d1 in ds:
                 for d2 in ds:
                     vals.add(d1 * hi + d2 * lo)
-    return CoefficientDomain(
-        "digits", tuple(vals),
-        {"digits": digits, "min_exp": min_exp, "max_exp": max_exp})
+    return CoefficientDomain("digits", tuple(vals))
 
 
 def explicit_values(values) -> CoefficientDomain:
     """Arbitrary finite list of exact decimal values; must include 0."""
-    fr = tuple(to_fraction(v) for v in values)
-    return CoefficientDomain("set", fr, {"values": [fraction_str(v) for v in sorted(set(fr))]})
+    return CoefficientDomain("set", tuple(to_fraction(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -293,7 +281,7 @@ def _domain_from_descriptor(desc: dict, where: str) -> tuple[CoefficientDomain, 
             if "values" not in desc:
                 raise DomainError("a 'set' descriptor needs 'values'")
             dom = explicit_values(desc["values"])
-    except DomainError as e:
+    except (TypeError, ValueError) as e:  # DomainError included
         raise DomainError(f"{where}: {e}") from None
     return dom, desc.get("tiers")
 

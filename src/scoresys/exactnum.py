@@ -14,11 +14,14 @@ import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+from .errors import ConfigError
+
 Numeric = int | float | str | Fraction | Decimal
 
 
 def to_fraction(x: Numeric) -> Fraction:
-    """Exact value of x, reading floats and strings as decimals."""
+    """Exact value of x, reading floats and strings as decimals.  A
+    string that is not a finite decimal raises ConfigError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):  # bool is an int but never a sensible number here
@@ -35,9 +38,12 @@ def to_fraction(x: Numeric) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(Decimal(x.strip()))
+            dec = Decimal(x.strip())
         except InvalidOperation:
-            raise ValueError(f"not a decimal number: {x!r}") from None
+            dec = None
+        if dec is None or not dec.is_finite():
+            raise ConfigError(f"not a finite decimal number: {x!r}")
+        return Fraction(dec)
     raise TypeError(f"cannot interpret {type(x).__name__} as a number")
 
 

@@ -122,24 +122,20 @@ def default_c0_grid(n: int, count: int = GRID_SIZE) -> tuple:
     return tuple(out)
 
 
-def model_size_of(lam, intercept_index) -> int:
-    return sum(1 for j, v in enumerate(lam)
-               if v != 0 and j != intercept_index)
-
-
-def _solve_one(payload):
-    train_d, test_d, s, cfg, gi, fold = payload
+def _solve_one(payload) -> CvRecord:
+    train_d, test_d, s, cfg, fold = payload
     t0 = time.perf_counter()
     res = solve(train_d, s, cfg, jobs=1)
     runtime = time.perf_counter() - t0
     lam = res.best.coefficients
     # res.objective already scores lam on train_d
     te = evaluate(test_d, lam, cfg.resolve(train_d.n, s))
-    return (gi, fold,
-            Fraction(res.objective.misclassified_count, train_d.n),
-            Fraction(te.misclassified_count, test_d.n),
-            model_size_of(lam, train_d.intercept_index),
-            res.status, res.gap, runtime, tuple(lam))
+    return CvRecord(
+        c0=cfg.c0, fold=fold,
+        train_error=Fraction(res.objective.misclassified_count, train_d.n),
+        test_error=Fraction(te.misclassified_count, test_d.n),
+        model_size=res.best.model_size, solve_status=res.status, gap=res.gap,
+        runtime_s=runtime, coefficients=lam)
 
 
 def run_cv(d: Dataset, s: CoefficientSet, cfg: TrainConfig, c0_grid=None,
@@ -175,28 +171,22 @@ def run_cv(d: Dataset, s: CoefficientSet, cfg: TrainConfig, c0_grid=None,
         splits.append((train_d, test_d))
 
     payloads = []
-    for gi, c0 in enumerate(grid):
+    for c0 in grid:
         for fold in range(k):
             train_d, test_d = splits[fold]
-            payloads.append((train_d, test_d, s, replace(cfg, c0=c0), gi, fold))
+            payloads.append((train_d, test_d, s, replace(cfg, c0=c0), fold))
 
     if jobs > 1:
         # imported here, not at the top: it would add about a tenth to
         # the time of `import scoresys`
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_solve_one, payloads))
+            records = tuple(pool.map(_solve_one, payloads))
     else:
-        raw = [_solve_one(p) for p in payloads]
-
-    records = tuple(
-        CvRecord(c0=grid[gi], fold=fold, train_error=tr, test_error=te,
-                 model_size=size, solve_status=status, gap=gap,
-                 runtime_s=runtime, coefficients=lam)
-        for gi, fold, tr, te, size, status, gap, runtime, lam in raw)
+        records = tuple(_solve_one(p) for p in payloads)
 
     aggregates = []
-    for gi, c0 in enumerate(grid):
+    for c0 in grid:
         group = [r for r in records if r.c0 == c0]
         aggregates.append(aggregate_records(c0, group))
     return CvReport(records=records, aggregates=tuple(aggregates),

@@ -241,8 +241,10 @@ class CompiledInstance:
     plain integers.  Rows twin_a[q] and twin_b[q] have opposite
     vectors, so their margins are m and -m: every lam loses at least
     one of them and pays at least twin_cost[q], the smaller cost.
-    Arrays are int64 when a precomputed worst-case bound fits
-    comfortably, else Python-int object arrays.
+    The integer width is decided before any array is built, from two
+    exact bounds (the largest |margin| and the largest objective) and
+    the largest l1 value: every array is int64 when all three fit
+    comfortably, else a Python-int object array.
     """
 
     def __init__(self, d: Dataset, s: CoefficientSet, cfg: TrainConfig):
@@ -255,52 +257,54 @@ class CompiledInstance:
 
         dom_vals = [dom.values for dom in s.domains]
         val_dens = [common_denominator(vs) for vs in dom_vals]
-        col_dens = [d.exact_column(j)[1] for j in range(d.p)]
-        self.margin_den = math.lcm(*(val_dens[j] * col_dens[j] for j in range(d.p)))
+        cols = [d.exact_column(j) for j in range(d.p)]
+        self.margin_den = math.lcm(*(val_dens[j] * cols[j][1] for j in range(d.p)))
+        mults = [self.margin_den // (val_dens[j] * cden)
+                 for j, (_, cden) in enumerate(cols)]
+        v_ints = [[scaled_int(v, val_dens[j]) for v in vs]
+                  for j, vs in enumerate(dom_vals)]
 
-        pen_fracs: list[list[Fraction]] = []
-        for j, vs in enumerate(dom_vals):
-            pen_fracs.append([
-                (cfg.c0 if v != 0 else ZERO) + cfg.c1 * abs(v)
-                + s.tier_cost(j, v) for v in vs])
+        pen_fracs = [[(cfg.c0 if v != 0 else ZERO) + cfg.c1 * abs(v)
+                      + s.tier_cost(j, v) for v in vs]
+                     for j, vs in enumerate(dom_vals)]
         cost_pos = cfg.w_pos / d.n
         cost_neg = cfg.w_neg / d.n
         self.pen_den = common_denominator(
             [cost_pos, cost_neg] + [f for fs in pen_fracs for f in fs])
         self.l1_den = math.lcm(*val_dens)
+        pen_ints = [[scaled_int(f, self.pen_den) for f in fs] for fs in pen_fracs]
+        cpos = scaled_int(cost_pos, self.pen_den)
+        cneg = scaled_int(cost_neg, self.pen_den)
 
-        b_cols, vi, pen, l1i = [], [], [], []
-        y = d.y.astype(object)
-        margin_bound = 0
-        for j in range(d.p):
-            nums, cden = d.exact_column(j)
-            mult = self.margin_den // (val_dens[j] * cden)
-            b = y * nums * mult
-            b_cols.append(b)
-            v_int = np.array([scaled_int(v, val_dens[j]) for v in dom_vals[j]],
-                             dtype=object)
-            vi.append(v_int)
-            pen.append(np.array([scaled_int(f, self.pen_den) for f in pen_fracs[j]],
-                                dtype=object))
-            l1i.append(np.array(
-                [abs(x) * (self.l1_den // val_dens[j]) for x in v_int.tolist()],
-                dtype=object))
-            margin_bound += int(np.abs(b).max()) * int(np.abs(v_int).max())
-        # an object array, so the sum in pen_bound cannot wrap
-        cpos = np.array(scaled_int(cost_pos, self.pen_den), dtype=object)
-        cost = np.where(d.y == 1, cpos, scaled_int(cost_neg, self.pen_den))
-        pen_bound = int(cost.sum()) + sum(int(pp.max()) for pp in pen)
+        l1_ints = [[abs(x) * (self.l1_den // val_dens[j]) for x in v_ints[j]]
+                   for j in range(d.p)]
+
+        # the width, from exact bounds on |margin| and on the objective;
+        # max(1, .) also bounds the cells of a column whose domain is
+        # {0}, and every l1 value (each at least |value|) must fit too
+        num_max = [int(np.abs(nums).max()) for nums, _ in cols]
+        margin_bound = sum(num_max[j] * mults[j] * max(1, *map(abs, v_ints[j]))
+                           for j in range(d.p))
+        n_pos = d.n_pos
+        pen_bound = (cpos * n_pos + cneg * (d.n - n_pos)
+                     + sum(max(pi) for pi in pen_ints))
         self.int64_ok = (2 * margin_bound < _INT64_HEADROOM
-                         and 2 * pen_bound < _INT64_HEADROOM)
-        if self.int64_ok:
-            b_cols = [b.astype(np.int64) for b in b_cols]
-            vi = [v.astype(np.int64) for v in vi]
-            pen = [p_.astype(np.int64) for p_ in pen]
-            l1i = [l.astype(np.int64) for l in l1i]
-            cost = cost.astype(np.int64)
-            first, group, twin_a, twin_b = _merge_rows_int64(np.stack(b_cols, axis=1))
-        else:
-            first, group, twin_a, twin_b = _merge_rows_object(b_cols)
+                         and 2 * pen_bound < _INT64_HEADROOM
+                         and max(map(max, l1_ints)) < _INT64_HEADROOM)
+        dtype = np.int64 if self.int64_ok else object
+
+        # np.array raises on a Python int beyond int64 and never wraps;
+        # an all-zero column may carry a multiplier beyond int64, and a
+        # class with no rows a cost beyond it, which no row takes
+        y = d.y.astype(dtype)
+        b_cols = [y * nums.astype(dtype) * (mult if top else 0)
+                  for (nums, _), mult, top in zip(cols, mults, num_max)]
+        vi = [np.array(v, dtype=dtype) for v in v_ints]
+        pen = [np.array(pi, dtype=dtype) for pi in pen_ints]
+        l1i = [np.array(l1, dtype=dtype) for l1 in l1_ints]
+        cost = np.where(d.y == 1, np.array(cpos if n_pos else 0, dtype),
+                        np.array(cneg if n_pos < d.n else 0, dtype))
+        first, group, twin_a, twin_b = _merge_rows(b_cols)
         self.n_rows = len(first)
         merged = np.zeros(self.n_rows, dtype=cost.dtype)
         np.add.at(merged, group, cost)
@@ -359,13 +363,23 @@ class CompiledInstance:
         return np.minimum(a, c), np.maximum(a, c)
 
 
-def _merge_rows_int64(rows: np.ndarray):
-    """Group equal rows of an int64 matrix and pair opposite groups.
+def _merge_rows(b_cols: list):
+    """Group equal rows of the columns b_cols and pair opposite groups.
 
     Returns (first, group, twin_a, twin_b): the first row of each group,
     each row's group, and the groups whose rows are negations of each
-    other.  Each row is keyed with the sign that makes its first
-    nonzero entry positive, so one sort finds both."""
+    other.  A Python-int column is first coded as int64,
+    sign(b) * (1 + the rank of |b| among the column's magnitudes),
+    which is equal where b is equal and negated where b is negated.
+    Each row is keyed with the sign that makes its first nonzero entry
+    positive, so one sort finds both."""
+    coded = []
+    for b in b_cols:
+        if b.dtype == object:
+            _, rank = np.unique(np.abs(b), return_inverse=True)
+            b = np.sign(b).astype(np.int64) * (rank + 1)
+        coded.append(b)
+    rows = np.stack(coded, axis=1)
     n, p = rows.shape
     lead = rows[np.arange(n), (rows != 0).argmax(axis=1)]
     neg = lead < 0
@@ -376,21 +390,3 @@ def _merge_rows_int64(rows: np.ndarray):
                                   return_inverse=True)
     twin_a = np.nonzero(ids[1:] // 2 == ids[:-1] // 2)[0]
     return first, group, twin_a, twin_a + 1
-
-
-def _merge_rows_object(b_cols: list):
-    """_merge_rows_int64 for Python-int columns, via a dict of rows."""
-    index, first, group, twin_a, twin_b = {}, [], [], [], []
-    for i, row in enumerate(zip(*(b.tolist() for b in b_cols))):
-        g = index.get(row)
-        if g is None:
-            g = len(first)
-            twin = index.get(tuple(-v for v in row))
-            if twin is not None:
-                twin_a.append(twin)
-                twin_b.append(g)
-            index[row] = g
-            first.append(i)
-        group.append(g)
-    return tuple(np.array(a, dtype=np.intp)
-                 for a in (first, group, twin_a, twin_b))

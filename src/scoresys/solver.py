@@ -200,7 +200,7 @@ class _Prep:
             self.L1.append(ci.l1i[j][pidx])
             self.KIDX.append([int(k) for k in pidx])
             mx.append(ci.margin_extrema(j)[1])
-        dtype = np.int64 if ci.int64_ok else object
+        dtype = ci.cost.dtype
         self.zeros_margin = np.zeros(ci.n_rows, dtype=dtype)
         # suffix tables over levels t..p-1: the margin at or below which
         # a row stays lost whatever they add, their least and their

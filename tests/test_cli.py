@@ -90,6 +90,24 @@ def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, coefset", [
+    (["train", "--c0", "abc"], None),
+    (["train", "--c0", "inf"], None),
+    (["train", "--c0", "0.1", "--weights", "1,x"], None),
+    (["cv", "--c0-grid", "0.1,,0.2"], None),
+    (["train", "--c0", "0.1"], {"type": "set", "values": [0, "x"]}),
+    (["train", "--c0", "0.1"], {"type": "integer", "max": "abc"}),
+], ids=["c0", "c0_inf", "weights", "c0_grid", "set_values", "integer_max"])
+def test_malformed_number_is_exit_1(tmp_path, footnote_csv, coefset_one,
+                                    capsys, flags, coefset):
+    if coefset is not None:
+        coefset_one.write_text(json.dumps({"default": coefset}))
+    rc = main(flags[:1] + ["--data", str(footnote_csv), "--coefset",
+                           str(coefset_one)] + flags[1:])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_flag_is_exit_2(footnote_csv, coefset_one, capsys):
     rc = main(["train", "--data", str(footnote_csv), "--coefset",
                str(coefset_one), "--c0", "0.1", "--turbo"])

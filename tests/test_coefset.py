@@ -20,7 +20,7 @@ def test_domain_sorts_and_requires_zero():
 
 
 def test_domain_dedupes():
-    dom = CoefficientDomain("set", (Fraction(0), Fraction(1), Fraction(1)), {})
+    dom = CoefficientDomain("set", (Fraction(0), Fraction(1), Fraction(1)))
     assert dom.values == (Fraction(0), Fraction(1))
 
 
@@ -30,6 +30,13 @@ def test_domain_contains_and_len():
     assert Fraction(1) in dom
     assert 1 in dom
     assert 0.5 not in dom
+
+
+def test_membership_test_leaves_repr_alone():
+    dom = bounded_integers(2)
+    before = repr(dom)
+    assert 1 in dom and Fraction(1, 2) not in dom
+    assert repr(dom) == before
 
 
 def test_max_abs_and_contiguity():

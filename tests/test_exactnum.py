@@ -33,6 +33,9 @@ def test_to_fraction_rejects_junk():
         to_fraction(float("inf"))
     with pytest.raises(ValueError):
         to_fraction("1/2ish")
+    for text in ("inf", "nan"):
+        with pytest.raises(ValueError):
+            to_fraction(text)
     with pytest.raises(TypeError):
         to_fraction([1])
 

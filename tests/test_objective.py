@@ -11,11 +11,11 @@ from scoresys.data import Dataset
 from scoresys.errors import ConfigError
 from scoresys.exactnum import common_denominator, scaled_int
 from scoresys.objective import (CompiledInstance, ObjectiveValue, TrainConfig,
-                                _merge_rows_int64, _merge_rows_object, c0_range,
-                                default_c1, default_weights, evaluate,
-                                score_ints)
+                                _merge_rows, c0_range, default_c1,
+                                default_weights, evaluate, score_ints)
+from scoresys.solver import OPTIMAL, solve
 
-from helpers import rand_dataset, rand_dup_dataset
+from helpers import brute_solve, rand_dataset, rand_dup_dataset
 
 
 def _tiny():
@@ -189,17 +189,20 @@ def _merge_reference(rows):
     return set(groups.values()), twins
 
 
-@pytest.mark.parametrize("merge", ["int64", "object"])
+@pytest.mark.parametrize("merge", ["int64", "object", "beyond_int64"])
 def test_row_merge_groups_and_twins(merge):
+    # Python-int columns, the last with magnitudes int64 cannot hold,
+    # group and pair exactly as the int64 ones do
     rng = np.random.default_rng(59)
     for _ in range(40):
         n, p = int(rng.integers(1, 40)), int(rng.integers(1, 4))
         rows = rng.integers(-2, 3, size=(n, p))
         if merge == "int64":
-            first, group, ta, tb = _merge_rows_int64(rows)
+            cols = [rows[:, j] for j in range(p)]
         else:
-            first, group, ta, tb = _merge_rows_object(
-                [rows[:, j].astype(object) for j in range(p)])
+            scale = 1 if merge == "object" else 10**30
+            cols = [rows[:, j].astype(object) * scale for j in range(p)]
+        first, group, ta, tb = _merge_rows(cols)
         members = [frozenset(np.flatnonzero(group == g).tolist())
                    for g in range(len(first))]
         assert all(first[g] in members[g] for g in range(len(first)))
@@ -224,8 +227,9 @@ def test_compiled_instance_merges_rows_and_keeps_total_cost():
 
 
 def _compiled_reference(d, s, cfg):
-    """CompiledInstance's arrays built the way it first built them: the
-    margin bound and the per-row costs by Python loops over the rows."""
+    """CompiledInstance's arrays built the way it first built them: in
+    Python ints, the margin bound and the per-row costs by loops over
+    the rows, and then cast to int64 when the bounds allow."""
     dom_vals = [dom.values for dom in s.domains]
     val_dens = [common_denominator(vs) for vs in dom_vals]
     col_dens = [d.exact_column(j)[1] for j in range(d.p)]
@@ -258,9 +262,7 @@ def _compiled_reference(d, s, cfg):
         b_cols, vi, pen, l1i = ([a.astype(np.int64) for a in arrs]
                                 for arrs in (b_cols, vi, pen, l1i))
         cost = cost.astype(np.int64)
-        first, group, twin_a, twin_b = _merge_rows_int64(np.stack(b_cols, axis=1))
-    else:
-        first, group, twin_a, twin_b = _merge_rows_object(b_cols)
+    first, group, twin_a, twin_b = _merge_rows(b_cols)
     merged = np.zeros(len(first), dtype=cost.dtype)
     np.add.at(merged, group, cost)
     return dict(b_cols=[b[first] for b in b_cols], vi=vi, pen=pen, l1i=l1i,
@@ -283,13 +285,62 @@ def test_compiled_instance_matches_row_loop_reference(case):
         cfg = TrainConfig(c0=Fraction(1, 50), w_pos=w[0], w_neg=w[1]).resolve(n, s)
         ci, ref = CompiledInstance(d, s, cfg), _compiled_reference(d, s, cfg)
         assert ci.int64_ok == ref["int64_ok"] == (case == "int64")
-        for name, want in ref.items():
-            got = getattr(ci, name)
-            if not isinstance(want, list):
-                got, want = [got], [want]
-            assert len(got) == len(want), (case, trial, name)
-            for g, r in zip(map(np.asarray, got), map(np.asarray, want)):
-                assert g.dtype == r.dtype and g.tolist() == r.tolist(), (case, trial, name)
+        _assert_matches(ci, ref, (case, trial))
+
+
+def _assert_matches(ci, ref, tag):
+    for name, want in ref.items():
+        got = getattr(ci, name)
+        if not isinstance(want, list):
+            got, want = [got], [want]
+        assert len(got) == len(want), (tag, name)
+        for g, r in zip(map(np.asarray, got), map(np.asarray, want)):
+            assert g.dtype == r.dtype and g.tolist() == r.tolist(), (tag, name)
+
+
+def test_compiled_instance_all_zero_column_beside_tiny_cells():
+    # the zero column's multiplier (10**20) is beyond int64 while every
+    # margin fits, so the instance is int64 and the column all zeros
+    x = np.array([[1e-20, 0.0], [2e-20, 0.0], [-1e-20, 0.0]])
+    d = Dataset(x=x, y=np.array([1, 1, -1]), feature_names=("a", "z"))
+    s = uniform(bounded_integers(2), 2)
+    cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
+    ci, ref = CompiledInstance(d, s, cfg), _compiled_reference(d, s, cfg)
+    assert ci.int64_ok and ref["int64_ok"]
+    _assert_matches(ci, ref, "zero column")
+
+
+def test_compiled_instance_absent_class_with_huge_weight():
+    # no positives, so the positive cost (beyond int64) is never taken
+    # and the instance stays int64
+    x = np.array([[1.0, 2.0], [-1.0, 0.0], [2.0, 1.0]])
+    d = Dataset(x=x, y=np.array([-1, -1, -1]), feature_names=("a", "b"))
+    s = uniform(bounded_integers(2), 2)
+    cfg = TrainConfig(c0=Fraction(1, 10), w_pos=Fraction(10**30),
+                      w_neg=Fraction(1)).resolve(d.n, s)
+    ci, ref = CompiledInstance(d, s, cfg), _compiled_reference(d, s, cfg)
+    assert ci.int64_ok and ref["int64_ok"]
+    _assert_matches(ci, ref, "absent class")
+
+
+@pytest.mark.parametrize("cells, a_dom, z_dom", [
+    # huge cells under the domain {0}
+    ([1e20, 3e20, -1e20], bounded_integers(2), explicit_values([0])),
+    # huge values over zero cells; a's domain {0} keeps every penalty small
+    ([0.0, 0.0, 0.0], explicit_values([0]), explicit_values([0, 10**20])),
+], ids=["zero_domain", "zero_column"])
+def test_compiled_instance_width_bounds_every_entry(cells, a_dom, z_dom):
+    # column z adds nothing to any margin, yet one of its arrays holds
+    # an entry beyond int64, so the instance must be on Python ints
+    x = np.array([[1.0, c] for c in cells])
+    x[1, 0] = -2.0
+    d = Dataset(x=x, y=np.array([1, -1, 1]), feature_names=("a", "z"))
+    s = CoefficientSet(domains=(a_dom, z_dom))
+    cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
+    assert not CompiledInstance(d, s, cfg).int64_ok
+    res = solve(d, s, cfg)
+    assert res.status == OPTIMAL
+    assert res.objective.total == brute_solve(d, s, cfg)[0]
 
 
 def _as_object_path(ci):
