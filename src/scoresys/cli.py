@@ -226,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; one solve runs in one "
                          "thread, so it has no effect")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="accepted and echoed for compatibility; a train "
+                         "solve uses no randomness, so it has no effect")
     sp.add_argument("--out", default=None, help="model JSON output path")
     sp.add_argument("--trace", default=None, help="search trace CSV output path")
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")

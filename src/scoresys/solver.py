@@ -1,11 +1,13 @@
 """Exact minimization of the scoring objective by branch and bound.
 
-The search fixes coefficients one at a time (most class-separating
-column first, small |value| first) and keeps exact integer margins for
-every distinct row, pruning with an admissible bound: penalties already
-committed, the least penalty each remaining coefficient must add, the
-loss of rows no completion can rescue, and the cheaper row of each
-opposite pair neither of which is lost yet.  Below a node, every
+The search fixes coefficients one at a time and keeps exact integer
+margins for every distinct row.  It branches first on the column whose
+values move the most loss (the largest cost-weighted margin range), so
+rows that no completion can rescue show up near the root, and tries
+small |value| first.  It prunes with an admissible bound: penalties
+already committed, the least penalty each remaining coefficient must
+add, the loss of rows no completion can rescue, and the cheaper row of
+each opposite pair neither of which is lost yet.  Below a node, every
 completion but the all-zero one pays at least one more nonzero
 penalty; when that alone prunes, the all-zero completion is scored
 exactly instead of searched.  Objective ties resolve
@@ -23,6 +25,8 @@ import bisect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -182,24 +186,46 @@ def lower_bound_of(state: SearchState, cfg: TrainConfig) -> Fraction:
 # --- engine internals ---------------------------------------------------------
 
 class _Prep:
-    """Instance arrays reindexed into search order, plus suffix tables."""
+    """Instance arrays reindexed into search order, plus suffix tables.
+
+    Level t fixes column order[t].  The order puts first the column
+    whose values move the most loss: the largest cost-weighted margin
+    range, the sum over rows of cost times (max - min) of the row's
+    margin contribution.  A row is lost below a node only once no
+    completion can lift its margin, so fixing the wide columns first
+    makes lost rows, and so bounds that prune, appear sooner.  Ties go
+    to the larger |class-mean difference|, then to the lower column
+    index.  Each level's values run small |value| first.  PEN holds a
+    level's penalties as an array for block arithmetic; PENL and L1
+    hold its penalties and l1 norms as Python-int lists for the
+    search's per-child bookkeeping."""
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
         self.p = ci.p
         diffs = _class_mean_diffs(ci.d)
-        self.order = sorted(range(ci.p), key=lambda j: (-abs(diffs[j]), j))
-        self.B, self.VI, self.PEN, self.L1, self.KIDX = [], [], [], [], []
-        mx = []
-        for t, j in enumerate(self.order):
+        ext = [ci.margin_extrema(j) for j in range(ci.p)]
+        widths = [hi - lo for lo, hi in ext]
+        # exact masses: in int64 when no sum can reach 2**63, else in
+        # Python ints (about 25x slower over 3000 rows)
+        cap = int(ci.cost.sum()) * max((int(w.max()) for w in widths), default=0)
+        if ci.int64_ok and cap < 2**63:
+            mass = [int(ci.cost @ w) for w in widths]
+        else:
+            cost = ci.cost.tolist()
+            mass = [sum(map(mul, cost, w.tolist())) for w in widths]
+        self.order = sorted(range(ci.p), key=lambda j: (-mass[j], -abs(diffs[j]), j))
+        self.B, self.VI, self.PEN, self.PENL, self.L1, self.KIDX = [], [], [], [], [], []
+        for j in self.order:
             vals = ci.values[j]
             pidx = sorted(range(len(vals)), key=lambda k: (abs(vals[k]), vals[k]))
             self.B.append(ci.b_cols[j])
             self.VI.append(ci.vi[j][pidx])
             self.PEN.append(ci.pen[j][pidx])
-            self.L1.append(ci.l1i[j][pidx])
+            self.PENL.append(self.PEN[-1].tolist())
+            self.L1.append(ci.l1i[j][pidx].tolist())
             self.KIDX.append([int(k) for k in pidx])
-            mx.append(ci.margin_extrema(j)[1])
+        mx = [ext[j][1] for j in self.order]
         dtype = ci.cost.dtype
         self.zeros_margin = np.zeros(ci.n_rows, dtype=dtype)
         # suffix tables over levels t..p-1: the margin at or below which
@@ -240,12 +266,14 @@ class _Prep:
         """Margins and bounds of the children of a level-t node whose
         fixed levels give the margins margin, one row per value at
         level t; the bounds leave out the penalties of levels before t.
-        Same bound as lower_bound_of, which is exact at the last level."""
+        Same bound as lower_bound_of, which is exact at the last level.
+        The bounds come as a list of Python ints."""
         cand = margin[None, :] + self.level_out(t)
         if t == self.p - 1:
-            return cand, self.PEN[t] + self.ci.loss(cand)
+            return cand, (self.PEN[t] + self.ci.loss(cand)).tolist()
         dead = cand <= self.lost_at[t + 1][None, :]
-        return cand, self.PEN[t] + self.sufminpen[t + 1] + self.ci.sure_loss(dead)
+        bounds = self.PEN[t] + self.sufminpen[t + 1] + self.ci.sure_loss(dead)
+        return cand, bounds.tolist()
 
     def root_bound(self) -> int:
         return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
@@ -304,7 +332,6 @@ class _Engine:
         """Make prefix (a full vector of level value indexes) the
         incumbent if it is less in the (objective, l1, vector) order;
         the vector is built only when (obj, l1) can win."""
-        obj, l1 = int(obj), int(l1)
         cur = self.best
         if cur is not None:
             if obj > cur[0] or (obj == cur[0] and l1 > cur[1]):
@@ -346,19 +373,19 @@ class _Engine:
             return
         cand, bounds = self.prep.child_bounds(t, margin)
         self.work += cand.size
-        bounds = fpen + bounds
+        bounds = [fpen + b for b in bounds]
         if t == self.prep.p - 1:
             self.leaves(bounds, fl1, prefix)
             return
-        sm = np.minimum.accumulate(bounds[::-1])[::-1]
+        # sm[k] is the least bound of children k.., and sm[width] = INF
+        sm = list(accumulate(reversed(bounds), min))[::-1] + [INF]
         om = self.open_min
         self.zero_loss[t] = None
-        width = len(bounds)
-        for k in range(width):
-            om[t] = int(sm[k + 1]) if k + 1 < width else INF
+        for k, bk in enumerate(bounds):
+            om[t] = sm[k + 1]
             if self.stop:
                 break
-            self.child(t, k, cand, int(bounds[k]), fpen, fl1, prefix)
+            self.child(t, k, cand, bk, fpen, fl1, prefix)
         om[t] = INF
 
     def leaves(self, objs, fl1: int, prefix: list):
@@ -367,9 +394,9 @@ class _Engine:
         self.nodes += len(objs)
         l1s = self.prep.L1[self.prep.p - 1]
         cur = self.best
-        ks = range(len(objs)) if cur is None else np.flatnonzero(objs <= cur[0])
-        for k in ks:
-            self.consider(int(objs[k]), fl1 + int(l1s[k]), prefix + [int(k)])
+        for k, obj in enumerate(objs):
+            if cur is None or obj <= cur[0]:
+                self.consider(obj, fl1 + l1s[k], prefix + [k])
 
     def child(self, t: int, k: int, cand, bk: int, fpen: int, fl1: int,
               prefix: list):
@@ -388,8 +415,8 @@ class _Engine:
         the losses of all of cand computed once per node.  A child that
         is searched reaches that completion anyway."""
         pr = self.prep
-        l1k = fl1 + int(pr.L1[t][k])
-        pk = fpen + int(pr.PEN[t][k])
+        l1k = fl1 + pr.L1[t][k]
+        pk = fpen + pr.PENL[t][k]
         cur = self.best
         if cur is not None:
             obj, l1 = cur[0], cur[1]
@@ -399,8 +426,8 @@ class _Engine:
             if nz > obj or (nz == obj and l1k >= l1):
                 zl = self.zero_loss[t]
                 if zl is None:
-                    zl = self.zero_loss[t] = pr.ci.loss(cand)
-                zobj = pk + pr.sufzeropen[t + 1] + int(zl[k])
+                    zl = self.zero_loss[t] = pr.ci.loss(cand).tolist()
+                zobj = pk + pr.sufzeropen[t + 1] + zl[k]
                 self.consider(zobj, l1k, prefix + [k])
                 return
         self.active[t + 1] = bk
@@ -414,8 +441,8 @@ def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
     l1 = 0
     for t, k in enumerate(assign):
         margin = margin + prep.VI[t][k] * prep.B[t]
-        obj += int(prep.PEN[t][k])
-        l1 += int(prep.L1[t][k])
+        obj += prep.PENL[t][k]
+        l1 += prep.L1[t][k]
     obj += int(prep.ci.loss(margin))
     return obj, l1
 
@@ -474,8 +501,8 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
         offer(w)
         descend(w)
         # sparse truncations escape local minima the dense start gets
-        # stuck in (coordinate descent can then move late-ordered
-        # coefficients such as the intercept)
+        # stuck in (coordinate descent can then move coefficients such
+        # as the intercept)
         mags = []
         for t in range(prep.p):
             j = prep.order[t]
@@ -487,11 +514,10 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
             keep = set(ranked[:keep_k])
             descend([w[t] if t in keep else 0 for t in range(prep.p)])
     descend([0] * prep.p)
-    # bias-only seeds: a small value on the weakest-separation level
-    # (a constant intercept column always sorts last) against an
-    # otherwise zero vector; descent then grows the strong
-    # coefficients, which truncation alone cannot do when partial
-    # scores sit exactly at zero
+    # bias-only seeds: a small value on the intercept's level (the
+    # last level without one) against an otherwise zero vector;
+    # descent then grows the strong coefficients, which truncation
+    # alone cannot do when partial scores sit exactly at zero
     t_bias = prep.p - 1
     if ci.d.intercept_index is not None:
         t_bias = prep.order.index(ci.d.intercept_index)

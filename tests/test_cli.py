@@ -63,6 +63,19 @@ def test_train_model_file_is_to_json(tmp_path, small_csv, coefset_one):
     assert hand_rolled.getvalue() == m.to_json()
 
 
+def test_train_seed_is_echoed_and_ignored(tmp_path, small_csv, coefset_one, capsys):
+    # a train solve uses no randomness: --seed changes only its echo
+    outs, models = [], []
+    for seed in ("0", "7"):
+        model = tmp_path / f"model-{seed}.json"
+        assert main(["train", "--data", str(small_csv), "--coefset", str(coefset_one),
+                     "--c0", "0.05", "--seed", seed, "--out", str(model)]) == 0
+        outs.append(capsys.readouterr().out.replace(str(model), "MODEL"))
+        models.append(model.read_bytes())
+    assert outs[1] == outs[0].replace("seed: 0\n", "seed: 7\n") != outs[0]
+    assert models[0] == models[1]
+
+
 def test_train_trace_and_labels(tmp_path, footnote_csv, coefset_one, capsys):
     trace = tmp_path / "trace.csv"
     rc = main(["train", "--data", str(footnote_csv), "--coefset",

@@ -249,6 +249,60 @@ def test_search_bound_is_lower_bound_of():
     assert seen["children"] >= 1000 and min(seen.values()) >= 20, seen
 
 
+def test_branching_order_is_by_cost_weighted_margin_range():
+    """_Prep branches first on the column whose values move the most
+    loss, the sum over rows of cost times the row's margin range: with
+    +-1 on mammo that is the intercept, which moves every row; under
+    {0, +-1, +-10} breastcancer's 1..10 cells outweigh it.  Equal
+    masses go to the larger |class-mean difference|, then the lower
+    index."""
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Prep
+
+    def order(d, dom):
+        s = uniform(dom, d.p)
+        cfg = TrainConfig(c0=Fraction(1, 500)).resolve(d.n, s)
+        return _Prep(CompiledInstance(d, s, cfg)).order
+
+    mammo = load_csv(bench_path("mammo.csv"))
+    assert order(mammo, bounded_integers(1))[0] == mammo.intercept_index
+    bc = load_csv(bench_path("breastcancer.csv"))
+    assert order(bc, explicit_values([0, 1, -1, 10, -10]))[-1] == bc.intercept_index
+    # each column is nonzero on two rows, so at equal cost per row
+    # their masses tie; only column 1 (both rows positive) separates
+    # the classes
+    y = np.array([1, 1, -1, -1])
+    tied = Dataset(x=np.array([[1, 1], [0, 1], [1, 0], [0, 0]], dtype=float), y=y,
+                   feature_names=("a", "b"))
+    assert order(tied, bounded_integers(1)) == [1, 0]
+    # doubling column 0's cells doubles its mass, which then comes first
+    wide = Dataset(x=np.array([[2, 1], [0, 1], [2, 0], [0, 0]], dtype=float), y=y,
+                   feature_names=("a", "b"))
+    assert order(wide, bounded_integers(1)) == [0, 1]
+
+
+def test_branching_order_is_exact_at_every_scale():
+    # scaling every cell by the same factor scales every column's mass
+    # alike, so the order must not move: at 10**15 an int64 sum of the
+    # masses would wrap (they are summed in Python ints) and at 10**18
+    # the instance itself is on Python ints
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Prep
+    rng = np.random.default_rng(97)
+    for trial in range(40):
+        n, p = int(rng.integers(4, 60)), int(rng.integers(2, 6))
+        seed = int(rng.integers(2**32))
+        orders, widths = [], []
+        for scale in (1, 10**15, 10**18):
+            d = rand_dup_dataset(np.random.default_rng(seed), n, p, scale=scale)
+            s = uniform(bounded_integers(3), p)
+            ci = CompiledInstance(d, s, TrainConfig(c0=Fraction(1, 100)).resolve(n, s))
+            orders.append(_Prep(ci).order)
+            widths.append(ci.int64_ok)
+        assert widths == [True, True, False], trial
+        assert orders[0] == orders[1] == orders[2], trial
+
+
 def test_matches_brute_force_on_object_path():
     # cells of size 1e18 put the compiled instance on Python ints; rows
     # repeat and have opposite-label twins
@@ -408,9 +462,10 @@ def test_jobs_determinism():
     # instances, and one that gap_tolerance stops with a gap left open
     small = rand_dataset(np.random.default_rng(37), 30, 4, intercept=True)
     wide = rand_dataset(np.random.default_rng(3), 80, 5, intercept=True)
+    gapped = rand_dataset(np.random.default_rng(22), 80, 5, intercept=True)
     cases = [(small, uniform(bounded_integers(3), 4), TrainConfig(c0=Fraction(1, 100))),
              (wide, uniform(bounded_integers(4), 5), TrainConfig(c0=Fraction(1, 100))),
-             (wide, uniform(bounded_integers(4), 5),
+             (gapped, uniform(bounded_integers(3), 5),
               TrainConfig(c0=Fraction(1, 100), gap_tolerance=0.5))]
     for i, (d, s, cfg) in enumerate(cases):
         base = solve(d, s, cfg, jobs=1)
