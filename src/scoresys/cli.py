@@ -4,8 +4,9 @@ Subcommands: train, cv, export-mip, bound, report, verify.  Exit codes:
 0 on success (a solve that exhausts its time budget still succeeds and
 reports its status), 1 on missing files or any validation/verification
 failure, 2 on unknown flags (argparse prints usage).  The env var
-SLIM_BUDGET_S overrides any --budget value.  Seeds default to 0 and
-are always printed so runs can be reproduced verbatim.
+SLIM_BUDGET_S overrides any --budget value.  cv's --seed (default 0)
+picks the folds and is always printed so runs can be reproduced
+verbatim; train uses no randomness and takes no seed.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ def _cmd_train(args) -> int:
     d = _load_dataset(args)
     s = load_domains(args.coefset, d.feature_names)
     cfg = _config(args, d)
-    print(f"seed: {args.seed}")
     sink = None
     trace_fh = None
     if args.trace:
         trace_fh = open(args.trace, "w", encoding="utf-8")
         trace_fh.write(TRACE_HEADER)
-        sink = trace_fh
+        sink = trace_fh.write
     try:
         res = solve(d, s, cfg, jobs=args.jobs, trace_sink=sink)
     finally:
@@ -226,9 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; one solve runs in one "
                          "thread, so it has no effect")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="accepted and echoed for compatibility; a train "
-                         "solve uses no randomness, so it has no effect")
     sp.add_argument("--out", default=None, help="model JSON output path")
     sp.add_argument("--trace", default=None, help="search trace CSV output path")
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")

@@ -25,7 +25,6 @@ import bisect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
@@ -119,15 +118,15 @@ def warm_start(d: Dataset, s: CoefficientSet) -> tuple[Fraction, ...]:
     """
     if s.p != d.p:
         raise ConfigError(f"coefficient set has {s.p} domains for {d.p} columns")
-    diffs = _class_mean_diffs(d)
+    return _snap_diffs(_class_mean_diffs(d), s)
+
+
+def _snap_diffs(diffs: list[Fraction], s: CoefficientSet) -> tuple[Fraction, ...]:
+    """warm_start from the class-mean differences diffs."""
     scale = max((abs(u) for u in diffs), default=Fraction(0))
     if scale == 0:
-        return tuple(Fraction(0) for _ in range(d.p))
-    out = []
-    for j, u in enumerate(diffs):
-        target = u / scale * s.domains[j].max_abs
-        out.append(_snap(s.domains[j], target))
-    return tuple(out)
+        return tuple(Fraction(0) for _ in diffs)
+    return tuple(_snap(dom, u / scale * dom.max_abs) for u, dom in zip(diffs, s.domains))
 
 
 # --- public bound over partial assignments -----------------------------------
@@ -198,12 +197,13 @@ class _Prep:
     index.  Each level's values run small |value| first.  PEN holds a
     level's penalties as an array for block arithmetic; PENL and L1
     hold its penalties and l1 norms as Python-int lists for the
-    search's per-child bookkeeping."""
+    search's per-child bookkeeping.  diffs holds the class-mean
+    differences by column, which also give solve its warm start."""
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
         self.p = ci.p
-        diffs = _class_mean_diffs(ci.d)
+        self.diffs = diffs = _class_mean_diffs(ci.d)
         ext = [ci.margin_extrema(j) for j in range(ci.p)]
         widths = [hi - lo for lo, hi in ext]
         # exact masses: in int64 when no sum can reach 2**63, else in
@@ -282,7 +282,9 @@ class _Prep:
 class _Engine:
     """The depth-first search and its certificate: the incumbent, the
     monotone lower-bound floor, the stop flag and deadline, the gap
-    tolerance and the trace."""
+    tolerance and the trace.  frames[u] holds the bounds of the
+    children of the level-u node on the path being searched; prefix[u]
+    is the child being searched, so the siblings after it are open."""
 
     def __init__(self, prep: _Prep, cfg: TrainConfig, t0: float, sink):
         self.prep = prep
@@ -295,14 +297,12 @@ class _Engine:
         self.sink = sink
         self.best = None           # (obj_int, l1_int, korig tuple, nnz)
         self.stop = False
-        self.lb_floor = prep.root_bound()
+        self.root_lb = self.lb_floor = prep.root_bound()
         self.trace: list[TracePoint] = []
         self.last_emit = -INF
         self.nodes = 0
         self.work = WORK_QUANTUM   # so the clock is read before the first expansion
-        self.open_min = [INF] * (prep.p + 1)
-        self.active = [INF] * (prep.p + 2)
-        self.zero_loss = [None] * prep.p   # per level, filled on demand
+        self.frames = [None] * prep.p
 
     def _emit(self, now: float):
         obj, nnz = self.best[0], self.best[3]
@@ -314,8 +314,7 @@ class _Engine:
         self.trace.append(pt)
         self.last_emit = now
         if self.sink is not None:
-            line = pt.csv_line() + "\n"
-            self.sink(line) if callable(self.sink) else self.sink.write(line)
+            self.sink(pt.csv_line() + "\n")
 
     def _korig(self, prefix: list) -> tuple:
         pr = self.prep
@@ -342,20 +341,20 @@ class _Engine:
         self.best = (obj, l1, korig, self._nnz(korig))
         self._emit(time.monotonic())
 
-    def _checkpoint(self, t: int):
+    def _checkpoint(self, t: int, prefix: list):
         """Clock check plus monotone lower-bound bookkeeping; called
         before the first expansion and then once per WORK_QUANTUM block
-        cells.  The bound is the least over the open siblings above
-        level t and the subtree being searched."""
+        cells, as the level-t node at prefix is expanded.  The bound is
+        the least over that node and the open siblings above it.  The
+        node was not pruned, so its bound is at most the incumbent's."""
         now = time.monotonic()
         if self.deadline is not None and now >= self.deadline:
             self.stop = True
-        lb = min(min(self.open_min[:t], default=INF), self.active[t])
-        if lb > self.lb_floor:
-            # an infinite candidate means every open subtree was
-            # pruned against the incumbent, which then is the bound
-            cand = self.best[0] if lb == INF else min(int(lb), self.best[0])
-            self.lb_floor = max(self.lb_floor, cand)
+        fr = self.frames
+        lb = fr[t - 1][prefix[t - 1]] if t else self.root_lb
+        for u in range(t):
+            lb = min(lb, min(fr[u][prefix[u] + 1:], default=lb))
+        self.lb_floor = max(self.lb_floor, lb)
         if self.tol > 0:
             obj = Fraction(self.best[0], self.pen_den)
             gap = obj - Fraction(self.lb_floor, self.pen_den)
@@ -365,74 +364,60 @@ class _Engine:
             self._emit(now)
 
     def dfs(self, t: int, margin, fpen: int, fl1: int, prefix: list):
-        self.nodes += 1
-        if self.work >= WORK_QUANTUM:
-            self.work = 0
-            self._checkpoint(t)
-        if self.stop:
-            return
-        cand, bounds = self.prep.child_bounds(t, margin)
-        self.work += cand.size
-        bounds = [fpen + b for b in bounds]
-        if t == self.prep.p - 1:
-            self.leaves(bounds, fl1, prefix)
-            return
-        # sm[k] is the least bound of children k.., and sm[width] = INF
-        sm = list(accumulate(reversed(bounds), min))[::-1] + [INF]
-        om = self.open_min
-        self.zero_loss[t] = None
-        for k, bk in enumerate(bounds):
-            om[t] = sm[k + 1]
-            if self.stop:
-                break
-            self.child(t, k, cand, bk, fpen, fl1, prefix)
-        om[t] = INF
-
-    def leaves(self, objs, fl1: int, prefix: list):
-        """Score the complete vectors prefix + [k], whose objectives are
-        objs[k]; only those at or below the incumbent can replace it."""
-        self.nodes += len(objs)
-        l1s = self.prep.L1[self.prep.p - 1]
-        cur = self.best
-        for k, obj in enumerate(objs):
-            if cur is None or obj <= cur[0]:
-                self.consider(obj, fl1 + l1s[k], prefix + [k])
-
-    def child(self, t: int, k: int, cand, bk: int, fpen: int, fl1: int,
-              prefix: list):
-        """Visit value k at level t < p - 1, whose margins are cand[k]
-        and whose bound is bk: prune it or search below it.
+        """Expand the level-t node at prefix, whose fixed levels give the
+        margins margin, penalty fpen and l1 norm fl1: bound its children,
+        then prune, score or search each in turn.
 
         Pruning keeps the returned vector a pure function of the
         problem: a subtree is dropped only when none of its completions
         beats the incumbent in the (objective, l1, vector) order.  With
-        incumbent (obj, l1), the child's completions cost at least bk
-        and have l1 >= l1k, so the child is dropped when bk > obj, or
-        bk == obj and l1k > l1.  Every completion but the all-zero one
-        costs at least bk + sufnz[t + 1] and has l1 > l1k, so those are
-        dropped when bk + sufnz[t + 1] > obj, or when it equals obj and
-        l1k >= l1; the all-zero completion is then scored exactly, with
-        the losses of all of cand computed once per node.  A child that
-        is searched reaches that completion anyway."""
+        incumbent (obj, l1), child k's completions cost at least its
+        bound bk and have l1 >= l1k, so the child is dropped when
+        bk > obj, or bk == obj and l1k > l1.  Every completion but the
+        all-zero one costs at least bk + sufnz[t + 1] and has l1 > l1k,
+        so those are dropped when bk + sufnz[t + 1] > obj, or when it
+        equals obj and l1k >= l1; the all-zero completion is then scored
+        exactly, with the losses of all the children computed once per
+        node.  A child that is searched reaches that completion anyway.
+        At the last level the bounds are the exact objectives, and only
+        those at or below the incumbent's can replace it."""
+        self.nodes += 1
+        if self.work >= WORK_QUANTUM:
+            self.work = 0
+            self._checkpoint(t, prefix)
+        if self.stop:
+            return
         pr = self.prep
-        l1k = fl1 + pr.L1[t][k]
-        pk = fpen + pr.PENL[t][k]
-        cur = self.best
-        if cur is not None:
-            obj, l1 = cur[0], cur[1]
-            if bk > obj or (bk == obj and l1k > l1):
-                return
-            nz = bk + pr.sufnz[t + 1]
+        cand, bounds = pr.child_bounds(t, margin)
+        self.work += cand.size
+        bounds = [fpen + b for b in bounds]
+        l1s = pr.L1[t]
+        if t == pr.p - 1:
+            self.nodes += len(bounds)
+            for k, obj in enumerate(bounds):
+                if obj <= self.best[0]:
+                    self.consider(obj, fl1 + l1s[k], prefix + [k])
+            return
+        self.frames[t] = bounds
+        pens, nzpen, zpen = pr.PENL[t], pr.sufnz[t + 1], pr.sufzeropen[t + 1]
+        zloss = None
+        for k, bk in enumerate(bounds):
+            obj, l1 = self.best[0], self.best[1]
+            if bk > obj:
+                continue
+            l1k = fl1 + l1s[k]
+            if bk == obj and l1k > l1:
+                continue
+            pk = fpen + pens[k]
+            nz = bk + nzpen
             if nz > obj or (nz == obj and l1k >= l1):
-                zl = self.zero_loss[t]
-                if zl is None:
-                    zl = self.zero_loss[t] = pr.ci.loss(cand).tolist()
-                zobj = pk + pr.sufzeropen[t + 1] + zl[k]
-                self.consider(zobj, l1k, prefix + [k])
+                if zloss is None:
+                    zloss = pr.ci.loss(cand).tolist()
+                self.consider(pk + zpen + zloss[k], l1k, prefix + [k])
+                continue
+            self.dfs(t + 1, cand[k], pk, l1k, prefix + [k])
+            if self.stop:
                 return
-        self.active[t + 1] = bk
-        self.dfs(t + 1, cand[k], pk, l1k, prefix + [k])
-        self.active[t + 1] = INF
 
 
 def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
@@ -550,13 +535,12 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     prep = _Prep(ci)
     eng = _Engine(prep, cfg, t0, trace_sink)
     if warm is None:
-        warm = warm_start(d, s)
+        warm = _snap_diffs(prep.diffs, s)
     elif len(tuple(warm)) != d.p:
         raise ConfigError(f"warm start has {len(tuple(warm))} entries for {d.p} "
                           "coefficients")
     _seed_incumbent(prep, eng, warm, eng.deadline)
     eng._emit(time.monotonic())
-    eng.active[0] = prep.root_bound()
     eng.dfs(0, prep.zeros_margin, 0, 0, [])
 
     best = eng.best

@@ -399,6 +399,55 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
 
 
+@pytest.mark.parametrize("tol", [0, 0.2, 0.5])
+def test_checkpoint_bound_stays_below_the_optimum(monkeypatch, tol):
+    """With a checkpoint at every expansion, the bound the search reports
+    never decreases and never exceeds the optimum, on plain tables,
+    tables with repeats and twins, and tables of 1e18 cells; a solve
+    that closes its gap reports lower_bound == objective.  Seeding
+    offers only the all-zero vector, so the incumbent is poor for
+    longer and the open subtrees carry the bound."""
+    from scoresys import solver
+    monkeypatch.setattr(solver, "WORK_QUANTUM", 1)
+
+    def seed_zero(prep, eng, warm, deadline):
+        zero = [0] * prep.p
+        eng.consider(*solver._evaluate_assign(prep, zero), zero)
+
+    monkeypatch.setattr(solver, "_seed_incumbent", seed_zero)
+    floors = []
+    checkpoint = solver._Engine._checkpoint
+
+    def record(eng, t, prefix):
+        checkpoint(eng, t, prefix)
+        floors.append(Fraction(eng.lb_floor, eng.pen_den))
+
+    monkeypatch.setattr(solver._Engine, "_checkpoint", record)
+    rng = np.random.default_rng(97)
+    raised = 0
+    for trial in range(60):
+        n = int(rng.integers(6, 30))
+        p = int(rng.integers(2, 5))
+        if trial % 3 == 0:
+            d = rand_dataset(rng, n, p)
+        else:
+            d = rand_dup_dataset(rng, n, p, scale=10**18 if trial % 3 == 2 else 1)
+        dom = bounded_integers(2) if trial % 2 else explicit_values([0, 1, -1, -2, 3])
+        s = uniform(dom, p)
+        cfg = _cfg(rng, n, s, gap_tolerance=tol)
+        want, _ = brute_solve(d, s, cfg)
+        floors.clear()
+        res = solve(d, s, cfg)
+        assert floors and all(a <= b for a, b in zip(floors, floors[1:])), trial
+        assert floors[-1] <= want, trial
+        assert res.lower_bound <= want <= res.objective.total, trial
+        if tol == 0:
+            assert res.status == OPTIMAL, trial
+            assert res.lower_bound == res.objective.total == want, trial
+        raised += floors[-1] > floors[0]
+    assert raised >= 10, raised
+
+
 def test_lower_bound_rejects_foreign_config():
     rng = np.random.default_rng(3)
     d = rand_dataset(rng, 6, 1)
