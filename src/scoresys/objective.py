@@ -241,10 +241,18 @@ class CompiledInstance:
     plain integers.  Rows twin_a[q] and twin_b[q] have opposite
     vectors, so their margins are m and -m: every lam loses at least
     one of them and pays at least twin_cost[q], the smaller cost.
-    The integer width is decided before any array is built, from two
+
+    The integer widths are decided before any array is built, from two
     exact bounds (the largest |margin| and the largest objective) and
-    the largest l1 value: every array is int64 when all three fit
-    comfortably, else a Python-int object array.
+    the largest l1 value.  When twice each bound and every l1 value lie
+    below 2**61 (int64_ok), cost, pen, l1i and twin_cost are int64, and
+    the margin arrays b_cols and vi take margin_dtype: the narrowest of
+    int16, int32 and int64 whose 2**(bits - 3) exceeds twice the margin
+    bound and every |value|.  The slack keeps the search's sums and
+    thresholds, each at most twice the margin bound, in range.
+    breastcancer's margins under {0, +-1, +-10} fit int16, a quarter of
+    int64's bytes.  Otherwise every array holds Python ints and
+    margin_dtype is object.
     """
 
     def __init__(self, d: Dataset, s: CoefficientSet, cfg: TrainConfig):
@@ -292,14 +300,24 @@ class CompiledInstance:
                          and 2 * pen_bound < _INT64_HEADROOM
                          and max(map(max, l1_ints)) < _INT64_HEADROOM)
         dtype = np.int64 if self.int64_ok else object
+        # the margin width: the narrowest of int16, int32 and int64 whose
+        # 2**(bits - 3) exceeds twice the margin bound and every |value|,
+        # the test int64_ok makes for int64
+        mtype = np.dtype(object)
+        if self.int64_ok:
+            need = max(2 * margin_bound, *(abs(x) for v in v_ints for x in v))
+            mtype = next(np.dtype(w) for w in (np.int16, np.int32, np.int64)
+                         if need < 2 ** (np.iinfo(w).bits - 3))
+        self.margin_dtype = mtype
 
-        # np.array raises on a Python int beyond int64 and never wraps;
-        # an all-zero column may carry a multiplier beyond int64, and a
-        # class with no rows a cost beyond it, which no row takes
-        y = d.y.astype(dtype)
-        b_cols = [y * nums.astype(dtype) * (mult if top else 0)
+        # np.array and astype raise on a Python int beyond the width and
+        # never wrap; an all-zero column may carry a multiplier beyond
+        # int64, and a class with no rows a cost beyond it, which no row
+        # takes
+        y = d.y.astype(mtype)
+        b_cols = [y * nums.astype(mtype) * (mult if top else 0)
                   for (nums, _), mult, top in zip(cols, mults, num_max)]
-        vi = [np.array(v, dtype=dtype) for v in v_ints]
+        vi = [np.array(v, dtype=mtype) for v in v_ints]
         pen = [np.array(pi, dtype=dtype) for pi in pen_ints]
         l1i = [np.array(l1, dtype=dtype) for l1 in l1_ints]
         cost = np.where(d.y == 1, np.array(cpos if n_pos else 0, dtype),
@@ -318,18 +336,27 @@ class CompiledInstance:
     def loss(self, margins):
         """Loss (pen_den scale) of rows at these exact margins; rows run
         along the last axis."""
-        return np.einsum("...r,r->...", margins <= 0, self.cost)
+        return self.lost_cost(margins <= 0)
+
+    def lost_cost(self, lost):
+        """Cost (pen_den scale) of the rows marked in lost (rows along
+        the last axis)."""
+        return np.einsum("...r,r->...", lost, self.cost)
+
+    def twin_loss(self, dead):
+        """Cost (pen_den scale) of the cheaper row of each twin pair
+        with neither row marked in dead (rows along the last axis)."""
+        if not len(self.twin_a):
+            return 0
+        live = ~(dead[..., self.twin_a] | dead[..., self.twin_b])
+        return np.einsum("...q,q->...", live, self.twin_cost)
 
     def sure_loss(self, dead):
         """Least loss (pen_den scale) of any lam that loses every row
         marked in dead (rows along the last axis): the cost of those
         rows, plus the cheaper row of each twin pair with neither row
         marked.  With dead = margins <= 0 it equals loss(margins)."""
-        loss = np.einsum("...r,r->...", dead, self.cost)
-        if len(self.twin_a):
-            live = ~(dead[..., self.twin_a] | dead[..., self.twin_b])
-            loss = loss + np.einsum("...q,q->...", live, self.twin_cost)
-        return loss
+        return self.lost_cost(dead) + self.twin_loss(dead)
 
     def value_losses(self, j: int, base):
         """loss(base + b_cols[j] * v) for every value v of domain j, in

@@ -22,6 +22,7 @@ reported lower bound never exceeds it.
 from __future__ import annotations
 
 import bisect
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,19 +38,24 @@ from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate
 from .report import ScoringSystem
 
 INF = float("inf")
-# block cells (values x rows) expanded between clock reads: reads come
-# about every 16 ms on mammo's 3 x 74 blocks, every 1.6 ms on
-# breastcancer's 5 x 683, and after every block of 131072 cells or
-# more, so a block as large as 201 values x 20000 rows (tens of ms)
-# never runs twice past the deadline
+# block cells (values x rows) expanded between clock reads: in
+# certified solves on 2 cores, reads come about every 8 ms on mammo's
+# 5 x 74 blocks (-2..2), every 0.6 ms on breastcancer's 5 x 683 (int16
+# margins), and after every block of 131072 cells or more, so a block
+# as large as 201 values x 20000 rows (tens of ms, its first use
+# included) never runs twice past the deadline
 WORK_QUANTUM = 1 << 17
 # a coordinate with at least this many values is scored by
 # CompiledInstance.value_losses, not by a block.  Per call on random
-# tables (2 cores, numpy 2): the two take equal time at about 31 values
-# over 680 rows (36 vs 33 us) and 21 values over 2900 rows (96 vs
-# 76 us); at 201 values the block takes 6x (680 rows) to 21x (13200
-# rows) longer; over 74 rows both take 5-30 us at any size
-SWEEP_MIN_VALUES = 32
+# tables of distinct rows (2 cores, numpy 2), block vs sweep: at about
+# 680 rows they take equal time at 60-70 values (int16 margins: 46 vs
+# 52 us at 61 values; int32: 49 vs 50 us), at about 2900 rows at 30
+# values (int16: 96 vs 92 us at 31; int32: 110 vs 103 us), and 48 lies
+# between the two; at 101 values the block takes 1.5x (680 rows) to
+# 3.7x (12800 rows) longer; over 74 rows both take 3-30 us at any
+# size.  With int64 margins the equal points lie lower, at about 31
+# values over 680 rows and 21 over 2900
+SWEEP_MIN_VALUES = 48
 TRACE_EVERY_S = 0.05       # min spacing of periodic trace points
 GAP_EPS = Fraction(1, 10**9)
 
@@ -197,8 +203,10 @@ class _Prep:
     index.  Each level's values run small |value| first.  PEN holds a
     level's penalties as an array for block arithmetic; PENL and L1
     hold its penalties and l1 norms as Python-int lists for the
-    search's per-child bookkeeping.  diffs holds the class-mean
-    differences by column, which also give solve its warm start."""
+    search's per-child bookkeeping.  B, VI, zeros_margin and lost_at
+    hold margins in ci.margin_dtype, as do the threshold blocks THR
+    keeps (see thresholds).  diffs holds the class-mean differences by
+    column, which also give solve its warm start."""
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
@@ -226,7 +234,7 @@ class _Prep:
             self.L1.append(ci.l1i[j][pidx].tolist())
             self.KIDX.append([int(k) for k in pidx])
         mx = [ext[j][1] for j in self.order]
-        dtype = ci.cost.dtype
+        dtype = ci.margin_dtype
         self.zeros_margin = np.zeros(ci.n_rows, dtype=dtype)
         # suffix tables over levels t..p-1: the margin at or below which
         # a row stays lost whatever they add, their least and their
@@ -244,36 +252,59 @@ class _Prep:
             self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
             step = int(pens[1:].min()) - int(pens.min()) if len(pens) > 1 else INF
             self.sufnz[t] = min(self.sufnz[t + 1], step)
-        total = sum(len(v) for v in self.VI) * ci.n_rows
-        self.OUT = None
-        if ci.int64_ok and total <= 30_000_000:
-            self.OUT = [v[:, None] * b[None, :] for v, b in zip(self.VI, self.B)]
+        self.THR = [None] * ci.p
+        self.thr_bytes = 0
 
-    def level_out(self, t: int) -> np.ndarray:
-        if self.OUT is not None:
-            return self.OUT[t]
-        return self.VI[t][:, None] * self.B[t][None, :]
+    def thresholds(self, t: int) -> np.ndarray:
+        """Level t's threshold block.  With out[k] the margin that value
+        k adds to each row, its last K rows are -out (K values): a
+        child's row is lost at its all-zero completion exactly when the
+        node's margin is <= -out[k].  Above the last level its first K
+        rows are lost_at[t + 1] - out: the row is then lost at every
+        completion.  Each block is built on first use and kept while
+        the kept blocks hold at most 64 MiB (a Python-int cell counted
+        with its int object); a level past that is rebuilt at each use."""
+        thr = self.THR[t]
+        if thr is None:
+            thr = self.VI[t][:, None] * -self.B[t][None, :]
+            if t < self.p - 1:
+                thr = np.concatenate([self.lost_at[t + 1][None, :] + thr, thr])
+            size = thr.nbytes
+            if thr.dtype == object:
+                size += sum(map(sys.getsizeof, thr.flat))
+            if self.thr_bytes + size <= 64 << 20:
+                self.THR[t] = thr
+                self.thr_bytes += size
+        return thr
 
     def value_losses(self, t: int, base):
         """Loss of base plus the margins of each value of level t, in
         level order: from the block for small domains, from
         CompiledInstance.value_losses for large ones."""
-        if len(self.VI[t]) < SWEEP_MIN_VALUES:
-            return self.ci.loss(base[None, :] + self.level_out(t))
+        k = len(self.VI[t])
+        if k < SWEEP_MIN_VALUES:
+            return self.ci.lost_cost(base <= self.thresholds(t)[-k:])
         return self.ci.value_losses(self.order[t], base)[self.KIDX[t]]
 
     def child_bounds(self, t: int, margin):
-        """Margins and bounds of the children of a level-t node whose
-        fixed levels give the margins margin, one row per value at
-        level t; the bounds leave out the penalties of levels before t.
-        Same bound as lower_bound_of, which is exact at the last level.
-        The bounds come as a list of Python ints."""
-        cand = margin[None, :] + self.level_out(t)
+        """Bounds of the children of a level-t node whose fixed levels
+        give the margins margin, one per value at level t, from one
+        comparison with the level's thresholds.  Returns the bounds and
+        the losses of the children's all-zero completions, both as
+        lists of Python ints, and the -out rows of the thresholds, from
+        which child k's margins are margin - neg_out[k].  The bounds
+        leave out the penalties of levels before t; they are the bounds
+        of lower_bound_of, which is exact at the last level."""
+        ci, k = self.ci, len(self.VI[t])
+        thr = self.thresholds(t)
+        lost = margin <= thr
+        loss = ci.lost_cost(lost)
         if t == self.p - 1:
-            return cand, (self.PEN[t] + self.ci.loss(cand)).tolist()
-        dead = cand <= self.lost_at[t + 1][None, :]
-        bounds = self.PEN[t] + self.sufminpen[t + 1] + self.ci.sure_loss(dead)
-        return cand, bounds.tolist()
+            bounds = self.PEN[t] + loss
+        else:
+            bounds = (self.PEN[t] + self.sufminpen[t + 1] + loss[:k]
+                      + ci.twin_loss(lost[:k]))
+        return bounds.tolist(), loss[-k:].tolist(), thr[-k:]
 
     def root_bound(self) -> int:
         return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
@@ -377,8 +408,8 @@ class _Engine:
         all-zero one costs at least bk + sufnz[t + 1] and has l1 > l1k,
         so those are dropped when bk + sufnz[t + 1] > obj, or when it
         equals obj and l1k >= l1; the all-zero completion is then scored
-        exactly, with the losses of all the children computed once per
-        node.  A child that is searched reaches that completion anyway.
+        exactly, from the loss child_bounds gives it along with the
+        bounds.  A child that is searched reaches that completion anyway.
         At the last level the bounds are the exact objectives, and only
         those at or below the incumbent's can replace it."""
         self.nodes += 1
@@ -388,8 +419,8 @@ class _Engine:
         if self.stop:
             return
         pr = self.prep
-        cand, bounds = pr.child_bounds(t, margin)
-        self.work += cand.size
+        bounds, zloss, neg_out = pr.child_bounds(t, margin)
+        self.work += len(bounds) * pr.ci.n_rows
         bounds = [fpen + b for b in bounds]
         l1s = pr.L1[t]
         if t == pr.p - 1:
@@ -400,7 +431,6 @@ class _Engine:
             return
         self.frames[t] = bounds
         pens, nzpen, zpen = pr.PENL[t], pr.sufnz[t + 1], pr.sufzeropen[t + 1]
-        zloss = None
         for k, bk in enumerate(bounds):
             obj, l1 = self.best[0], self.best[1]
             if bk > obj:
@@ -411,11 +441,9 @@ class _Engine:
             pk = fpen + pens[k]
             nz = bk + nzpen
             if nz > obj or (nz == obj and l1k >= l1):
-                if zloss is None:
-                    zloss = pr.ci.loss(cand).tolist()
                 self.consider(pk + zpen + zloss[k], l1k, prefix + [k])
                 continue
-            self.dfs(t + 1, cand[k], pk, l1k, prefix + [k])
+            self.dfs(t + 1, margin - neg_out[k], pk, l1k, prefix + [k])
             if self.stop:
                 return
 

@@ -229,7 +229,9 @@ def test_compiled_instance_merges_rows_and_keeps_total_cost():
 def _compiled_reference(d, s, cfg):
     """CompiledInstance's arrays built the way it first built them: in
     Python ints, the margin bound and the per-row costs by loops over
-    the rows, and then cast to int64 when the bounds allow."""
+    the rows, and then cast to int64 when the bounds allow, the margin
+    arrays to the narrowest of int16, int32 and int64 in which 8 times
+    the margin bound and 4 times every |value| fit."""
     dom_vals = [dom.values for dom in s.domains]
     val_dens = [common_denominator(vs) for vs in dom_vals]
     col_dens = [d.exact_column(j)[1] for j in range(d.p)]
@@ -259,8 +261,11 @@ def _compiled_reference(d, s, cfg):
     pen_bound = int(cost.sum()) + sum(int(pp.max()) for pp in pen)
     int64_ok = 2 * margin_bound < 2**61 and 2 * pen_bound < 2**61
     if int64_ok:
-        b_cols, vi, pen, l1i = ([a.astype(np.int64) for a in arrs]
-                                for arrs in (b_cols, vi, pen, l1i))
+        vmax = max(abs(int(v)) for v_int in vi for v in v_int.tolist())
+        width = [w for w in (np.int16, np.int32, np.int64)
+                 if 8 * margin_bound <= np.iinfo(w).max and 4 * vmax <= np.iinfo(w).max][0]
+        b_cols, vi = ([a.astype(width) for a in arrs] for arrs in (b_cols, vi))
+        pen, l1i = ([a.astype(np.int64) for a in arrs] for arrs in (pen, l1i))
         cost = cost.astype(np.int64)
     first, group, twin_a, twin_b = _merge_rows(b_cols)
     merged = np.zeros(len(first), dtype=cost.dtype)

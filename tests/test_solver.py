@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -205,9 +206,10 @@ _TIERS = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
 def test_search_bound_is_lower_bound_of():
     """The bound the search gives each child of a node (the fixed
     levels' penalties plus _Prep.child_bounds) is lower_bound_of the
-    child's partial assignment, on tables with and without repeated
-    and twin rows, on a plain and a gapped domain, and on the object
-    path, with and without tier costs."""
+    child's partial assignment, and the loss it gives the child's
+    all-zero completion is loss of the child's margins, on tables with
+    and without repeated and twin rows, on a plain and a gapped domain,
+    and on the object path, with and without tier costs."""
     from scoresys.objective import CompiledInstance
     from scoresys.solver import _Prep
     rng = np.random.default_rng(41)
@@ -233,8 +235,11 @@ def test_search_bound_is_lower_bound_of():
         for u, k in enumerate(prefix):
             margin = margin + pr.VI[u][k] * pr.B[u]
             fpen += int(pr.PEN[u][k])
-        _, bounds = pr.child_bounds(t, margin)
+        bounds, zloss, neg_out = pr.child_bounds(t, margin)
         for k in range(len(bounds)):
+            child = margin + pr.VI[t][k] * pr.B[t]
+            assert (margin - neg_out[k]).tolist() == child.tolist(), (trial, t, k)
+            assert zloss[k] == int(ci.loss(child)), (trial, t, k)
             values = [None] * p
             for u, kk in enumerate(prefix + [k]):
                 j = pr.order[u]
@@ -338,6 +343,117 @@ def test_brute_solve_is_exact_beyond_int64():
         assert fast == slow
 
 
+def _scaled_table(seed, n, p, scale):
+    """A table with repeats and twins whose cells are -3..3 times scale,
+    with a row of 3 * scale in every column, so that its margin bound
+    under values up to 30 is exactly 90 * p * scale."""
+    d = rand_dup_dataset(np.random.default_rng(seed), n, p, scale=scale)
+    return Dataset(x=np.vstack([d.x, np.full((1, p), 3.0 * scale)]),
+                   y=np.append(d.y, 1), feature_names=d.feature_names)
+
+
+def _python_int_thresholds(pr, t):
+    """Level t's threshold block recomputed in Python ints: the rows
+    lost_at[t + 1] - out over the rows -out, or -out alone at the last
+    level, where out[k][r] = VI[t][k] * B[t][r]."""
+    b = [[int(x) for x in pr.B[u].tolist()] for u in range(pr.p)]
+    v = [[int(x) for x in pr.VI[u].tolist()] for u in range(pr.p)]
+    lost = [0] * len(b[0])
+    for u in range(pr.p - 1, t, -1):
+        lost = [m - max(x * bb for x in v[u]) for m, bb in zip(lost, b[u])]
+    neg = [[-x * bb for bb in b[t]] for x in v[t]]
+    if t == pr.p - 1:
+        return neg
+    return [[m + o for m, o in zip(lost, row)] for row in neg] + neg
+
+
+def test_margin_width_follows_the_scale():
+    """Cells scaled by 1, 10**3, 10**6 and 10**18 put the margins in
+    int16, int32, int64 and Python ints; the search, and every level's
+    thresholds up to the scale, are the same at each width."""
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Prep
+    rng = np.random.default_rng(131)
+    dom = explicit_values([0, 1, -1, 2, -2, 30, -30])
+    scales = (1, 10**3, 10**6, 10**18)
+    for trial in range(12):
+        n, p, seed = int(rng.integers(6, 30)), int(rng.integers(3, 5)), int(rng.integers(2**32))
+        s = uniform(dom, p)
+        c0 = Fraction(int(rng.integers(1, 80)), 1000)
+        got = []
+        for scale in scales:
+            d = _scaled_table(seed, n, p, scale)
+            cfg = TrainConfig(c0=c0).resolve(d.n, s)
+            ci = CompiledInstance(d, s, cfg)
+            pr = _Prep(ci)
+            for t in range(p):
+                thr = pr.thresholds(t)
+                assert thr.dtype == ci.margin_dtype
+                assert thr.tolist() == _python_int_thresholds(pr, t), (trial, scale, t)
+                assert pr.thresholds(t) is thr  # kept, not rebuilt
+            res = solve(d, s, cfg)
+            got.append((ci.margin_dtype, res.best.coefficients, res.objective.total,
+                        res.status, res.nodes_explored))
+        assert [g[0] for g in got] == [np.int16, np.int32, np.int64, object], trial
+        assert len({g[1:] for g in got}) == 1, (trial, got)
+
+
+@pytest.mark.parametrize("case, cells, values, width", [
+    # margin bound 60 * 63 + 5 * 63 = 4095: twice it is just below 2**13
+    ("inside_int16", (60, 5), ((0, 1, -1, 63, -63),) * 2, np.int16),
+    ("past_int16", (60, 4), ((0, 1, -1, 64, -64),) * 2, np.int32),
+    # an all-zero column adds nothing to the margin bound (60), but its
+    # value 2**13 must still fit the margin width
+    ("zero_column_value", (60, 0), ((0, 1, -1), (0, 2**13, -2**13)), np.int32),
+])
+def test_margin_width_at_the_int16_limit(case, cells, values, width):
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(137)
+    s = CoefficientSet(domains=tuple(explicit_values(list(v)) for v in values))
+    for trial in range(6):
+        n = int(rng.integers(4, 16))
+        x = np.stack([rng.integers(-c, c + 1, size=n) for c in cells], axis=1)
+        x[0] = cells  # each column reaches its largest |cell|
+        y = rng.choice([-1, 1], size=n)
+        y[0], y[-1] = 1, -1
+        d = Dataset(x=x.astype(np.float64), y=y, feature_names=("a", "b"))
+        cfg = _cfg(rng, n, s)
+        assert CompiledInstance(d, s, cfg).margin_dtype == width, (case, trial)
+        want, combo = brute_solve(d, s, cfg)
+        res = solve(d, s, cfg)
+        assert res.status == OPTIMAL, (case, trial)
+        assert (res.objective.total, res.best.coefficients) == (want, tuple(combo)), \
+            (case, trial)
+
+
+def test_search_is_the_same_past_the_threshold_cap(monkeypatch):
+    """A level whose threshold block would pass the cap is rebuilt at
+    each use instead of kept; the search is the same either way."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(139)
+    cases = []
+    for trial in range(20):
+        n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        d = rand_dup_dataset(rng, n, p, scale=10**18 if trial % 4 == 3 else 1)
+        s = rand_coefset(rng, p)
+        cases.append((d, s, _cfg(rng, n, s)))
+    kept = [solve(d, s, cfg) for d, s, cfg in cases]
+    init = solver._Prep.__init__
+
+    def full_cache(prep, ci):
+        init(prep, ci)
+        prep.thr_bytes = 64 << 20
+
+    monkeypatch.setattr(solver._Prep, "__init__", full_cache)
+    for (d, s, cfg), a in zip(cases, kept):
+        b = solve(d, s, cfg)
+        assert (b.best.coefficients, b.objective.total, b.status, b.nodes_explored) \
+            == (a.best.coefficients, a.objective.total, a.status, a.nodes_explored)
+    prep = solver._Prep(CompiledInstance(*cases[0]))
+    assert prep.thresholds(0) is not prep.thresholds(0) and prep.THR == [None] * prep.p
+
+
 def test_stacked_shuffled_table_searches_the_same():
     # equal rows merge, so a table stacked on itself poses the same
     # search: same model, objective, status and node count
@@ -399,14 +515,35 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
 
 
+def _frontier_bound(prep, t, prefix, memo):
+    """The least lower_bound_of over the level-t node at prefix and the
+    siblings after prefix[u] at each level u < t, from the prefix
+    alone; memo keeps each node's bound by its value indexes."""
+    ci = prep.ci
+
+    def bound(ks):
+        if ks not in memo:
+            values = [None] * ci.p
+            for u, k in enumerate(ks):
+                j = prep.order[u]
+                values[j] = ci.values[j][prep.KIDX[u][k]]
+            memo[ks] = lower_bound_of(SearchState(ci, tuple(values)), ci.cfg)
+        return memo[ks]
+
+    ks = tuple(prefix)
+    return min([bound(ks)] + [bound(ks[:u] + (k,)) for u in range(t)
+                              for k in range(ks[u] + 1, len(prep.KIDX[u]))])
+
+
 @pytest.mark.parametrize("tol", [0, 0.2, 0.5])
 def test_checkpoint_bound_stays_below_the_optimum(monkeypatch, tol):
     """With a checkpoint at every expansion, the bound the search reports
-    never decreases and never exceeds the optimum, on plain tables,
-    tables with repeats and twins, and tables of 1e18 cells; a solve
-    that closes its gap reports lower_bound == objective.  Seeding
-    offers only the all-zero vector, so the incumbent is poor for
-    longer and the open subtrees carry the bound."""
+    is the running max of the frontier's least lower_bound_of, never
+    exceeds the optimum, on plain tables, tables with repeats and twins,
+    and tables of 1e18 cells; a solve that closes its gap reports
+    lower_bound == objective.  Seeding offers only the all-zero vector,
+    so the incumbent is poor for longer and the open subtrees carry the
+    bound."""
     from scoresys import solver
     monkeypatch.setattr(solver, "WORK_QUANTUM", 1)
 
@@ -415,12 +552,13 @@ def test_checkpoint_bound_stays_below_the_optimum(monkeypatch, tol):
         eng.consider(*solver._evaluate_assign(prep, zero), zero)
 
     monkeypatch.setattr(solver, "_seed_incumbent", seed_zero)
-    floors = []
+    floors, frontier, memo = [], [], {}
     checkpoint = solver._Engine._checkpoint
 
     def record(eng, t, prefix):
         checkpoint(eng, t, prefix)
         floors.append(Fraction(eng.lb_floor, eng.pen_den))
+        frontier.append(_frontier_bound(eng.prep, t, prefix, memo))
 
     monkeypatch.setattr(solver._Engine, "_checkpoint", record)
     rng = np.random.default_rng(97)
@@ -437,8 +575,10 @@ def test_checkpoint_bound_stays_below_the_optimum(monkeypatch, tol):
         cfg = _cfg(rng, n, s, gap_tolerance=tol)
         want, _ = brute_solve(d, s, cfg)
         floors.clear()
+        frontier.clear()
+        memo.clear()
         res = solve(d, s, cfg)
-        assert floors and all(a <= b for a, b in zip(floors, floors[1:])), trial
+        assert floors == list(itertools.accumulate(frontier, max)), trial
         assert floors[-1] <= want, trial
         assert res.lower_bound <= want <= res.objective.total, trial
         if tol == 0:
