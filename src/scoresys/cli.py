@@ -3,7 +3,8 @@
 Subcommands: train, cv, export-mip, bound, report, verify.  Exit codes:
 0 on success (a solve that exhausts its time budget still succeeds and
 reports its status), 1 on missing files or any validation/verification
-failure, 2 on unknown flags (argparse prints usage).  The env var
+failure, 2 on unknown flags (argparse prints usage).  train and cv
+take the solve flags --budget and --gap-tol, and for them the env var
 SLIM_BUDGET_S overrides any --budget value.  cv's --seed (default 0)
 picks the folds and is always printed so runs can be reproduced
 verbatim; train uses no randomness and takes no seed.
@@ -52,6 +53,9 @@ def _add_config_flags(sp, *, c0_required=True):
     sp.add_argument("--weights", default="1,1",
                     help="'auto' or 'W+,W-' class weights (default 1,1)")
     sp.add_argument("--gamma", default="0.1", help="margin constant for MIP export")
+
+
+def _add_solve_flags(sp):
     sp.add_argument("--budget", default=None, type=float,
                     help="per-solve time budget in seconds")
     sp.add_argument("--gap-tol", default=0.0, type=float,
@@ -75,7 +79,9 @@ def _budget(args) -> float | None:
     return args.budget
 
 
-def _config(args, d) -> TrainConfig:
+def _config(args, d, *, solving=False) -> TrainConfig:
+    """The command's TrainConfig; with solving, also its time budget
+    and gap tolerance (train and cv)."""
     c1 = None if args.c1 == "auto" else to_fraction(args.c1)
     if args.weights == "auto":
         w_pos, w_neg = default_weights(d.n, d.n_pos)
@@ -84,15 +90,17 @@ def _config(args, d) -> TrainConfig:
         if len(parts) != 2:
             raise ConfigError(f"--weights takes 'auto' or 'W+,W-', got {args.weights!r}")
         w_pos, w_neg = to_fraction(parts[0]), to_fraction(parts[1])
-    return TrainConfig(c0=to_fraction(args.c0), c1=c1, w_pos=w_pos, w_neg=w_neg,
-                       gamma=to_fraction(args.gamma), time_budget_s=_budget(args),
-                       gap_tolerance=args.gap_tol)
+    cfg = TrainConfig(c0=to_fraction(args.c0), c1=c1, w_pos=w_pos, w_neg=w_neg,
+                      gamma=to_fraction(args.gamma))
+    if solving:
+        cfg = replace(cfg, time_budget_s=_budget(args), gap_tolerance=args.gap_tol)
+    return cfg
 
 
 def _cmd_train(args) -> int:
     d = _load_dataset(args)
     s = load_domains(args.coefset, d.feature_names)
-    cfg = _config(args, d)
+    cfg = _config(args, d, solving=True)
     sink = None
     trace_fh = None
     if args.trace:
@@ -123,7 +131,7 @@ def _cmd_train(args) -> int:
 def _cmd_cv(args) -> int:
     d = _load_dataset(args)
     s = load_domains(args.coefset, d.feature_names)
-    cfg = _config(args, d)
+    cfg = _config(args, d, solving=True)
     grid = None
     if args.c0_grid:
         grid = tuple(to_fraction(v) for v in args.c0_grid.split(","))
@@ -223,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True, help="coefficient-set JSON")
     _add_config_flags(sp)
+    _add_solve_flags(sp)
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; one solve runs in one "
                          "thread, so it has no effect")
@@ -235,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True)
     _add_config_flags(sp, c0_required=False)
+    _add_solve_flags(sp)
     sp.add_argument("--c0", default="0.01",
                     help="template c0 (replaced by the grid values)")
     sp.add_argument("--c0-grid", default=None, help="comma-separated c0 values")

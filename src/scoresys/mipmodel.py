@@ -29,7 +29,7 @@ import numpy as np
 from .coefset import CoefficientSet, Tier
 from .data import Dataset
 from .errors import ConfigError, DomainError, VerifyError
-from .exactnum import fraction_str, to_fraction
+from .exactnum import fraction_str, pow10_denominator, to_fraction
 from .objective import ObjectiveValue, TrainConfig, evaluate, score_ints
 
 ZERO = Fraction(0)
@@ -43,9 +43,7 @@ def _dec(f: Fraction) -> Fraction:
     """Nearest fraction with a terminating decimal expansion (identity
     for almost everything we ever emit)."""
     f = to_fraction(f)
-    s = fraction_str(f)
-    g = to_fraction(s)
-    return f if g == f else to_fraction(repr(float(f)))
+    return f if pow10_denominator(f) else to_fraction(repr(float(f)))
 
 
 @dataclass(frozen=True)

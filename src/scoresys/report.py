@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ReportError
-from .exactnum import fraction_str, to_fraction
+from .exactnum import fraction_str, pow10_denominator, to_fraction
 from .objective import score_ints
 
 MAX_TABLE_FEATURES = 16
@@ -127,14 +127,12 @@ def _json_num(c: Fraction):
     if c.denominator == 1:
         return int(c)
     # keep exactness for rationals with no terminating decimal (1/3)
-    s = fraction_str(c)
-    return float(c) if to_fraction(s) == c else f"{c.numerator}/{c.denominator}"
+    return float(c) if pow10_denominator(c) else f"{c.numerator}/{c.denominator}"
 
 
 def _sheet_num(c: Fraction) -> str:
-    s = fraction_str(abs(c))
-    if to_fraction(s) != abs(c):
-        s = f"{abs(c.numerator)}/{c.denominator}"
+    s = (fraction_str(abs(c)) if pow10_denominator(c)
+         else f"{abs(c.numerator)}/{c.denominator}")
     return ("-" if c < 0 else "+") + s
 
 

@@ -190,6 +190,14 @@ def lower_bound_of(state: SearchState, cfg: TrainConfig) -> Fraction:
 
 # --- engine internals ---------------------------------------------------------
 
+def _block_bytes(a: np.ndarray) -> int:
+    """Bytes a holds, counting each Python-int cell's int object too."""
+    size = a.nbytes
+    if a.dtype == object:
+        size += sum(map(sys.getsizeof, a.flat))
+    return size
+
+
 class _Prep:
     """Instance arrays reindexed into search order, plus suffix tables.
 
@@ -254,6 +262,7 @@ class _Prep:
             self.sufnz[t] = min(self.sufnz[t + 1], step)
         self.THR = [None] * ci.p
         self.thr_bytes = 0
+        self.over_cap = [False] * ci.p
 
     def thresholds(self, t: int) -> np.ndarray:
         """Level t's threshold block.  With out[k] the margin that value
@@ -262,19 +271,21 @@ class _Prep:
         node's margin is <= -out[k].  Above the last level its first K
         rows are lost_at[t + 1] - out: the row is then lost at every
         completion.  Each block is built on first use and kept while
-        the kept blocks hold at most 64 MiB (a Python-int cell counted
-        with its int object); a level past that is rebuilt at each use."""
+        the kept blocks hold at most 64 MiB (_block_bytes); a level past
+        that is marked over_cap, since the kept bytes only grow, and is
+        rebuilt at each use without being measured again."""
         thr = self.THR[t]
         if thr is None:
             thr = self.VI[t][:, None] * -self.B[t][None, :]
             if t < self.p - 1:
                 thr = np.concatenate([self.lost_at[t + 1][None, :] + thr, thr])
-            size = thr.nbytes
-            if thr.dtype == object:
-                size += sum(map(sys.getsizeof, thr.flat))
-            if self.thr_bytes + size <= 64 << 20:
-                self.THR[t] = thr
-                self.thr_bytes += size
+            if not self.over_cap[t]:
+                size = _block_bytes(thr)
+                if self.thr_bytes + size <= 64 << 20:
+                    self.THR[t] = thr
+                    self.thr_bytes += size
+                else:
+                    self.over_cap[t] = True
         return thr
 
     def value_losses(self, t: int, base):
@@ -487,57 +498,40 @@ def _polish(prep: _Prep, assign: list, deadline: float | None = None) -> list:
 
 
 def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
-    """Offer the all-zero vector, the snapped warm start and the
-    coordinate descents from several starts to the incumbent, each as
-    it is found.  Past the deadline no new descent starts."""
-    ci = prep.ci
+    """Offer the all-zero vector and the warm start warm (domain values
+    by column) to the incumbent, then the coordinate descent from each
+    distinct start of this list, in order, each as it is found:
 
-    def offer(a):
-        obj, l1 = _evaluate_assign(prep, a)
-        eng.consider(obj, l1, a)
+    - the warm start;
+    - its truncations to its 1, 2, 3, 4, 6 and 8 largest coordinates:
+      sparse starts escape local minima the dense one gets stuck in
+      (descent can then move coefficients such as the intercept);
+    - the all-zero vector;
+    - the bias-only starts, a small value on the intercept's level (the
+      last level without one) against an otherwise zero vector:
+      descent then grows the strong coefficients, which truncation
+      alone cannot do when partial scores sit exactly at zero.
 
-    def descend(a):
-        if deadline is None or time.monotonic() < deadline:
-            offer(_polish(prep, a, deadline))
-
-    pos_of = []
-    for t in range(prep.p):
-        inv = {dk: k for k, dk in enumerate(prep.KIDX[t])}
-        pos_of.append(inv)
-    offer([0] * prep.p)
-    if warm is not None:
-        w = []
-        for t in range(prep.p):
-            j = prep.order[t]
-            v = _snap(ci.s.domains[j], to_fraction(warm[j]))
-            w.append(pos_of[t][ci.values[j].index(v)])
-        offer(w)
-        descend(w)
-        # sparse truncations escape local minima the dense start gets
-        # stuck in (coordinate descent can then move coefficients such
-        # as the intercept)
-        mags = []
-        for t in range(prep.p):
-            j = prep.order[t]
-            mags.append(abs(ci.values[j][prep.KIDX[t][w[t]]]))
-        ranked = sorted(range(prep.p), key=lambda t: (-mags[t], t))
-        for keep_k in (1, 2, 3, 4, 6, 8):
-            if keep_k >= prep.p:
-                break
-            keep = set(ranked[:keep_k])
-            descend([w[t] if t in keep else 0 for t in range(prep.p)])
-    descend([0] * prep.p)
-    # bias-only seeds: a small value on the intercept's level (the
-    # last level without one) against an otherwise zero vector;
-    # descent then grows the strong coefficients, which truncation
-    # alone cannot do when partial scores sit exactly at zero
-    t_bias = prep.p - 1
+    Past the deadline no new descent starts."""
+    ci, p = prep.ci, prep.p
+    zero = (0,) * p
+    w = tuple(prep.KIDX[t].index(ci.values[j].index(warm[j]))
+              for t, j in enumerate(prep.order))
+    ranked = sorted(range(p), key=lambda t: (-abs(warm[prep.order[t]]), t))
+    t_bias = p - 1
     if ci.d.intercept_index is not None:
         t_bias = prep.order.index(ci.d.intercept_index)
-    for k in range(1, min(9, len(prep.KIDX[t_bias]))):
-        start = [0] * prep.p
-        start[t_bias] = k
-        descend(start)
+    truncations = [tuple(w[t] if t in ranked[:keep] else 0 for t in range(p))
+                   for keep in (1, 2, 3, 4, 6, 8) if keep < p]
+    biases = [tuple(k if t == t_bias else 0 for t in range(p))
+              for k in range(1, min(9, len(prep.KIDX[t_bias])))]
+    for a in (zero, w):
+        eng.consider(*_evaluate_assign(prep, a), a)
+    for a in dict.fromkeys([w, *truncations, zero, *biases]):
+        if deadline is not None and time.monotonic() >= deadline:
+            return
+        a = _polish(prep, a, deadline)
+        eng.consider(*_evaluate_assign(prep, a), a)
 
 
 def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
@@ -564,9 +558,12 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     eng = _Engine(prep, cfg, t0, trace_sink)
     if warm is None:
         warm = _snap_diffs(prep.diffs, s)
-    elif len(tuple(warm)) != d.p:
-        raise ConfigError(f"warm start has {len(tuple(warm))} entries for {d.p} "
-                          "coefficients")
+    else:
+        warm = tuple(warm)
+        if len(warm) != d.p:
+            raise ConfigError(f"warm start has {len(warm)} entries for {d.p} "
+                              "coefficients")
+        warm = tuple(_snap(dom, to_fraction(v)) for v, dom in zip(warm, s.domains))
     _seed_incumbent(prep, eng, warm, eng.deadline)
     eng._emit(time.monotonic())
     eng.dfs(0, prep.zeros_margin, 0, 0, [])

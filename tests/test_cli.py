@@ -209,6 +209,25 @@ def test_export_mip_and_verify_round_trip(tmp_path, small_csv, coefset_one,
     assert "loss_0" in captured.err
 
 
+def test_export_mip_and_verify_take_no_solve_flags(tmp_path, small_csv,
+                                                   coefset_one, capsys, monkeypatch):
+    # neither command solves, so neither reads a budget or a gap tolerance
+    monkeypatch.setenv("SLIM_BUDGET_S", "abc")
+    lp = tmp_path / "model.lp"
+    flags = ["--data", str(small_csv), "--coefset", str(coefset_one), "--c0", "0.05"]
+    assert main(["export-mip", *flags, "--out", str(lp)]) == 0
+    m = parse_lp(lp.read_text())
+    sol = tmp_path / "sol.txt"
+    sol.write_text("".join(f"{v.name} {1 if v.name.startswith('z_') else 0}\n"
+                           for v in m.variables))
+    assert main(["verify", "--model", str(lp), "--solution", str(sol), *flags]) == 0
+    assert "verification: ok" in capsys.readouterr().out
+    for extra in (["--budget", "1"], ["--gap-tol", "0.1"]):
+        assert main(["export-mip", *flags, "--out", str(lp), *extra]) == 2
+        assert main(["verify", "--model", str(lp), "--solution", str(sol),
+                     *flags, *extra]) == 2
+
+
 def test_export_mip_standard_rejects_auto_weights(tmp_path, small_csv,
                                                   coefset_one, capsys):
     rc = main(["export-mip", "--data", str(small_csv), "--coefset",

@@ -454,6 +454,41 @@ def test_search_is_the_same_past_the_threshold_cap(monkeypatch):
     assert prep.thresholds(0) is not prep.thresholds(0) and prep.THR == [None] * prep.p
 
 
+def test_threshold_block_is_measured_once_per_level(monkeypatch):
+    """On Python-int tables with the cache full from the start, each
+    level's block is measured at most once, although it is rebuilt at
+    every use, and the search is the same as with the blocks kept."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(149)
+    cases = []
+    for trial in range(8):
+        n, p = int(rng.integers(20, 50)), int(rng.integers(3, 5))
+        d = rand_dup_dataset(rng, n, p, scale=10**18)
+        s = uniform(bounded_integers(3), p)
+        cfg = TrainConfig(c0=Fraction(int(rng.integers(1, 20)), 1000)).resolve(n, s)
+        assert CompiledInstance(d, s, cfg).margin_dtype == object
+        cases.append((d, s, cfg, solve(d, s, cfg)))
+    init, measure = solver._Prep.__init__, solver._block_bytes
+    preps, measured = [], []
+
+    def full_cache(prep, ci):
+        init(prep, ci)
+        prep.thr_bytes = 64 << 20
+        preps.append(prep)
+
+    monkeypatch.setattr(solver._Prep, "__init__", full_cache)
+    monkeypatch.setattr(solver, "_block_bytes",
+                        lambda a: measured.append(len(preps)) or measure(a))
+    for d, s, cfg, a in cases:
+        b = solve(d, s, cfg)
+        assert (b.best.coefficients, b.objective.total, b.status, b.nodes_explored) \
+            == (a.best.coefficients, a.objective.total, a.status, a.nodes_explored)
+        assert 0 < measured.count(len(preps)) <= d.p
+        assert preps[-1].THR == [None] * d.p
+    assert sum(a.nodes_explored for *_, a in cases) > 10 * len(measured)
+
+
 def test_stacked_shuffled_table_searches_the_same():
     # equal rows merge, so a table stacked on itself poses the same
     # search: same model, objective, status and node count
@@ -779,6 +814,44 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     assert descents == []
     want = min(evaluate(d, lam, cfg).total for lam in ([0] * 4, warm))
     assert Fraction(eng.best[0], prep.ci.pen_den) == want
+
+
+def test_seeding_descends_each_distinct_start_once(monkeypatch):
+    # mammo's warm start under +-1 has 5 nonzeros, so its truncations to
+    # 6 and 8 coordinates are the warm start again: the descents run
+    # from the warm start, its truncations, the all-zero vector and the
+    # bias-only starts, in that order, each distinct start once
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    d = load_csv(bench_path("mammo.csv"))
+    s = uniform(bounded_integers(1), d.p)
+    cfg = TrainConfig(c0=Fraction(1, 20)).resolve(d.n, s)
+    prep = solver._Prep(CompiledInstance(d, s, cfg))
+    eng = solver._Engine(prep, cfg, time.monotonic(), None)
+    descents = []
+    monkeypatch.setattr(solver, "_polish",
+                        lambda prep, a, deadline=None: descents.append(tuple(a)) or a)
+    warm = warm_start(d, s)
+    solver._seed_incumbent(prep, eng, warm, None)
+
+    def at_levels(lam):
+        # level t's values run small |value| first, then small value
+        return tuple(sorted(s.domains[j].values, key=lambda v: (abs(v), v)).index(lam[j])
+                     for j in prep.order)
+
+    level = {j: t for t, j in enumerate(prep.order)}
+    ranked = sorted(range(d.p), key=lambda j: (-abs(warm[j]), level[j]))
+    zero = [Fraction(0)] * d.p
+    starts = [at_levels(warm)]
+    for keep in (1, 2, 3, 4, 6, 8):
+        starts.append(at_levels([warm[j] if j in ranked[:keep] else 0 for j in range(d.p)]))
+    starts.append(at_levels(zero))
+    for v in (-1, 1):
+        starts.append(at_levels([v if j == d.intercept_index else 0 for j in range(d.p)]))
+    assert sum(v != 0 for v in warm) == 5
+    assert starts[6] == starts[5] == starts[0]
+    assert len(set(descents)) == len(descents) == len(set(starts)) == 8
+    assert descents == list(dict.fromkeys(starts))
 
 
 def test_budget_covers_seeding_on_a_large_table():
