@@ -13,7 +13,6 @@ verbatim; train uses no randomness and takes no seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +21,7 @@ from fractions import Fraction
 from .bounds import coprime_class_gap, finite_class_gap
 from .coefset import load_domains
 from .data import load_csv
-from .errors import ConfigError, ScoresysError
+from .errors import ConfigError, ReportError, ScoresysError
 from .exactnum import fraction_str, to_fraction
 from .harness import default_c0_grid, frontier_from_report, run_cv, select_c0
 from .mipmodel import build_model, parse_lp, read_solution, verify_solution, write_lp
@@ -188,7 +187,11 @@ def _cmd_bound(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
-        model = ScoringSystem.from_json_dict(json.load(fh))
+        text = fh.read()
+    try:
+        model = ScoringSystem.from_json(text)
+    except ReportError as e:
+        raise ReportError(f"model file {args.model}: {e}") from None
     labels = parse_label_map(args.labels)
     print(render_score_sheet(model, labels=labels))
     if args.decision_table:
@@ -302,6 +305,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error: cannot open {e.filename}: {e.strerror}" if e.filename
+              else f"error: {e}", file=sys.stderr)
         return 1
     except ScoresysError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -301,13 +301,18 @@ def _tiers_from_descriptor(raw, where: str) -> tuple[Tier, ...]:
 def load_domains(source, feature_names) -> CoefficientSet:
     """Build a CoefficientSet for the named features from a JSON file,
     path, or already-parsed dict (see the grammar above)."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            spec = json.load(fh)
-    elif isinstance(source, dict):
-        spec = source
-    else:
-        spec = json.load(source)
+    is_path = isinstance(source, (str, os.PathLike))
+    try:
+        if is_path:
+            with open(source, encoding="utf-8") as fh:
+                spec = json.load(fh)
+        elif isinstance(source, dict):
+            spec = source
+        else:
+            spec = json.load(source)
+    except json.JSONDecodeError as e:
+        where = os.fspath(source) if is_path else getattr(source, "name", "stream")
+        raise DomainError(f"coefficient-set file {where}: malformed JSON: {e}") from None
     if not isinstance(spec, dict):
         raise DomainError("coefficient-set JSON must be an object")
     unknown = set(spec) - set(feature_names) - {"default"}

@@ -11,7 +11,6 @@ code and cached on the instance.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import os
 from dataclasses import dataclass, field
@@ -106,6 +105,8 @@ class Dataset:
         )
 
     def content_hash(self) -> str:
+        import hashlib  # here, so that loading a table does not load OpenSSL
+
         h = hashlib.sha256()
         h.update(("\x1f".join(self.feature_names)).encode())
         h.update(str(self.intercept_index).encode())

@@ -98,29 +98,33 @@ class ScoringSystem:
             feats = doc["features"]
             names = [f["name"] for f in feats]
             coefs = [to_fraction(f["coef"]) for f in feats]
-        except (KeyError, TypeError) as e:
+            meta = dict(doc.get("meta") or {})
+            ranges = meta.pop("feature_ranges", None)
+            intercept_index = None
+            if doc.get("intercept") is not None:
+                ii = meta.pop("intercept_index", 0)
+                name = meta.pop("intercept_name", "(Intercept)")
+                names.insert(ii, name)
+                coefs.insert(ii, to_fraction(doc["intercept"]))
+                intercept_index = ii
+            else:
+                meta.pop("intercept_index", None)
+                meta.pop("intercept_name", None)
+            if ranges is not None:
+                ranges = tuple(None if r is None else (float(r[0]), float(r[1]))
+                               for r in ranges)
+        except (KeyError, TypeError, IndexError, ValueError) as e:
             raise ReportError(f"malformed model JSON: {e}") from None
-        meta = dict(doc.get("meta") or {})
-        ranges = meta.pop("feature_ranges", None)
-        intercept_index = None
-        if doc.get("intercept") is not None:
-            ii = meta.pop("intercept_index", 0)
-            name = meta.pop("intercept_name", "(Intercept)")
-            names.insert(ii, name)
-            coefs.insert(ii, to_fraction(doc["intercept"]))
-            intercept_index = ii
-        else:
-            meta.pop("intercept_index", None)
-            meta.pop("intercept_name", None)
-        if ranges is not None:
-            ranges = tuple(None if r is None else (float(r[0]), float(r[1]))
-                           for r in ranges)
         return cls(tuple(coefs), tuple(names), intercept_index=intercept_index,
                    feature_ranges=ranges, provenance=meta)
 
     @classmethod
     def from_json(cls, text: str) -> "ScoringSystem":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ReportError(f"malformed model JSON: {e}") from None
+        return cls.from_json_dict(doc)
 
 
 def _json_num(c: Fraction):

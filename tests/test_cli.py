@@ -92,6 +92,42 @@ def test_train_missing_data_file(tmp_path, coefset_one, capsys):
     assert "missing file" in capsys.readouterr().err
 
 
+def test_train_malformed_coefset_file_is_exit_1(tmp_path, footnote_csv, capsys):
+    bad = tmp_path / "notjson.json"
+    bad.write_text("notjson")
+    rc = main(["train", "--data", str(footnote_csv), "--coefset", str(bad), "--c0", "0.1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: coefficient-set file {bad}: malformed JSON: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":', "f0,f1,y\n-1,1,1\n", "[1]",
+    '{"features": [{"name": "a", "coef": 1}], "meta": {"feature_ranges": [[1]]}}',
+    '{"features": [{"name": "a", "coef": 1}], "intercept": 2, "meta": {"intercept_index": "x"}}',
+])
+def test_report_malformed_model_file_is_exit_1(tmp_path, text, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text(text)
+    rc = main(["report", "--model", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: model file {bad}: malformed model JSON: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--model", "--out"])
+def test_a_directory_for_a_file_is_exit_1(tmp_path, footnote_csv, coefset_one, flag, capsys):
+    argv = {"--model": ["report", "--model", str(tmp_path)],
+            "--out": ["train", "--data", str(footnote_csv), "--coefset",
+                      str(coefset_one), "--c0", "0.1", "--out", str(tmp_path)]}[flag]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: cannot open {tmp_path}: Is a directory\n"
+
+
 def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     rc = main(["train", "--data", str(footnote_csv), "--coefset",
                str(coefset_one), "--c0", "-1"])

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -172,12 +173,68 @@ def test_frontier_from_report():
     assert len(dominated) == 1 and dominated[0].label == "c0=0.01"
 
 
-def test_import_leaves_process_pools_out():
-    """run_cv imports ProcessPoolExecutor only for jobs > 1, so that a
-    fresh `import scoresys` loads no concurrent.futures module."""
+def test_import_leaves_process_pools_out(tmp_path):
+    """A fresh interpreter that imports scoresys and loads a table and a
+    coefficient set loads no concurrent.futures module (run_cv imports
+    ProcessPoolExecutor only for jobs > 1), none of the layers past the
+    loader (the package resolves its names on first use) and no hashlib
+    (only Dataset.content_hash needs it)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(scoresys.__file__)))
-    code = ("import sys, scoresys; "
-            "print([m for m in sys.modules if m.startswith('concurrent')])")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "[]"
+    csv = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "mammo.csv")
+    cs = tmp_path / "c.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 1}}))
+    code = ("import sys, scoresys\n"
+            "d = scoresys.load_csv(sys.argv[1])\n"
+            "scoresys.load_domains(sys.argv[2], d.feature_names)\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code, csv, str(cs)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(out.stdout.split())
+    assert {"scoresys.coefset", "scoresys.data"} <= loaded
+    assert [m for m in loaded if m.startswith("concurrent")] == []
+    later = {f"scoresys.{m}" for m in
+             ("solver", "objective", "mipmodel", "harness", "report", "bounds", "cli")}
+    assert sorted(loaded & later) == []
+    assert "hashlib" not in loaded
+
+
+PACKAGE_NAMES = [
+    "BoundReport", "CoefficientDomain", "CoefficientSet", "ConfigError", "CvAggregate",
+    "CvRecord", "CvReport", "DataError", "Dataset", "DecisionTable", "DomainError",
+    "FoldAssignment", "FrontierPoint", "MipModel", "ObjectiveValue", "ReportError",
+    "ScoresysError", "ScoringSystem", "SearchState", "SolveResult", "Tier", "TracePoint",
+    "TrainConfig", "VerifyError", "bounded_integers", "bounds", "build_model", "c0_range",
+    "coefset", "complete_assignment", "coprime_class_gap", "coprime_reduce", "data",
+    "default_c0_grid", "default_c1", "default_weights", "digit_values", "errors",
+    "evaluate", "exactnum", "explicit_values", "farey_count", "finite_class_gap",
+    "frontier", "frontier_from_report", "harness", "induce_decision_table", "load_csv",
+    "load_domains", "lower_bound_of", "mipmodel", "objective", "parse_label_map",
+    "parse_lp", "parse_score_sheet", "read_solution", "render_results_table",
+    "render_score_sheet", "report", "run_cv", "select_c0", "signed_integers", "solve",
+    "solver", "split_folds", "to_csv", "uniform", "verify_solution", "warm_start",
+    "write_lp",
+]
+PACKAGE_MODULES = ("bounds", "coefset", "data", "errors", "exactnum", "harness",
+                   "mipmodel", "objective", "report", "solver")
+
+
+def test_package_namespace():
+    """The package exports the same 70 names, each the object its
+    defining module holds, by attribute access and by a star import."""
+    modules = {m: importlib.import_module(f"scoresys.{m}") for m in PACKAGE_MODULES}
+    assert scoresys.__all__ == PACKAGE_NAMES
+    assert set(PACKAGE_NAMES) <= set(dir(scoresys))
+    star = {}
+    exec("from scoresys import *", star)
+    for name in PACKAGE_NAMES:
+        if name in modules:
+            expected = modules[name]
+        else:
+            [home] = [mod for mod in modules.values()
+                      if getattr(vars(mod).get(name), "__module__", None) == mod.__name__]
+            expected = getattr(home, name)
+        assert getattr(scoresys, name) is expected
+        assert star[name] is expected
+    assert scoresys.cli is importlib.import_module("scoresys.cli")
+    with pytest.raises(AttributeError):
+        scoresys.no_such_name
