@@ -2,12 +2,13 @@
 
 Subcommands: train, cv, export-mip, bound, report, verify.  Exit codes:
 0 on success (a solve that exhausts its time budget still succeeds and
-reports its status), 1 on missing files or any validation/verification
-failure, 2 on unknown flags (argparse prints usage).  train and cv
-take the solve flags --budget and --gap-tol, and for them the env var
-SLIM_BUDGET_S overrides any --budget value.  cv's --seed (default 0)
-picks the folds and is always printed so runs can be reproduced
-verbatim; train uses no randomness and takes no seed.
+reports its status), 1 on missing, unreadable or non-UTF-8 files or
+any validation/verification failure, 2 on unknown flags (argparse
+prints usage).  train and cv take the solve flags --budget and
+--gap-tol, and for them the env var SLIM_BUDGET_S overrides any
+--budget value.  cv's --seed (default 0) picks the folds and is always
+printed so runs can be reproduced verbatim; train uses no randomness
+and takes no seed.
 """
 
 from __future__ import annotations
@@ -61,11 +62,27 @@ def _add_solve_flags(sp):
                     help="relative optimality gap that ends the search early")
 
 
+def _read(path: str, parse):
+    """parse(fh) for the file at path opened as UTF-8 text, with line
+    ends as in the file.  Every file flag is read here: a file that is
+    not UTF-8 text raises ConfigError naming path, and one that cannot
+    be opened raises OSError; main reports either on one line."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
+
+
 def _load_dataset(args):
     one_hot = tuple(c for c in args.one_hot.split(",") if c) if args.one_hot else ()
-    return load_csv(args.data, label_column=args.label,
-                    add_intercept=not args.no_intercept,
-                    missing_policy=args.missing, one_hot=one_hot)
+    return _read(args.data, lambda fh: load_csv(
+        fh, label_column=args.label, add_intercept=not args.no_intercept,
+        missing_policy=args.missing, one_hot=one_hot))
+
+
+def _load_coefset(args, d):
+    return _read(args.coefset, lambda fh: load_domains(fh, d.feature_names))
 
 
 def _budget(args) -> float | None:
@@ -98,7 +115,7 @@ def _config(args, d, *, solving=False) -> TrainConfig:
 
 def _cmd_train(args) -> int:
     d = _load_dataset(args)
-    s = load_domains(args.coefset, d.feature_names)
+    s = _load_coefset(args, d)
     cfg = _config(args, d, solving=True)
     sink = None
     trace_fh = None
@@ -129,7 +146,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     d = _load_dataset(args)
-    s = load_domains(args.coefset, d.feature_names)
+    s = _load_coefset(args, d)
     cfg = _config(args, d, solving=True)
     grid = None
     if args.c0_grid:
@@ -158,7 +175,7 @@ def _cmd_cv(args) -> int:
 
 def _cmd_export_mip(args) -> int:
     d = _load_dataset(args)
-    s = load_domains(args.coefset, d.feature_names)
+    s = _load_coefset(args, d)
     cfg = _config(args, d)
     if args.variant == "standard" and args.weights == "auto":
         raise ConfigError("auto weights need --variant weighted")
@@ -186,8 +203,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(args.model, lambda fh: fh.read())
     try:
         model = ScoringSystem.from_json(text)
     except ReportError as e:
@@ -204,12 +220,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        m = parse_lp(fh.read())
-    with open(args.solution, encoding="utf-8") as fh:
-        assignment = read_solution(fh.read())
+    m = _read(args.model, lambda fh: parse_lp(fh.read()))
+    assignment = _read(args.solution, lambda fh: read_solution(fh.read()))
     d = _load_dataset(args)
-    s = load_domains(args.coefset, d.feature_names) if args.coefset else None
+    s = _load_coefset(args, d) if args.coefset else None
     cfg = _config(args, d)
     if cfg.c1 is None:
         if s is None:

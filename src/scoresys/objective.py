@@ -33,6 +33,22 @@ ONE = Fraction(1)
 _INT64_HEADROOM = 2**61  # leave slack for sums of two bounded quantities
 
 
+def cost_sum_dtype(total: int):
+    """The float in which nonnegative integer costs summing to total are
+    summed exactly: float32 when total < 2**24, float64 when
+    total < 2**53, else None (sum them as integers).
+
+    A sum of costs over marked rows adds each marked cost once, so each
+    partial sum, in whatever order BLAS adds, is a subset sum: an
+    integer from 0 to total.  Every integer below 2**24 (2**53) is a
+    float32 (float64), so each cost, each partial sum and the result
+    are exact and the cast back to int64 loses nothing."""
+    for dtype, bits in ((np.float32, 24), (np.float64, 53)):
+        if total < 2**bits:
+            return np.dtype(dtype)
+    return None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Penalty multipliers, class weights, and solve controls.
@@ -253,6 +269,13 @@ class CompiledInstance:
     breastcancer's margins under {0, +-1, +-10} fit int16, a quarter of
     int64's bytes.  Otherwise every array holds Python ints and
     margin_dtype is object.
+
+    lost_cost and twin_loss sum int64 costs by a BLAS dot product in
+    sum_dtype, the narrowest float that holds every subset sum of the
+    costs exactly (cost_sum_dtype): float32 while cost.sum() < 2**24,
+    float64 while it is < 2**53.  Class weights are positive, so every
+    cost is nonnegative.  Larger sums, and Python-int costs, are summed
+    by an integer einsum and sum_dtype is None.
     """
 
     def __init__(self, d: Dataset, s: CoefficientSet, cfg: TrainConfig):
@@ -330,6 +353,11 @@ class CompiledInstance:
         self.vi, self.pen, self.l1i, self.cost = vi, pen, l1i, merged
         self.twin_a, self.twin_b = twin_a, twin_b
         self.twin_cost = np.minimum(merged[twin_a], merged[twin_b])
+        self.sum_dtype = cost_sum_dtype(int(merged.sum())) if self.int64_ok else None
+        self.cost_f = self.twin_cost_f = None
+        if self.sum_dtype is not None:
+            self.cost_f = merged.astype(self.sum_dtype)
+            self.twin_cost_f = self.twin_cost.astype(self.sum_dtype)
         self.zero_index = [int(np.nonzero(v == 0)[0][0]) for v in vi]
         self.values = dom_vals  # Fractions, aligned with vi/pen/l1i
 
@@ -341,7 +369,9 @@ class CompiledInstance:
     def lost_cost(self, lost):
         """Cost (pen_den scale) of the rows marked in lost (rows along
         the last axis)."""
-        return np.einsum("...r,r->...", lost, self.cost)
+        if self.sum_dtype is None:
+            return np.einsum("...r,r->...", lost, self.cost)
+        return np.dot(lost, self.cost_f).astype(np.int64)
 
     def twin_loss(self, dead):
         """Cost (pen_den scale) of the cheaper row of each twin pair
@@ -349,7 +379,9 @@ class CompiledInstance:
         if not len(self.twin_a):
             return 0
         live = ~(dead[..., self.twin_a] | dead[..., self.twin_b])
-        return np.einsum("...q,q->...", live, self.twin_cost)
+        if self.sum_dtype is None:
+            return np.einsum("...q,q->...", live, self.twin_cost)
+        return np.dot(live, self.twin_cost_f).astype(np.int64)
 
     def sure_loss(self, dead):
         """Least loss (pen_den scale) of any lam that loses every row

@@ -209,9 +209,11 @@ class _Prep:
     makes lost rows, and so bounds that prune, appear sooner.  Ties go
     to the larger |class-mean difference|, then to the lower column
     index.  Each level's values run small |value| first.  PEN holds a
-    level's penalties as an array for block arithmetic; PENL and L1
-    hold its penalties and l1 norms as Python-int lists for the
-    search's per-child bookkeeping.  B, VI, zeros_margin and lost_at
+    level's penalties as an array for block arithmetic, and PENB the
+    penalty part of its children's bounds, PEN[t] + sufminpen[t + 1]
+    (the least penalty of the later levels); PENL and L1 hold its
+    penalties and l1 norms as Python-int lists for the search's
+    per-child bookkeeping.  B, VI, zeros_margin and lost_at
     hold margins in ci.margin_dtype, as do the threshold blocks THR
     keeps (see thresholds).  diffs holds the class-mean differences by
     column, which also give solve its warm start."""
@@ -260,6 +262,7 @@ class _Prep:
             self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
             step = int(pens[1:].min()) - int(pens.min()) if len(pens) > 1 else INF
             self.sufnz[t] = min(self.sufnz[t + 1], step)
+        self.PENB = [pens + self.sufminpen[t + 1] for t, pens in enumerate(self.PEN)]
         self.THR = [None] * ci.p
         self.thr_bytes = 0
         self.over_cap = [False] * ci.p
@@ -300,22 +303,22 @@ class _Prep:
     def child_bounds(self, t: int, margin):
         """Bounds of the children of a level-t node whose fixed levels
         give the margins margin, one per value at level t, from one
-        comparison with the level's thresholds.  Returns the bounds and
-        the losses of the children's all-zero completions, both as
-        lists of Python ints, and the -out rows of the thresholds, from
+        comparison with the level's thresholds.  Returns the bounds as
+        an array, the losses of the children's all-zero completions as
+        a list of Python ints, and the -out rows of the thresholds, from
         which child k's margins are margin - neg_out[k].  The bounds
         leave out the penalties of levels before t; they are the bounds
-        of lower_bound_of, which is exact at the last level."""
+        of lower_bound_of, which is exact at the last level (there the
+        block is the -out rows alone, and one row of each twin pair is
+        lost, so the twin term is 0)."""
         ci, k = self.ci, len(self.VI[t])
         thr = self.thresholds(t)
         lost = margin <= thr
         loss = ci.lost_cost(lost)
-        if t == self.p - 1:
-            bounds = self.PEN[t] + loss
-        else:
-            bounds = (self.PEN[t] + self.sufminpen[t + 1] + loss[:k]
-                      + ci.twin_loss(lost[:k]))
-        return bounds.tolist(), loss[-k:].tolist(), thr[-k:]
+        bounds = self.PENB[t] + loss[:k]
+        if len(ci.twin_a):
+            bounds += ci.twin_loss(lost[:k])
+        return bounds, loss[-k:].tolist(), thr[-k:]
 
     def root_bound(self) -> int:
         return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
@@ -432,7 +435,7 @@ class _Engine:
         pr = self.prep
         bounds, zloss, neg_out = pr.child_bounds(t, margin)
         self.work += len(bounds) * pr.ci.n_rows
-        bounds = [fpen + b for b in bounds]
+        bounds = (fpen + bounds).tolist()
         l1s = pr.L1[t]
         if t == pr.p - 1:
             self.nodes += len(bounds)

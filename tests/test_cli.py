@@ -128,6 +128,31 @@ def test_a_directory_for_a_file_is_exit_1(tmp_path, footnote_csv, coefset_one, f
     assert err == f"error: cannot open {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("flag", ["--data", "--coefset", "report --model",
+                                  "verify --model", "--solution"])
+def test_a_file_that_is_not_utf8_is_exit_1(tmp_path, small_csv, coefset_one, flag, capsys):
+    # the start of an executable: 0x80 after an ELF header is no UTF-8
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    flags = ["--data", str(small_csv), "--coefset", str(coefset_one), "--c0", "0.05"]
+    model, lp, sol = tmp_path / "model.json", tmp_path / "model.lp", tmp_path / "sol.txt"
+    assert main(["train", *flags, "--out", str(model)]) == 0
+    assert main(["export-mip", *flags, "--out", str(lp)]) == 0
+    sol.write_text("".join(f"{v.name} {1 if v.name.startswith('z_') else 0}\n"
+                           for v in parse_lp(lp.read_text()).variables))
+    verify = ["verify", "--model", str(lp), "--solution", str(sol), *flags]
+    argv = {"--data": ["train", *flags], "--coefset": ["train", *flags],
+            "report --model": ["report", "--model", str(model)],
+            "verify --model": verify, "--solution": verify}[flag]
+    assert main(argv) == 0
+    capsys.readouterr()
+    argv[argv.index(flag.split()[-1]) + 1] = str(binary)
+    rc = main(argv)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: cannot read {binary}: not UTF-8 "
+                                       "text (invalid start byte)\n")
+
+
 def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     rc = main(["train", "--data", str(footnote_csv), "--coefset",
                str(coefset_one), "--c0", "-1"])

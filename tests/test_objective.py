@@ -11,8 +11,9 @@ from scoresys.data import Dataset
 from scoresys.errors import ConfigError
 from scoresys.exactnum import common_denominator, scaled_int
 from scoresys.objective import (CompiledInstance, ObjectiveValue, TrainConfig,
-                                _merge_rows, c0_range, default_c1,
-                                default_weights, evaluate, score_ints)
+                                _merge_rows, c0_range, cost_sum_dtype,
+                                default_c1, default_weights, evaluate,
+                                score_ints)
 from scoresys.solver import OPTIMAL, solve
 
 from helpers import brute_solve, rand_dataset, rand_dup_dataset
@@ -356,6 +357,7 @@ def _as_object_path(ci):
     obj.vi = [v.astype(object) for v in ci.vi]
     obj.cost = ci.cost.astype(object)
     obj.int64_ok = False
+    obj.sum_dtype = None
     return obj
 
 
@@ -421,3 +423,55 @@ def test_value_losses_beyond_int64():
             for base in _random_bases(rng, ci, j):
                 block = base[None, :] + ci.vi[j][:, None] * ci.b_cols[j][None, :]
                 assert ci.value_losses(j, base).tolist() == ci.loss(block).tolist()
+
+
+@pytest.mark.parametrize("total, want", [
+    (0, np.float32), (2**24 - 1, np.float32), (2**24, np.float64),
+    (2**53 - 1, np.float64), (2**53, None), (2**62, None)])
+def test_cost_sum_dtype_at_the_mantissa_edges(total, want):
+    got = cost_sum_dtype(total)
+    assert got == (None if want is None else np.dtype(want))
+    if got is not None:  # the total itself, and so every subset sum, is exact
+        assert int(np.array(total, dtype=got)) == total
+
+
+# c0 = 1/P on 30 rows and 3 columns under -3..3 puts the total cost at
+# 90 * P (pen_den scale); 354001 puts it at 31,860,090, between 2**24
+# and 2**25, where float32 sums of these odd costs round
+@pytest.mark.parametrize("path, c0_den, scale, dtype", [
+    ("float32", 10007, 1, np.float32),
+    ("float64_edge", 354001, 1, np.float64),
+    ("float64", 1000000007, 1, np.float64),
+    ("int64", 1000000000000037, 1, None),
+    ("object", 50, 10**18, None),
+])
+def test_lost_cost_and_twin_loss_are_exact_on_every_path(path, c0_den, scale, dtype):
+    """lost_cost and twin_loss equal Python-int sums over random bool
+    blocks, 1-D and 2-D, whichever way the instance sums its costs."""
+    rng = np.random.default_rng(149)
+    n, p = 30, 3
+    s = uniform(bounded_integers(3), p)
+    twins = 0
+    for trial in range(8):
+        d = rand_dup_dataset(rng, n, p, scale=scale)
+        ci = CompiledInstance(d, s, TrainConfig(c0=Fraction(1, c0_den)).resolve(n, s))
+        assert ci.sum_dtype == (None if dtype is None else np.dtype(dtype)), trial
+        assert ci.int64_ok == (path != "object"), trial
+        twins += len(ci.twin_a)
+        cost, tc = ci.cost.tolist(), ci.twin_cost.tolist()
+        pairs = list(zip(ci.twin_a.tolist(), ci.twin_b.tolist()))
+        for _ in range(10):
+            # densities from none to all rows marked, so that sums run
+            # up to the total
+            k = int(rng.integers(1, 12))
+            lost = rng.random((k, ci.n_rows)) < rng.random((k, 1))
+            lost[0] = True
+            want = [sum(c for c, m in zip(cost, row) if m) for row in lost.tolist()]
+            want_twin = [sum(c for c, (a, b) in zip(tc, pairs) if not (row[a] or row[b]))
+                         for row in lost.tolist()]
+            assert ci.lost_cost(lost).tolist() == want, trial
+            assert int(ci.lost_cost(lost[-1])) == want[-1], trial
+            if pairs:
+                assert ci.twin_loss(lost).tolist() == want_twin, trial
+                assert int(ci.twin_loss(lost[-1])) == want_twin[-1], trial
+    assert twins > 0

@@ -454,6 +454,33 @@ def test_search_is_the_same_past_the_threshold_cap(monkeypatch):
     assert prep.thresholds(0) is not prep.thresholds(0) and prep.THR == [None] * prep.p
 
 
+def test_search_is_the_same_with_integer_cost_sums(monkeypatch):
+    """Summing costs by a float dot product, where cost_sum_dtype finds
+    one exact, searches the same tree as the integer einsum, on tables
+    with repeats and twins; c0 = 1/1000000007 puts the total cost past
+    2**24, so both float widths are taken."""
+    from scoresys import objective
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(151)
+    cases = []
+    for trial in range(20):
+        n, p = int(rng.integers(4, 30)), int(rng.integers(1, 5))
+        d = rand_dup_dataset(rng, n, p)
+        s = rand_coefset(rng, p)
+        cfg = (TrainConfig(c0=Fraction(1, 1000000007)).resolve(n, s) if trial % 2
+               else _cfg(rng, n, s))
+        cases.append((d, s, cfg))
+    widths = {CompiledInstance(*case).sum_dtype for case in cases}
+    assert widths == {np.dtype(np.float32), np.dtype(np.float64)}
+    floats = [solve(d, s, cfg) for d, s, cfg in cases]
+    monkeypatch.setattr(objective, "cost_sum_dtype", lambda total: None)
+    assert CompiledInstance(*cases[0]).sum_dtype is None
+    for (d, s, cfg), a in zip(cases, floats):
+        b = solve(d, s, cfg)
+        assert (b.best.coefficients, b.objective.total, b.status, b.nodes_explored) \
+            == (a.best.coefficients, a.objective.total, a.status, a.nodes_explored)
+
+
 def test_threshold_block_is_measured_once_per_level(monkeypatch):
     """On Python-int tables with the cache full from the start, each
     level's block is measured at most once, although it is rebuilt at
