@@ -313,6 +313,11 @@ def load_domains(source, feature_names) -> CoefficientSet:
     except json.JSONDecodeError as e:
         where = os.fspath(source) if is_path else getattr(source, "name", "stream")
         raise DomainError(f"coefficient-set file {where}: malformed JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        if not is_path:
+            raise
+        raise DomainError(f"cannot read {os.fspath(source)}: not UTF-8 text "
+                          f"({e.reason})") from None
     if not isinstance(spec, dict):
         raise DomainError("coefficient-set JSON must be an object")
     unknown = set(spec) - set(feature_names) - {"default"}

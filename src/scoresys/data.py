@@ -175,6 +175,11 @@ def load_csv(source, *, label_column: str | None = None, add_intercept: bool = T
         handle = source
     try:
         rows = list(csv.reader(handle))
+    except UnicodeDecodeError as e:
+        if close_me is None:
+            raise
+        raise DataError(f"cannot read {os.fspath(source)}: not UTF-8 text "
+                        f"({e.reason})") from None
     finally:
         if close_me:
             close_me.close()

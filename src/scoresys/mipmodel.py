@@ -81,6 +81,10 @@ class MipModel:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variable names in model")
         declared = set(names)
+        # one set test; the loops below only name the first unknown
+        if declared.issuperset([n for c in self.linear_constraints for n, _ in c.terms]
+                               + [n for n, _ in self.objective]):
+            return
         for name, _ in self.objective:
             if name not in declared:
                 raise ConfigError(f"objective references unknown variable {name!r}")
@@ -180,8 +184,9 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     # loss indicators in the objective
     wp = _dec(cfg.w_pos / n)
     wn = _dec(cfg.w_neg / n)
-    for i in range(n):
-        objective.append((f"z_{i}", wp if int(d.y[i]) == 1 else wn))
+    ys = d.y.tolist()
+    for i, yi in enumerate(ys):
+        objective.append((f"z_{i}", wp if yi == 1 else wn))
     for j in range(p):
         objective.append((f"I_{j}", ONE))
 
@@ -192,25 +197,23 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         nums, den = d.exact_column(j)
         signed.append((y * nums, den))
     big_m, m_den = _big_m_numerators(signed, s, gamma)
-    m_dec: dict = {}
-    cols = [(f"lam_{j}", c.tolist(), den, {}) for j, (c, den) in enumerate(signed)]
-    for i, (yi, mnum) in enumerate(zip(d.y.tolist(), big_m)):
-        mi = m_dec.get(mnum)
-        if mi is None:
-            mi = m_dec[mnum] = _dec(Fraction(mnum, m_den))
-        terms = [(f"z_{i}", mi)]
-        for name, col, den, c_dec in cols:
-            num = col[i]
-            if num:  # a data cell is a nonzero decimal, so _dec keeps it nonzero
-                c = c_dec.get(num)
-                if c is None:
-                    c = c_dec[num] = _dec(Fraction(num, den))
-                terms.append((name, c))
+    m_dec = {num: _dec(Fraction(num, m_den)) for num in set(big_m)}
+    # column j's term in each row, None for a zero cell (a data cell is
+    # a nonzero decimal, so _dec keeps it nonzero); rows share the term
+    # of each distinct value
+    lam_cols = []
+    for j, (c, den) in enumerate(signed):
+        nums = c.tolist()
+        term = {num: (f"lam_{j}", _dec(Fraction(num, den))) if num else None
+                for num in set(nums)}
+        lam_cols.append(list(map(term.__getitem__, nums)))
+    for i, (yi, mnum, row) in enumerate(zip(ys, big_m, zip(*lam_cols))):
         if variant == "weighted":
             name = f"loss_pos_{i}" if yi == 1 else f"loss_neg_{i}"
         else:
             name = f"loss_{i}"
-        constraints.append(Constraint(name, tuple(terms), ">=", gamma))
+        constraints.append(Constraint(
+            name, ((f"z_{i}", m_dec[mnum]), *filter(None, row)), ">=", gamma))
 
     if variant != "pilm":
         c0, c1 = _dec(cfg.c0), _dec(cfg.c1)
@@ -289,32 +292,36 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
 # --- LP text ------------------------------------------------------------------
 
 class _Numbers(dict):
-    """fraction_str of each distinct number, computed once (one per
-    write_lp call).  A value's (numerator, denominator) key maps to its
-    (first-term, later-term) spellings, e.g. 0.5 -> ("0.5", "+ 0.5"),
-    -2 -> ("-2", "- 2").  Integer keys hash far faster than Fractions."""
+    """fraction_str of each distinct number object, computed once (one
+    instance per write_lp call, whose model keeps every object alive).
+    The key is the object's id, so each term costs one dict lookup and
+    no read of Fraction's numerator and denominator, which are
+    Python-level properties; the value is the number's (first-term,
+    later-term) spellings, e.g. 0.5 -> ("0.5", "+ 0.5"),
+    -2 -> ("-2", "- 2")."""
 
-    def __missing__(self, key):
-        num, den = key
-        mag = fraction_str(Fraction(abs(num), den))
-        got = self[key] = ((f"-{mag}", f"- {mag}") if num < 0 else (mag, f"+ {mag}"))
+    def spell(self, f: Fraction) -> tuple[str, str]:
+        mag = fraction_str(abs(f))
+        got = self[id(f)] = ((f"-{mag}", f"- {mag}") if f < 0 else (mag, f"+ {mag}"))
         return got
 
 
 def _terms_str(terms, nums: _Numbers) -> str:
-    parts = [f"{nums[coef.numerator, coef.denominator][k > 0]} {name}"
-             for k, (name, coef) in enumerate(terms)]
-    return " ".join(parts)
+    get, spell = nums.get, nums.spell
+    return " ".join([f"{(get(id(coef)) or spell(coef))[k > 0]} {name}"
+                     for k, (name, coef) in enumerate(terms)])
 
 
 def write_lp(m: MipModel, path=None) -> str:
     """Serialize to LP text; byte-stable for equal models.  Every
     variable gets a Bounds line (in declaration order), which is what
-    lets parse_lp rebuild the exact model."""
+    lets parse_lp rebuild the exact model.  Every term is written as a
+    number, a space and a name, the number signed by "+ " or "- "
+    after the first term."""
     nums = _Numbers()
 
     def num(f):
-        return nums[f.numerator, f.denominator][0]
+        return (nums.get(id(f)) or nums.spell(f))[0]
 
     out = ["Minimize", f" obj: {_terms_str(m.objective, nums)}", "Subject To"]
     for c in m.linear_constraints:
@@ -345,26 +352,31 @@ def write_lp(m: MipModel, path=None) -> str:
 
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM_RE = re.compile(_NUM)
 # a term and the whitespace after it, or else any one character: every
 # match starts where the last one ended, so the terms tile the text
 _TERM_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)\s*|[\s\S]")
-_SENSE_RE = re.compile(r"(<=|>=|=)")
 _BOUND_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
 _BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
 
 
 class _Tokens(dict):
     """to_fraction of each distinct numeric token, computed once (one
-    per parse_lp call); a term's key is its (sign, digits) pair."""
+    per parse_lp call).  A term's key is its (sign, digits) pair, with
+    digits None for no number; a pair whose digits are not a whole
+    match of _NUM maps to None."""
 
     def __missing__(self, key):
         if isinstance(key, str):
             got = to_fraction(key)
         else:
             sign, num = key
-            got = to_fraction(num) if num else ONE
-            if sign == "-":
-                got = -got
+            if num is not None and not _NUM_RE.fullmatch(num):
+                got = None
+            else:
+                got = to_fraction(num) if num else ONE
+                if sign == "-":
+                    got = -got
         self[key] = got
         return got
 
@@ -372,7 +384,34 @@ class _Tokens(dict):
 def _parse_terms(text: str, tokens: _Tokens):
     """Terms (an optional sign, an optional number and a name, each
     followed by optional whitespace) from the start of text.  Where no
-    term starts, only whitespace may follow."""
+    term starts, only whitespace may follow.
+
+    Text whose whitespace-separated tokens are whole terms of a sign
+    (+ or -), a number (a whole match of _NUM) and a name, in that order
+    with either or both of the first two left out, is read token by
+    token: a name is a token for which isidentifier and isascii hold,
+    which is exactly [A-Za-z_][A-Za-z0-9_]*, and a term's coefficient is
+    tokens[sign, number], which checks and converts each distinct pair
+    once.  str.split and the regex \\s split on the same characters.
+    Any other text, such as a term glued to its number (3x) or to its
+    sign (+-3 x), or an error, goes through the _TERM_RE loop."""
+    terms = []
+    sign = coef = None
+    for tok in text.split():
+        if tok.isidentifier() and tok.isascii():
+            terms.append((tok, tokens[sign, None] if coef is None else coef))
+            sign = coef = None
+        elif coef is not None:
+            break
+        elif tok == "+" or tok == "-":
+            if sign is not None:
+                break
+            sign = tok
+        elif (coef := tokens[sign, tok]) is None:
+            break
+    else:
+        if sign is None and coef is None:
+            return tuple(terms)
     terms = []
     for mm in _TERM_RE.finditer(text):
         sign, num, name = mm.groups()
@@ -398,32 +437,28 @@ def parse_lp(text: str) -> MipModel:
     headers = {"minimize": "obj", "subject to": "cons", "bounds": "bounds",
                "generals": "gen", "binaries": "bin", "end": "end",
                "st": "cons", "st.": "cons", "s.t.": "cons"}
+    longest = max(map(len, headers))  # lower() never shortens a line
     pending_obj = []
     tokens = _Tokens()
     for raw in text.splitlines():
-        line = raw.split("\\")[0].strip()
+        line = raw.partition("\\")[0].strip()
         if not line:
             continue
-        low = line.lower()
-        if low in headers:
-            section = headers[low]
+        if len(line) <= longest and line.lower() in headers:
+            section = headers[line.lower()]
             continue
-        if section == "obj":
-            body = line.split(":", 1)[1].strip() if ":" in line else line
-            if body:  # a bare name line ("obj:") adds no terms
-                pending_obj.append(body)
-        elif section == "cons":
-            if ":" not in line:
+        if section == "cons":
+            name, colon, body = line.partition(":")
+            if not colon:
                 raise ConfigError(f"constraint line without a name: {line!r}")
-            name, body = line.split(":", 1)
-            sm = list(_SENSE_RE.finditer(body))
-            if not sm:
+            # the last "=" ends the last of the senses <=, >= and =
+            at = body.rfind("=")
+            if at < 0:
                 raise ConfigError(f"constraint {name.strip()!r} has no sense")
-            sense = sm[-1].group(1)
-            lhs, rhs = body[: sm[-1].start()], body[sm[-1].end():]
+            start = at - 1 if at and body[at - 1] in "<>" else at
             constraints.append(Constraint(
-                name.strip(), _parse_terms(lhs.strip(), tokens), sense,
-                tokens[rhs.strip()]))
+                name.strip(), _parse_terms(body[:start].strip(), tokens),
+                body[start:at + 1], tokens[body[at + 1:].strip()]))
         elif section == "bounds":
             mm = _BOUND_BOTH.match(line)
             if mm:
@@ -441,6 +476,10 @@ def parse_lp(text: str) -> MipModel:
                 bounds.append((name, tokens[num], None))
             else:
                 bounds.append((name, None, tokens[num]))
+        elif section == "obj":
+            body = line.split(":", 1)[1].strip() if ":" in line else line
+            if body:  # a bare name line ("obj:") adds no terms
+                pending_obj.append(body)
         elif section == "gen":
             generals.update(line.split())
         elif section == "bin":
@@ -452,9 +491,8 @@ def parse_lp(text: str) -> MipModel:
     if pending_obj:
         objective = _parse_terms(" ".join(pending_obj), tokens)
     seen = [b[0] for b in bounds]
-    mentioned = {n for n, _ in objective}
-    for c in constraints:
-        mentioned.update(n for n, _ in c.terms)
+    mentioned = {n for c in constraints for n, _ in c.terms}
+    mentioned.update(n for n, _ in objective)
     missing = sorted(mentioned - set(seen))
     order = seen + missing
     variables = []
@@ -476,14 +514,15 @@ def parse_lp(text: str) -> MipModel:
 def read_solution(text: str) -> dict:
     """Solution files are whitespace-separated name value pairs, one
     per line; blank lines and lines starting with # are skipped.  A name
-    given twice is an error."""
+    given twice is an error.  Each distinct value string is converted
+    once, and names with equal strings share one Fraction."""
     out = {}
     line_of = {}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise VerifyError(f"solution line {lineno}: expected 'name value', "
                               f"got {raw!r}")
@@ -492,10 +531,13 @@ def read_solution(text: str) -> dict:
             raise VerifyError(f"solution line {lineno}: {name} is already given "
                               f"on line {line_of[name]}")
         line_of[name] = lineno
-        try:
-            out[name] = to_fraction(val)
-        except Exception:
-            raise VerifyError(f"solution line {lineno}: bad value {val!r}") from None
+        x = values.get(val)
+        if x is None:
+            try:
+                x = values[val] = to_fraction(val)
+            except Exception:
+                raise VerifyError(f"solution line {lineno}: bad value {val!r}") from None
+        out[name] = x
     return out
 
 
@@ -621,31 +663,25 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
     return out
 
 
-def _over_lcm(keys, den: int = 1) -> tuple[int, dict]:
-    """The lcm L of den and of every key's denominator, and each
-    (numerator, denominator) key's value as an integer over L.  Keying
-    by the integer pair avoids Fraction.__hash__, which costs a modular
+def _over_lcm(numbers: dict, den: int = 1) -> tuple[int, dict]:
+    """The lcm L of den and of the denominators of numbers (id -> number
+    object, each kept alive by the caller), and each number's value as
+    an integer over L, by the same id.  Keying by id reads each distinct
+    object's numerator and denominator, Python-level properties of
+    Fraction, once, and avoids Fraction.__hash__, which costs a modular
     inverse per call."""
-    den = math.lcm(den, *{d for _, d in keys})
-    return den, {k: k[0] * (den // k[1]) for k in keys}
-
-
-def _scaled_values(vals: dict, den: int = 1, more=()) -> tuple[int, dict, dict]:
-    """V, each name's value in vals as an integer over V, and each
-    (numerator, denominator) key of vals and more over V; V is the lcm
-    of den and of all their denominators."""
-    keys = {name: (x.numerator, x.denominator) for name, x in vals.items()}
-    V, over_v = _over_lcm(set(keys.values()).union(more), den)
-    return V, {name: over_v[k] for name, k in keys.items()}, over_v
+    pairs = [(i, x.numerator, x.denominator) for i, x in numbers.items()]
+    den = math.lcm(den, *{d for _, _, d in pairs})
+    return den, {i: n * (den // d) for i, n, d in pairs}
 
 
 def model_objective_value(m: MipModel, assignment: dict) -> Fraction:
     """The objective at assignment, summed in integers: values over V,
     coefficients over C (the lcm of their denominators)."""
-    V, xs, _ = _scaled_values({name: to_fraction(assignment[name])
-                               for name, _ in m.objective})
-    C, over_c = _over_lcm({(k.numerator, k.denominator) for _, k in m.objective})
-    total = sum(over_c[k.numerator, k.denominator] * xs[name] for name, k in m.objective)
+    vals = {name: to_fraction(assignment[name]) for name, _ in m.objective}
+    V, over_v = _over_lcm({id(x): x for x in vals.values()})
+    C, over_c = _over_lcm({id(k): k for _, k in m.objective})
+    total = sum(over_c[id(k)] * over_v[id(vals[name])] for name, k in m.objective)
     return Fraction(total, C * V)
 
 
@@ -656,31 +692,35 @@ def _violations(m: MipModel, vals: dict) -> list[str]:
     All comparisons are of integers: values and bounds over V (the lcm
     of their denominators and of TOL's), coefficients and right-hand
     sides over C (the lcm of theirs), so TOL is exactly the integer
-    V / 10**6 for a bound or an integer and V * C / 10**6 for a row."""
-    bounds = {(b.numerator, b.denominator) for v in m.variables
-              for b in (v.lower, v.upper) if b is not None}
-    V, xs, over_v = _scaled_values(vals, TOL.denominator, bounds)
+    V / 10**6 for a bound or an integer and V * C / 10**6 for a row.
+    Each distinct number object is scaled once (_over_lcm), and a term
+    looks its coefficient up by id."""
+    numbers = {id(x): x for x in vals.values()}
+    numbers.update((id(b), b) for v in m.variables
+                   for b in (v.lower, v.upper) if b is not None)
+    V, over_v = _over_lcm(numbers, TOL.denominator)
+    xs = {name: over_v[id(x)] for name, x in vals.items()}
     tol = V // TOL.denominator
     out = []
     for v in m.variables:
         x = xs[v.name]
         lo, hi = v.lower, v.upper
-        if lo is not None and x < over_v[lo.numerator, lo.denominator] - tol:
+        if lo is not None and x < over_v[id(lo)] - tol:
             out.append(f"bound {v.name} >= {fraction_str(lo)}")
-        if hi is not None and x > over_v[hi.numerator, hi.denominator] + tol:
+        if hi is not None and x > over_v[id(hi)] + tol:
             out.append(f"bound {v.name} <= {fraction_str(hi)}")
         if v.kind in ("binary", "integer"):
             r = x % V               # x's fractional part, over V
             if min(r, V - r) > tol:
                 out.append(f"integrality {v.name} = {float(vals[v.name])}")
     rows = m.linear_constraints
-    numbers = {(k.numerator, k.denominator) for c in rows for _, k in c.terms}
-    numbers.update((c.rhs.numerator, c.rhs.denominator) for c in rows)
+    numbers = {id(k): k for c in rows for _, k in c.terms}
+    numbers.update((id(c.rhs), c.rhs) for c in rows)
     C, over_c = _over_lcm(numbers)
     tol *= C
     for c in rows:
-        lhs = sum(over_c[k.numerator, k.denominator] * xs[name] for name, k in c.terms)
-        rhs = over_c[c.rhs.numerator, c.rhs.denominator] * V
+        lhs = sum(over_c[id(k)] * xs[name] for name, k in c.terms)
+        rhs = over_c[id(c.rhs)] * V
         ok = (lhs <= rhs + tol if c.sense == "<=" else
               lhs >= rhs - tol if c.sense == ">=" else
               abs(lhs - rhs) <= tol)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,18 @@ def test_load_domains_from_file(tmp_path):
     s = load_domains(p, ("a", "b"))
     assert s.p == 2
     assert Fraction(90) in set(s.domains[0].values)
+
+
+def test_load_domains_file_that_is_not_utf8(tmp_path):
+    # the start of an executable: 0x80 after an ELF header is no UTF-8
+    p = tmp_path / "binary"
+    p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    with pytest.raises(DomainError, match=re.escape(
+            f"cannot read {p}: not UTF-8 text (invalid start byte)")):
+        load_domains(p, ["a"])
+    with pytest.raises(UnicodeDecodeError):  # a stream's reader reports it
+        load_domains(io.TextIOWrapper(io.BytesIO(p.read_bytes()), encoding="utf-8"),
+                     ["a"])
 
 
 def test_load_domains_requires_coverage():

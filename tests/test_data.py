@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,17 @@ def test_load_csv_recognizes_existing_intercept(tmp_path):
 def test_load_csv_missing_file():
     with pytest.raises(FileNotFoundError):
         load_csv("/no/such/file.csv")
+
+
+def test_load_csv_file_that_is_not_utf8(tmp_path):
+    # the start of an executable: 0x80 after an ELF header is no UTF-8
+    p = tmp_path / "binary"
+    p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    with pytest.raises(DataError, match=re.escape(
+            f"cannot read {p}: not UTF-8 text (invalid start byte)")):
+        load_csv(p)
+    with pytest.raises(UnicodeDecodeError):  # a stream's reader reports it
+        load_csv(io.TextIOWrapper(io.BytesIO(p.read_bytes()), encoding="utf-8"))
 
 
 def test_load_csv_ragged_row(tmp_path):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scoresys import mipmodel
 from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               explicit_values, uniform)
 from scoresys.data import Dataset
@@ -143,21 +144,38 @@ def test_unknown_variant():
         build_model(d, s, _resolved(d, s), variant="fancy")
 
 
-def test_lp_round_trip_identity():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lp_round_trip_identity(variant):
     rng = np.random.default_rng(5)
     for trial in range(12):
         n = int(rng.integers(2, 8))
         p = int(rng.integers(1, 4))
         d = rand_dataset(rng, n, p)
-        doms = [bounded_integers(int(rng.integers(1, 4))) if rng.random() < 0.5
-                else explicit_values([0, 1, -2, 5]) for _ in range(p)]
-        s = CoefficientSet(domains=tuple(doms))
-        cfg = _resolved(d, s, c0=Fraction(1, 100), c1=Fraction(1, 10**6))
-        m = build_model(d, s, cfg)
+        if variant == "pilm":
+            s = _tiered_set(p)
+            cfg = _resolved(d, s, c0=Fraction(1, 100))
+        else:
+            doms = [bounded_integers(int(rng.integers(1, 4))) if rng.random() < 0.5
+                    else explicit_values([0, 1, -2, 5]) for _ in range(p)]
+            s = CoefficientSet(domains=tuple(doms))
+            w = ({"w_pos": Fraction(2), "w_neg": Fraction(1, 3)}
+                 if variant == "weighted" else {})
+            cfg = _resolved(d, s, c0=Fraction(1, 100), c1=Fraction(1, 10**6), **w)
+        m = build_model(d, s, cfg, variant)
         text = write_lp(m)
         back = parse_lp(text)
         assert back == m, trial
         assert write_lp(back) == text  # byte-stable
+        assert parse_lp(text.replace("\n", "\r\n")) == m, trial
+        assert parse_lp(_doubled_spaces(text)) == m, trial
+
+
+def _doubled_spaces(text):
+    """text with every space of the objective and constraint lines doubled."""
+    lines = text.split("\n")
+    end = lines.index("Bounds")
+    return "\n".join(ln.replace(" ", "  ") if k < end and ln.startswith(" ") else ln
+                     for k, ln in enumerate(lines))
 
 
 def test_lp_writer_is_deterministic():
@@ -222,18 +240,48 @@ def _reference_parse_terms(text, tokens):
     return tuple(terms)
 
 
-def test_term_tokenizer_matches_loop_reference():
-    """Same terms, or the same error, on random strings over the
-    characters of the term grammar and a few outside it."""
+class _CountingTermRe:
+    """Stands in for mipmodel._TERM_RE and keeps each text that reaches it."""
+
+    def __init__(self, regex):
+        self.regex, self.texts = regex, set()
+
+    def finditer(self, text):
+        self.texts.add(text)
+        return self.regex.finditer(text)
+
+
+# the form write_lp writes, other forms the split path reads and forms
+# only the _TERM_RE loop reads or rejects
+_SPLIT_FORMS = ("2 x + 3 y - 0.5 z", "-2 x - 1 y + 0.0003333333333333333 z_0",
+                "x + y", "- x", "-3 x", "+3 x", "+ -3 x", "- -3 x", "- +3 x",
+                "2e5 x", "2E-5 x - .5 y + 5. z", "3 e x", "x y", "\t2\tx\t+ 3  y",
+                "2 x\t+\t3 y", "x\u00a0+\u2003y", "\u0663 x", "- \u0663.5 x", "")
+_FALLBACK_FORMS = ("3x", "+3x", "3x + 2y", "+-3 x", "-+3 x", "- -3x", "3e x", "3e5x",
+                   "3ex", "2 x + 3", "x +", "3", "+", "+ - x", "3 4 x", "x * y",
+                   "\u00e9 x", "2 \u00e9", "x \u0394", "\u0663x", "2 x\t+ 3y")
+
+
+def test_term_tokenizer_matches_loop_reference(monkeypatch):
+    """Same terms, or the same error, as one match per term: on the
+    forms above and on random strings over the characters of the term
+    grammar and a few outside it.  The split path reads every form it
+    accepts and leaves the rest to the _TERM_RE loop."""
+    counting = _CountingTermRe(mipmodel._TERM_RE)
+    monkeypatch.setattr(mipmodel, "_TERM_RE", counting)
     rng = np.random.default_rng(19)
-    chars = list(" \t+-.0123eE_xz!")
+    chars = list(" \t+-.0123eE_xz!\u0663\u00e9")
+    randoms = ["".join(rng.choice(chars, size=int(rng.integers(0, 14))))
+               for _ in range(4000)]
     outcomes = set()
-    for _ in range(4000):
-        text = "".join(rng.choice(chars, size=int(rng.integers(0, 14))))
+    for text in _SPLIT_FORMS + _FALLBACK_FORMS + tuple(randoms):
         got = _parsed_or_error(_parse_terms, text)
         assert got == _parsed_or_error(_reference_parse_terms, text), repr(text)
         outcomes.add(type(got))
     assert outcomes == {tuple, str}
+    assert not counting.texts & set(_SPLIT_FORMS)
+    assert set(_FALLBACK_FORMS) <= counting.texts
+    assert 0 < len(counting.texts & set(randoms)) < len(set(randoms))
 
 
 def _parsed_or_error(parse, text):
