@@ -256,7 +256,8 @@ class CompiledInstance:
     at denominator pen_den, so any two objective values compare as
     plain integers.  Rows twin_a[q] and twin_b[q] have opposite
     vectors, so their margins are m and -m: every lam loses at least
-    one of them and pays at least twin_cost[q], the smaller cost.
+    one of them and pays at least twin_cost[q], the smaller cost
+    (priced_costs).
 
     The integer widths are decided before any array is built, from two
     exact bounds (the largest |margin| and the largest objective) and
@@ -270,12 +271,14 @@ class CompiledInstance:
     int64's bytes.  Otherwise every array holds Python ints and
     margin_dtype is object.
 
-    lost_cost and twin_loss sum int64 costs by a BLAS dot product in
+    lost_cost and lost_costs sum int64 costs by a BLAS product in
     sum_dtype, the narrowest float that holds every subset sum of the
     costs exactly (cost_sum_dtype): float32 while cost.sum() < 2**24,
     float64 while it is < 2**53.  Class weights are positive, so every
-    cost is nonnegative.  Larger sums, and Python-int costs, are summed
-    by an integer einsum and sum_dtype is None.
+    cost is nonnegative, and so is every twin-priced cost, which is at
+    most the plain one; each column's subset sums are then at most
+    cost.sum() too.  Larger sums, and Python-int costs, are summed by
+    an integer einsum and sum_dtype is None.
     """
 
     def __init__(self, d: Dataset, s: CoefficientSet, cfg: TrainConfig):
@@ -354,10 +357,7 @@ class CompiledInstance:
         self.twin_a, self.twin_b = twin_a, twin_b
         self.twin_cost = np.minimum(merged[twin_a], merged[twin_b])
         self.sum_dtype = cost_sum_dtype(int(merged.sum())) if self.int64_ok else None
-        self.cost_f = self.twin_cost_f = None
-        if self.sum_dtype is not None:
-            self.cost_f = merged.astype(self.sum_dtype)
-            self.twin_cost_f = self.twin_cost.astype(self.sum_dtype)
+        self.cost_f = None if self.sum_dtype is None else merged.astype(self.sum_dtype)
         self.zero_index = [int(np.nonzero(v == 0)[0][0]) for v in vi]
         self.values = dom_vals  # Fractions, aligned with vi/pen/l1i
 
@@ -373,22 +373,36 @@ class CompiledInstance:
             return np.einsum("...r,r->...", lost, self.cost)
         return np.dot(lost, self.cost_f).astype(np.int64)
 
-    def twin_loss(self, dead):
-        """Cost (pen_den scale) of the cheaper row of each twin pair
-        with neither row marked in dead (rows along the last axis)."""
-        if not len(self.twin_a):
-            return 0
-        live = ~(dead[..., self.twin_a] | dead[..., self.twin_b])
-        if self.sum_dtype is None:
-            return np.einsum("...q,q->...", live, self.twin_cost)
-        return np.dot(live, self.twin_cost_f).astype(np.int64)
+    def cost_columns(self, costs):
+        """Cost vectors (rows along the last axis, each cost nonnegative
+        and at most cost) as the columns of rows x m blocks for
+        lost_costs, costs being (..., m, rows): Fortran-ordered in
+        sum_dtype when the costs are summed by a float product."""
+        dtype = self.cost.dtype if self.sum_dtype is None else self.sum_dtype
+        return np.asarray(costs, dtype=dtype).swapaxes(-1, -2)
 
-    def sure_loss(self, dead):
-        """Least loss (pen_den scale) of any lam that loses every row
-        marked in dead (rows along the last axis): the cost of those
-        rows, plus the cheaper row of each twin pair with neither row
-        marked.  With dead = margins <= 0 it equals loss(margins)."""
-        return self.lost_cost(dead) + self.twin_loss(dead)
+    def lost_costs(self, lost, columns):
+        """Each column's cost (pen_den scale) of the rows marked in lost
+        (rows along the last axis), for a block from cost_columns."""
+        if self.sum_dtype is None:
+            return np.einsum("...r,rc->...c", lost, columns)
+        return np.dot(lost, columns).astype(np.int64)
+
+    def priced_costs(self, moving):
+        """Row costs with the twin pairs marked in moving (pairs along
+        the last axis) priced up front: (credit, cost), one row of cost
+        per row of moving.  credit sums those pairs' twin_cost, and cost
+        takes twin_cost off both rows of each, so credit plus the cost
+        of the rows a lam loses is at most its loss (it loses a row of
+        every pair).  For a set of rows in which no marked pair has both
+        rows and every other pair has one, credit plus their cost is
+        their plain cost plus the cheaper row of each pair with neither
+        row in the set."""
+        tc = np.where(moving, self.twin_cost, 0)
+        cost = np.broadcast_to(self.cost, tc.shape[:-1] + self.cost.shape).copy()
+        cost[..., self.twin_a] -= tc
+        cost[..., self.twin_b] -= tc
+        return tc.sum(axis=-1), cost
 
     def value_losses(self, j: int, base):
         """loss(base + b_cols[j] * v) for every value v of domain j, in

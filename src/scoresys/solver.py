@@ -7,7 +7,12 @@ rows that no completion can rescue show up near the root, and tries
 small |value| first.  It prunes with an admissible bound: penalties
 already committed, the least penalty each remaining coefficient must
 add, the loss of rows no completion can rescue, and the cheaper row of
-each opposite pair neither of which is lost yet.  Below a node, every
+each opposite (twin) pair whose margins the free coefficients can still
+move; each level prices those pairs up front, into its penalties and
+its row costs, so one product of the lost rows with two cost columns
+gives both the bounds and the losses of the all-zero completions.
+Before the search, coordinate descent seeds the incumbent from a list
+of starts, descended side by side in batches.  Below a node, every
 completion but the all-zero one pays at least one more nonzero
 penalty; when that alone prunes, the all-zero completion is scored
 exactly instead of searched.  Objective ties resolve
@@ -43,7 +48,13 @@ INF = float("inf")
 # 5 x 74 blocks (-2..2), every 0.6 ms on breastcancer's 5 x 683 (int16
 # margins), and after every block of 131072 cells or more, so a block
 # as large as 201 values x 20000 rows (tens of ms, its first use
-# included) never runs twice past the deadline
+# included) never runs twice past the deadline.  Seeding descends as
+# many starts side by side as keep one level step's block (starts x
+# the most values of a level x rows) within it, and at least one, and
+# reads the clock before each step: a batch holds up to 590 starts on
+# mammo under +-1, 38 on breastcancer under {0, +-1, +-10} and 14 on
+# rows under +-1 (more than each has), and one under -100..100 on 683
+# rows or more
 WORK_QUANTUM = 1 << 17
 # a coordinate with at least this many values is scored by
 # CompiledInstance.value_losses, not by a block.  Per call on random
@@ -174,9 +185,12 @@ class SearchState:
 def lower_bound_of(state: SearchState, cfg: TrainConfig) -> Fraction:
     """Admissible bound, the one the search computes for each node:
     penalties of the fixed coordinates, the least penalty of each free
-    one, and CompiledInstance.sure_loss of the rows whose whole margin
-    interval is <= 0.  No completion of the state can cost less; a fully fixed
-    state gives evaluate()'s total exactly."""
+    one, and the cost of the rows whose whole margin interval is <= 0,
+    with the twin pairs whose interval is wider than a point priced up
+    front (CompiledInstance.priced_costs): such a pair never has both
+    rows' intervals <= 0, and any other pair has one.  No completion of
+    the state can cost less; a fully fixed state gives evaluate()'s
+    total exactly."""
     ci = state.instance
     if cfg != ci.cfg:
         raise ConfigError("state was compiled under a different config")
@@ -184,8 +198,9 @@ def lower_bound_of(state: SearchState, cfg: TrainConfig) -> Fraction:
     for j, v in enumerate(state.values):
         pen += int(ci.pen[j].min() if v is None
                    else ci.pen[j][ci.values[j].index(v)])
-    _, hi = state.margin_intervals()
-    return Fraction(pen + int(ci.sure_loss(hi <= 0)), ci.pen_den)
+    lo, hi = state.margin_intervals()
+    credit, cost = ci.priced_costs(lo[ci.twin_a] < hi[ci.twin_a])
+    return Fraction(pen + int(credit) + int(cost[hi <= 0].sum()), ci.pen_den)
 
 
 # --- engine internals ---------------------------------------------------------
@@ -211,7 +226,11 @@ class _Prep:
     index.  Each level's values run small |value| first.  PEN holds a
     level's penalties as an array for block arithmetic, and PENB the
     penalty part of its children's bounds, PEN[t] + sufminpen[t + 1]
-    (the least penalty of the later levels); PENL and L1 hold its
+    (the least penalty of the later levels) plus the twin credit of
+    the pairs the later levels can still move (moving); COST holds its
+    two cost columns for CompiledInstance.lost_costs, the costs with
+    those pairs priced up front and the plain ones; root_bound is the
+    root's bound, priced the same way.  PENL and L1 hold its
     penalties and l1 norms as Python-int lists for the search's
     per-child bookkeeping.  B, VI, zeros_margin and lost_at
     hold margins in ci.margin_dtype, as do the threshold blocks THR
@@ -262,10 +281,27 @@ class _Prep:
             self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
             step = int(pens[1:].min()) - int(pens.min()) if len(pens) > 1 else INF
             self.sufnz[t] = min(self.sufnz[t + 1], step)
-        self.PENB = [pens + self.sufminpen[t + 1] for t, pens in enumerate(self.PEN)]
+        # row t of credit and priced prices up front the twin pairs that
+        # levels t.. can still move: the root's bound takes row 0, level
+        # t's children row t + 1
+        credit, priced = ci.priced_costs(self.moving(np.array(self.lost_at)))
+        credit = credit.tolist()
+        self.root_bound = (self.sufminpen[0] + credit[0]
+                           + int(priced[0][self.lost_at[0] >= 0].sum()))
+        self.PENB = [pens + (self.sufminpen[t + 1] + credit[t + 1])
+                     for t, pens in enumerate(self.PEN)]
+        self.COST = list(ci.cost_columns(np.stack(
+            [priced[1:], np.broadcast_to(ci.cost, priced[1:].shape)], axis=1)))
         self.THR = [None] * ci.p
         self.thr_bytes = 0
         self.over_cap = [False] * ci.p
+
+    def moving(self, at) -> np.ndarray:
+        """The twin pairs whose margins levels t..p-1 can still move, for
+        at = lost_at[t] (rows along the last axis): those with a row
+        whose entry is nonzero."""
+        ci = self.ci
+        return (at[..., ci.twin_a] != 0) | (at[..., ci.twin_b] != 0)
 
     def thresholds(self, t: int) -> np.ndarray:
         """Level t's threshold block.  With out[k] the margin that value
@@ -292,36 +328,35 @@ class _Prep:
         return thr
 
     def value_losses(self, t: int, base):
-        """Loss of base plus the margins of each value of level t, in
-        level order: from the block for small domains, from
-        CompiledInstance.value_losses for large ones."""
+        """Loss of each row of base (starts x rows of margins) plus the
+        margins of each value of level t, in level order (starts x
+        values): from one comparison with the block for small domains,
+        from CompiledInstance.value_losses per start for large ones."""
         k = len(self.VI[t])
         if k < SWEEP_MIN_VALUES:
-            return self.ci.lost_cost(base <= self.thresholds(t)[-k:])
-        return self.ci.value_losses(self.order[t], base)[self.KIDX[t]]
+            lost = base[:, None, :] <= self.thresholds(t)[-k:]
+            return self.ci.lost_cost(lost.reshape(-1, self.ci.n_rows)).reshape(-1, k)
+        j, kidx = self.order[t], self.KIDX[t]
+        return np.array([self.ci.value_losses(j, b)[kidx] for b in base])
 
     def child_bounds(self, t: int, margin):
         """Bounds of the children of a level-t node whose fixed levels
         give the margins margin, one per value at level t, from one
-        comparison with the level's thresholds.  Returns the bounds as
-        an array, the losses of the children's all-zero completions as
-        a list of Python ints, and the -out rows of the thresholds, from
+        comparison with the level's thresholds and one product of the
+        rows it marks with the level's two cost columns: the twin-priced
+        costs (column 0, whose sums give the bounds) and the plain ones
+        (column 1, whose sums give the losses of the all-zero
+        completions).  Returns the bounds as an array, those losses as a
+        list of Python ints, and the -out rows of the thresholds, from
         which child k's margins are margin - neg_out[k].  The bounds
         leave out the penalties of levels before t; they are the bounds
         of lower_bound_of, which is exact at the last level (there the
-        block is the -out rows alone, and one row of each twin pair is
-        lost, so the twin term is 0)."""
-        ci, k = self.ci, len(self.VI[t])
+        block is the -out rows alone, and no twin pair can move, so the
+        two columns are equal)."""
+        k = len(self.VI[t])
         thr = self.thresholds(t)
-        lost = margin <= thr
-        loss = ci.lost_cost(lost)
-        bounds = self.PENB[t] + loss[:k]
-        if len(ci.twin_a):
-            bounds += ci.twin_loss(lost[:k])
-        return bounds, loss[-k:].tolist(), thr[-k:]
-
-    def root_bound(self) -> int:
-        return self.sufminpen[0] + int(self.ci.sure_loss(self.lost_at[0] >= 0))
+        loss = self.ci.lost_costs(margin <= thr, self.COST[t])
+        return self.PENB[t] + loss[:k, 0], loss[-k:, 1].tolist(), thr[-k:]
 
 
 class _Engine:
@@ -342,7 +377,7 @@ class _Engine:
         self.sink = sink
         self.best = None           # (obj_int, l1_int, korig tuple, nnz)
         self.stop = False
-        self.root_lb = self.lb_floor = prep.root_bound()
+        self.root_lb = self.lb_floor = prep.root_bound
         self.trace: list[TracePoint] = []
         self.last_emit = -INF
         self.nodes = 0
@@ -474,30 +509,42 @@ def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
     return obj, l1
 
 
-def _polish(prep: _Prep, assign: list, deadline: float | None = None) -> list:
-    """Coordinate descent over the compiled arrays; deterministic and
-    strictly improving on (objective, then value-preference indexes),
-    so it terminates.  Past the deadline it stops mid-sweep; every step
-    leaves a valid assignment.  Used only to seed the incumbent."""
-    assign = list(assign)
-    margin = prep.zeros_margin.copy()
-    for t, k in enumerate(assign):
-        margin = margin + prep.VI[t][k] * prep.B[t]
+def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
+    """Coordinate descent over the compiled arrays from each of starts
+    (lists of level value indexes), the starts side by side: each level
+    step scores every value for every start still descending, and
+    moves each start to the first of its least (objective, index)
+    pairs.  Deterministic and strictly improving, so it terminates.  A
+    start stops after a sweep in which it did not move, or after 60
+    sweeps.  Past the deadline every start stops mid-sweep; every step
+    leaves a valid assignment.  Returns the assignments in the order
+    of starts.  Used only to seed the incumbent."""
+    out = np.array(starts, dtype=np.intp)
+    live = np.arange(len(out))
+    assign = out.copy()
+    margin = np.zeros((len(out), prep.ci.n_rows), dtype=prep.zeros_margin.dtype)
+    for t in range(prep.p):
+        margin = margin + prep.VI[t][assign[:, t], None] * prep.B[t]
     for _ in range(60):
-        changed = False
+        moved = np.zeros(len(live), dtype=bool)
         for t in range(prep.p):
             if deadline is not None and time.monotonic() >= deadline:
-                return assign
-            base = margin - prep.VI[t][assign[t]] * prep.B[t]
+                out[live] = assign
+                return out.tolist()
+            vi, b = prep.VI[t], prep.B[t]
+            base = margin - vi[assign[:, t], None] * b
             tot = prep.PEN[t] + prep.value_losses(t, base)
-            k_best = int(np.argmin(tot))  # the first of equal minima
-            if (int(tot[k_best]), k_best) < (int(tot[assign[t]]), assign[t]):
-                assign[t] = k_best
-                margin = base + prep.VI[t][k_best] * prep.B[t]
-                changed = True
-        if not changed:
+            # the first of equal minima: it beats the current value in
+            # the (objective, index) order exactly when it is another
+            best = tot.argmin(axis=1)
+            moved |= best != assign[:, t]
+            assign[:, t] = best
+            margin = base + vi[best, None] * b
+        out[live] = assign
+        live, assign, margin = live[moved], assign[moved], margin[moved]
+        if not len(live):
             break
-    return assign
+    return out.tolist()
 
 
 def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
@@ -515,7 +562,13 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
       descent then grows the strong coefficients, which truncation
       alone cannot do when partial scores sit exactly at zero.
 
-    Past the deadline no new descent starts."""
+    The distinct starts are descended together in batches, in list
+    order, each batch as large as keeps one level step's comparison
+    block (starts x values x rows, for the level with the most values)
+    within WORK_QUANTUM cells, and at least one start; each batch's
+    descents are offered in list order, so the offers are those of
+    descending the starts one at a time.  Past the deadline no new
+    batch starts."""
     ci, p = prep.ci, prep.p
     zero = (0,) * p
     w = tuple(prep.KIDX[t].index(ci.values[j].index(warm[j]))
@@ -530,11 +583,13 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
               for k in range(1, min(9, len(prep.KIDX[t_bias])))]
     for a in (zero, w):
         eng.consider(*_evaluate_assign(prep, a), a)
-    for a in dict.fromkeys([w, *truncations, zero, *biases]):
+    starts = list(dict.fromkeys([w, *truncations, zero, *biases]))
+    size = max(1, WORK_QUANTUM // (max(map(len, prep.VI)) * ci.n_rows))
+    for i in range(0, len(starts), size):
         if deadline is not None and time.monotonic() >= deadline:
             return
-        a = _polish(prep, a, deadline)
-        eng.consider(*_evaluate_assign(prep, a), a)
+        for a in _polish(prep, starts[i:i + size], deadline):
+            eng.consider(*_evaluate_assign(prep, a), a)
 
 
 def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,

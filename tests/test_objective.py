@@ -446,8 +446,10 @@ def test_cost_sum_dtype_at_the_mantissa_edges(total, want):
     ("object", 50, 10**18, None),
 ])
 def test_lost_cost_and_twin_loss_are_exact_on_every_path(path, c0_den, scale, dtype):
-    """lost_cost and twin_loss equal Python-int sums over random bool
-    blocks, 1-D and 2-D, whichever way the instance sums its costs."""
+    """lost_cost, and lost_costs over the twin-priced and the plain
+    cost columns, equal Python-int sums over random bool blocks, 1-D
+    and 2-D, for random sets of priced twin pairs, whichever way the
+    instance sums its costs."""
     rng = np.random.default_rng(149)
     n, p = 30, 3
     s = uniform(bounded_integers(3), p)
@@ -467,11 +469,21 @@ def test_lost_cost_and_twin_loss_are_exact_on_every_path(path, c0_den, scale, dt
             lost = rng.random((k, ci.n_rows)) < rng.random((k, 1))
             lost[0] = True
             want = [sum(c for c, m in zip(cost, row) if m) for row in lost.tolist()]
-            want_twin = [sum(c for c, (a, b) in zip(tc, pairs) if not (row[a] or row[b]))
-                         for row in lost.tolist()]
             assert ci.lost_cost(lost).tolist() == want, trial
             assert int(ci.lost_cost(lost[-1])) == want[-1], trial
-            if pairs:
-                assert ci.twin_loss(lost).tolist() == want_twin, trial
-                assert int(ci.twin_loss(lost[-1])) == want_twin[-1], trial
+            moving = rng.random(len(pairs)) < rng.random()
+            priced = list(cost)
+            for q, (a, b) in enumerate(pairs):
+                if moving[q]:
+                    priced[a] -= tc[q]
+                    priced[b] -= tc[q]
+            credit, got = ci.priced_costs(moving)
+            assert credit == sum(c for c, m in zip(tc, moving) if m), trial
+            assert got.tolist() == priced and min(priced) >= 0, trial
+            block = ci.cost_columns([got, ci.cost])
+            want_priced = [sum(c for c, m in zip(priced, row) if m)
+                           for row in lost.tolist()]
+            assert ci.lost_costs(lost, block).tolist() == \
+                [list(w) for w in zip(want_priced, want)], trial
+            assert ci.lost_costs(lost[-1], block).tolist() == [want_priced[-1], want[-1]]
     assert twins > 0

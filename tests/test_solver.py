@@ -198,6 +198,35 @@ def test_lower_bound_admissible():
 
 
 
+def test_twin_pair_no_completion_moves_loses_both_rows():
+    """Rows a = (1, 0) with y = +1 and b = (1, 0) with y = -1 are twins
+    that only f0 moves; c = (0, 1) with y = +1 appears twice.  With f0
+    fixed to 0 the pair sits at margin 0 whatever f1 is, so both of its
+    rows are lost: the bound charges both in full, 1/4 + 1/4, where
+    pricing the pair as one that can move would charge 1/4.  f0 is
+    the first level, so the search's bound of that child is the same."""
+    from scoresys.objective import CompiledInstance
+    from scoresys.solver import _Prep
+    d = Dataset(x=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+                y=np.array([1, -1, 1, 1]), feature_names=("f0", "f1"))
+    s = uniform(bounded_integers(1), 2)
+    cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
+    ci = CompiledInstance(d, s, cfg)
+    assert (ci.n_rows, len(ci.twin_a)) == (3, 1)
+    assert lower_bound_of(SearchState(ci, (0, None)), cfg) == Fraction(1, 2)
+    assert lower_bound_of(SearchState(ci, (None, None)), cfg) == Fraction(1, 4)
+    pr = _Prep(ci)
+    assert pr.order == [0, 1] and pr.KIDX[0][0] == ci.zero_index[0]
+    assert pr.moving(pr.lost_at[0]).tolist() == [True]
+    assert pr.moving(pr.lost_at[1]).tolist() == [False]
+    bounds, zloss, _ = pr.child_bounds(0, pr.zeros_margin)
+    assert Fraction(int(bounds[0]), ci.pen_den) == Fraction(1, 2)
+    assert Fraction(zloss[0], ci.pen_den) == 1
+    res = solve(d, s, cfg)
+    assert res.status == OPTIMAL
+    assert res.objective.total == brute_solve(d, s, cfg)[0]
+
+
 _TIERS = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
           Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})),
           Tier(Fraction(7, 100), frozenset({Fraction(2), Fraction(-2)})))
@@ -774,9 +803,10 @@ def test_snap_matches_the_linear_scan():
 
 def _polish_reference(prep, assign):
     """Coordinate descent scoring each value on its own and taking the
-    first of the least (objective, index) pairs."""
+    first of the least (objective, index) pairs; returns the assignment
+    and the number of sweeps it took."""
     assign = list(assign)
-    for _ in range(60):
+    for sweeps in range(1, 61):
         changed = False
         for t in range(prep.p):
             base = prep.zeros_margin
@@ -791,19 +821,22 @@ def _polish_reference(prep, assign):
                 changed = True
         if not changed:
             break
-    return assign
+    return assign, sweeps
 
 
 @pytest.mark.parametrize("scale", [1, 10**18])
 def test_polish_is_the_same_with_either_kernel(monkeypatch, scale):
     # the sweep and the block score a coordinate's values alike, so
-    # coordinate descent takes the same steps from any start
+    # coordinate descent takes the same steps from any start; a batch
+    # of starts that converge after different numbers of sweeps
+    # descends each start as it would alone
     from scoresys import solver
     from scoresys.objective import CompiledInstance
     rng = np.random.default_rng(79)
     doms = [bounded_integers(1), bounded_integers(20), bounded_integers(100),
             explicit_values([0, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
                              Fraction(-3, 2), 7, -7])]
+    mixed = 0
     for trial in range(25):
         n, p = int(rng.integers(3, 80)), int(rng.integers(1, 5))
         d = rand_dup_dataset(rng, n, p, lo=-4, hi=4, scale=scale)
@@ -813,14 +846,18 @@ def test_polish_is_the_same_with_either_kernel(monkeypatch, scale):
         assert prep.ci.int64_ok == (scale == 1)
         starts = [[int(rng.integers(len(prep.VI[t]))) for t in range(p)]
                   for _ in range(4)]
+        want, sweeps = zip(*(_polish_reference(prep, a) for a in starts))
+        mixed += len(set(sweeps)) > 1
         got = {}
         for kernel, least in (("block", 10**9), ("sweep", 0)):
             monkeypatch.setattr(solver, "SWEEP_MIN_VALUES", least)
-            got[kernel] = [solver._polish(prep, a) for a in starts]
+            got[kernel] = solver._polish(prep, starts)
+            assert [solver._polish(prep, [a])[0] for a in starts] == got[kernel], trial
         assert got["block"] == got["sweep"], trial
-        assert got["sweep"] == [_polish_reference(prep, a) for a in starts], trial
+        assert got["sweep"] == list(want), trial
         # past its deadline a descent takes no step
-        assert [solver._polish(prep, a, time.monotonic() - 1) for a in starts] == starts
+        assert solver._polish(prep, starts, time.monotonic() - 1) == starts
+    assert mixed >= 10, mixed
 
 
 def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
@@ -835,7 +872,7 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     eng = solver._Engine(prep, cfg, time.monotonic(), None)
     descents = []
     monkeypatch.setattr(solver, "_polish",
-                        lambda prep, a, deadline=None: descents.append(a) or a)
+                        lambda prep, batch, deadline=None: descents.extend(batch) or batch)
     warm = warm_start(d, s)
     solver._seed_incumbent(prep, eng, warm, time.monotonic() - 1)
     assert descents == []
@@ -847,7 +884,9 @@ def test_seeding_descends_each_distinct_start_once(monkeypatch):
     # mammo's warm start under +-1 has 5 nonzeros, so its truncations to
     # 6 and 8 coordinates are the warm start again: the descents run
     # from the warm start, its truncations, the all-zero vector and the
-    # bias-only starts, in that order, each distinct start once
+    # bias-only starts, in that order, each distinct start once; the
+    # 8 x 3 x 74 cells of a step's block fit WORK_QUANTUM, so they
+    # descend in one batch
     from scoresys import solver
     from scoresys.objective import CompiledInstance
     d = load_csv(bench_path("mammo.csv"))
@@ -855,9 +894,14 @@ def test_seeding_descends_each_distinct_start_once(monkeypatch):
     cfg = TrainConfig(c0=Fraction(1, 20)).resolve(d.n, s)
     prep = solver._Prep(CompiledInstance(d, s, cfg))
     eng = solver._Engine(prep, cfg, time.monotonic(), None)
-    descents = []
-    monkeypatch.setattr(solver, "_polish",
-                        lambda prep, a, deadline=None: descents.append(tuple(a)) or a)
+    descents, batches = [], []
+
+    def record(prep, batch, deadline=None):
+        batches.append(len(batch))
+        descents.extend(map(tuple, batch))
+        return batch
+
+    monkeypatch.setattr(solver, "_polish", record)
     warm = warm_start(d, s)
     solver._seed_incumbent(prep, eng, warm, None)
 
@@ -879,11 +923,64 @@ def test_seeding_descends_each_distinct_start_once(monkeypatch):
     assert starts[6] == starts[5] == starts[0]
     assert len(set(descents)) == len(descents) == len(set(starts)) == 8
     assert descents == list(dict.fromkeys(starts))
+    assert batches == [8]
 
 
-def test_budget_covers_seeding_on_a_large_table():
+def _record_batches(monkeypatch, solver) -> list:
+    """Patch solver._polish to record the number of starts of each
+    batch it descends, in the returned list."""
+    polish, batches = solver._polish, []
+
+    def record(prep, batch, deadline=None):
+        batches.append(len(batch))
+        return polish(prep, batch, deadline)
+
+    monkeypatch.setattr(solver, "_polish", record)
+    return batches
+
+
+def test_seeding_is_the_same_in_smaller_batches(monkeypatch):
+    """A WORK_QUANTUM that holds the blocks of only a few starts splits
+    the starts into batches of that many, in list order, and the
+    incumbent and the trace values are those of one batch, on mammo and
+    on random tables with twins on the int64 and the object path."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(157)
+    mammo = load_csv(bench_path("mammo.csv"))
+    s = uniform(bounded_integers(1), mammo.p)
+    cases = [(mammo, s, TrainConfig(c0=Fraction(1, 20)).resolve(mammo.n, s))]
+    for trial in range(12):
+        n, p = int(rng.integers(10, 60)), int(rng.integers(3, 6))
+        d = rand_dup_dataset(rng, n, p, scale=10**18 if trial % 2 else 1)
+        s = rand_coefset(rng, p)
+        cases.append((d, s, _cfg(rng, n, s)))
+    quantum, batches = solver.WORK_QUANTUM, _record_batches(monkeypatch, solver)
+    split = 0
+    for d, s, cfg in cases:
+        prep = solver._Prep(CompiledInstance(d, s, cfg))
+        cells = max(map(len, prep.VI)) * prep.ci.n_rows
+        got = []
+        for size in (None, 3, 1):
+            monkeypatch.setattr(solver, "WORK_QUANTUM",
+                                quantum if size is None else size * cells + cells - 1)
+            eng = solver._Engine(prep, cfg, time.monotonic(), None)
+            batches.clear()
+            solver._seed_incumbent(prep, eng, warm_start(d, s), None)
+            if size is not None:
+                assert batches[:-1] == [size] * (len(batches) - 1), batches
+                assert 0 < batches[-1] <= size, batches
+            got.append((eng.best, [(pt.incumbent_objective, pt.incumbent_nnz,
+                                    pt.lower_bound) for pt in eng.trace]))
+        assert got[1] == got[2] == got[0], (d.n, d.p)
+        split += sum(batches) > 3
+    assert split >= 5, split
+
+
+def test_budget_covers_seeding_on_a_large_table(monkeypatch):
     # 20000 distinct rows, 20 columns, -100..100: seeding to the end
     # takes about 6 s on 2 cores, so the deadline must stop it
+    from scoresys import solver
     rng = np.random.default_rng(83)
     n, p, budget = 20000, 20, 0.5
     x = rng.integers(0, 10, size=(n, p)).astype(np.float64)
@@ -892,10 +989,14 @@ def test_budget_covers_seeding_on_a_large_table():
     d = Dataset(x=x, y=y, feature_names=tuple(f"f{j}" for j in range(p)))
     s = uniform(bounded_integers(100), p)
     cfg = TrainConfig(c0=Fraction(1, 500), time_budget_s=budget)
+    # 201 values x 20000 rows pass WORK_QUANTUM: one start per batch
+    batches = _record_batches(monkeypatch, solver)
     t0 = time.monotonic()
     res = solve(d, s, cfg)
     took = time.monotonic() - t0
     assert took <= budget + max(0.5, 0.1 * budget), took
     assert res.status == BUDGET
+    assert res.nodes_explored == 1  # the deadline fell inside seeding
+    assert batches and set(batches) == {1}, batches
     assert res.objective.total == evaluate(d, res.best.coefficients,
                                            cfg.resolve(n, s)).total
