@@ -3,28 +3,25 @@
 Subcommands: train, cv, export-mip, bound, report, verify.  Exit codes:
 0 on success (a solve that exhausts its time budget still succeeds and
 reports its status), 1 on missing, unreadable or non-UTF-8 files or
-any validation/verification failure, 2 on unknown flags (argparse
-prints usage).  train and cv take the solve flags --budget and
---gap-tol, and for them the env var SLIM_BUDGET_S overrides any
---budget value.  cv's --seed (default 0) picks the folds and is always
-printed so runs can be reproduced verbatim; train uses no randomness
-and takes no seed.
+any validation/verification failure, 2 on unknown or abbreviated flags
+(argparse prints usage).  train and cv take the solve flags --budget
+and --gap-tol; cv takes a --c0-grid and no --c0, and only export-mip
+takes the margin --gamma of the MIP's loss rows.  cv's --seed (default
+0) picks the folds and is always printed so runs can be reproduced
+verbatim; train uses no randomness and takes no seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
-from fractions import Fraction
 
 from .bounds import coprime_class_gap, finite_class_gap
 from .coefset import load_domains
 from .data import load_csv
-from .errors import ConfigError, ReportError, ScoresysError
+from .errors import ConfigError, ReportError, ScoresysError, read_file
 from .exactnum import fraction_str, to_fraction
-from .harness import default_c0_grid, frontier_from_report, run_cv, select_c0
+from .harness import frontier_from_report, run_cv, select_c0
 from .mipmodel import build_model, parse_lp, read_solution, verify_solution, write_lp
 from .objective import TrainConfig, default_weights
 from .report import (ScoringSystem, induce_decision_table, parse_label_map,
@@ -45,14 +42,11 @@ def _add_data_flags(sp, *, data_required=True):
                     help="comma-separated categorical columns to expand")
 
 
-def _add_config_flags(sp, *, c0_required=True):
-    if c0_required:
-        sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
+def _add_config_flags(sp):
     sp.add_argument("--c1", default="auto",
                     help="l1 penalty, or 'auto' for the data-derived default")
     sp.add_argument("--weights", default="1,1",
                     help="'auto' or 'W+,W-' class weights (default 1,1)")
-    sp.add_argument("--gamma", default="0.1", help="margin constant for MIP export")
 
 
 def _add_solve_flags(sp):
@@ -62,42 +56,15 @@ def _add_solve_flags(sp):
                     help="relative optimality gap that ends the search early")
 
 
-def _read(path: str, parse):
-    """parse(fh) for the file at path opened as UTF-8 text, with line
-    ends as in the file.  Every file flag is read here: a file that is
-    not UTF-8 text raises ConfigError naming path, and one that cannot
-    be opened raises OSError; main reports either on one line."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return parse(fh)
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"cannot read {path}: not UTF-8 text ({e.reason})") from None
-
-
 def _load_dataset(args):
     one_hot = tuple(c for c in args.one_hot.split(",") if c) if args.one_hot else ()
-    return _read(args.data, lambda fh: load_csv(
-        fh, label_column=args.label, add_intercept=not args.no_intercept,
-        missing_policy=args.missing, one_hot=one_hot))
+    return load_csv(args.data, label_column=args.label, add_intercept=not args.no_intercept,
+                    missing_policy=args.missing, one_hot=one_hot)
 
 
-def _load_coefset(args, d):
-    return _read(args.coefset, lambda fh: load_domains(fh, d.feature_names))
-
-
-def _budget(args) -> float | None:
-    env = os.environ.get("SLIM_BUDGET_S")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            raise ConfigError(f"SLIM_BUDGET_S={env!r} is not a number") from None
-    return args.budget
-
-
-def _config(args, d, *, solving=False) -> TrainConfig:
-    """The command's TrainConfig; with solving, also its time budget
-    and gap tolerance (train and cv)."""
+def _config(args, d, **fields) -> TrainConfig:
+    """The command's TrainConfig from --c1 and --weights, with fields:
+    its c0, and the solve flags (train, cv) or gamma (export-mip)."""
     c1 = None if args.c1 == "auto" else to_fraction(args.c1)
     if args.weights == "auto":
         w_pos, w_neg = default_weights(d.n, d.n_pos)
@@ -106,17 +73,14 @@ def _config(args, d, *, solving=False) -> TrainConfig:
         if len(parts) != 2:
             raise ConfigError(f"--weights takes 'auto' or 'W+,W-', got {args.weights!r}")
         w_pos, w_neg = to_fraction(parts[0]), to_fraction(parts[1])
-    cfg = TrainConfig(c0=to_fraction(args.c0), c1=c1, w_pos=w_pos, w_neg=w_neg,
-                      gamma=to_fraction(args.gamma))
-    if solving:
-        cfg = replace(cfg, time_budget_s=_budget(args), gap_tolerance=args.gap_tol)
-    return cfg
+    return TrainConfig(c1=c1, w_pos=w_pos, w_neg=w_neg, **fields)
 
 
 def _cmd_train(args) -> int:
     d = _load_dataset(args)
-    s = _load_coefset(args, d)
-    cfg = _config(args, d, solving=True)
+    s = load_domains(args.coefset, d.feature_names)
+    cfg = _config(args, d, c0=args.c0, time_budget_s=args.budget,
+                  gap_tolerance=args.gap_tol)
     sink = None
     trace_fh = None
     if args.trace:
@@ -146,8 +110,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     d = _load_dataset(args)
-    s = _load_coefset(args, d)
-    cfg = _config(args, d, solving=True)
+    s = load_domains(args.coefset, d.feature_names)
+    # a template: run_cv sets c0 to each grid value
+    cfg = _config(args, d, c0=0, time_budget_s=args.budget, gap_tolerance=args.gap_tol)
     grid = None
     if args.c0_grid:
         grid = tuple(to_fraction(v) for v in args.c0_grid.split(","))
@@ -175,8 +140,8 @@ def _cmd_cv(args) -> int:
 
 def _cmd_export_mip(args) -> int:
     d = _load_dataset(args)
-    s = _load_coefset(args, d)
-    cfg = _config(args, d)
+    s = load_domains(args.coefset, d.feature_names)
+    cfg = _config(args, d, c0=args.c0, gamma=args.gamma)
     if args.variant == "standard" and args.weights == "auto":
         raise ConfigError("auto weights need --variant weighted")
     m = build_model(d, s, cfg, args.variant)
@@ -203,7 +168,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = _read(args.model, lambda fh: fh.read())
+    text = read_file(args.model, lambda fh: fh.read(), ConfigError)
     try:
         model = ScoringSystem.from_json(text)
     except ReportError as e:
@@ -220,11 +185,11 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    m = _read(args.model, lambda fh: parse_lp(fh.read()))
-    assignment = _read(args.solution, lambda fh: read_solution(fh.read()))
+    m = read_file(args.model, lambda fh: parse_lp(fh.read()), ConfigError)
+    assignment = read_file(args.solution, lambda fh: read_solution(fh.read()), ConfigError)
     d = _load_dataset(args)
-    s = _load_coefset(args, d) if args.coefset else None
-    cfg = _config(args, d)
+    s = load_domains(args.coefset, d.feature_names) if args.coefset else None
+    cfg = _config(args, d, c0=args.c0)
     if cfg.c1 is None:
         if s is None:
             raise ConfigError("--c1 auto needs --coefset to derive the default")
@@ -240,13 +205,17 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="scoresys",
+        prog="scoresys", allow_abbrev=False,
         description="Exact training and reporting of sparse integer scoring systems")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("train", help="solve one training problem")
+    def add(name, summary):  # no flag takes an abbreviation of its name
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    sp = add("train", "solve one training problem")
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True, help="coefficient-set JSON")
+    sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
     _add_config_flags(sp)
     _add_solve_flags(sp)
     sp.add_argument("--jobs", type=int, default=1,
@@ -257,13 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")
     sp.set_defaults(func=_cmd_train)
 
-    sp = sub.add_parser("cv", help="cross-validate over a c0 grid")
+    sp = add("cv", "cross-validate over a c0 grid")
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True)
-    _add_config_flags(sp, c0_required=False)
+    _add_config_flags(sp)
     _add_solve_flags(sp)
-    sp.add_argument("--c0", default="0.01",
-                    help="template c0 (replaced by the grid values)")
     sp.add_argument("--c0-grid", default=None, help="comma-separated c0 values")
     sp.add_argument("--k", type=int, default=5)
     sp.add_argument("--jobs", type=int, default=1)
@@ -272,16 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-json", default=None)
     sp.set_defaults(func=_cmd_cv)
 
-    sp = sub.add_parser("export-mip", help="write the training MIP as an LP file")
+    sp = add("export-mip", "write the training MIP as an LP file")
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True)
+    sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
     _add_config_flags(sp)
+    sp.add_argument("--gamma", default="0.1",
+                    help="margin the loss rows ask of a correct prediction")
     sp.add_argument("--variant", default="standard",
                     choices=["standard", "weighted", "pilm"])
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_export_mip)
 
-    sp = sub.add_parser("bound", help="finite-class generalization bound")
+    sp = add("bound", "finite-class generalization bound")
     sp.add_argument("--theorem", required=True, choices=["1", "2"],
                     help="1: all vectors, 2: coprime directions only")
     sp.add_argument("--lambda", dest="max_coef", type=int, required=True,
@@ -291,19 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.set_defaults(func=_cmd_bound)
 
-    sp = sub.add_parser("report", help="render a trained model")
+    sp = add("report", "render a trained model")
     sp.add_argument("--model", required=True, help="model JSON path")
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")
     sp.add_argument("--decision-table", action="store_true")
     _add_data_flags(sp, data_required=False)
     sp.set_defaults(func=_cmd_report)
 
-    sp = sub.add_parser("verify", help="check an external MIP solution")
+    sp = add("verify", "check an external MIP solution")
     sp.add_argument("--model", required=True, help="LP file")
     sp.add_argument("--solution", required=True, help="name value pairs")
     _add_data_flags(sp)
     sp.add_argument("--coefset", default=None,
                     help="needed only when --c1 auto must be derived")
+    sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
     _add_config_flags(sp)
     sp.set_defaults(func=_cmd_verify)
     return ap

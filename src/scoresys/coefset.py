@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import DomainError
+from .errors import DomainError, read_file
 from .exactnum import fraction_str, to_fraction
 
 ZERO = Fraction(0)
@@ -304,8 +304,7 @@ def load_domains(source, feature_names) -> CoefficientSet:
     is_path = isinstance(source, (str, os.PathLike))
     try:
         if is_path:
-            with open(source, encoding="utf-8") as fh:
-                spec = json.load(fh)
+            spec = read_file(source, json.load, DomainError)
         elif isinstance(source, dict):
             spec = source
         else:
@@ -313,11 +312,6 @@ def load_domains(source, feature_names) -> CoefficientSet:
     except json.JSONDecodeError as e:
         where = os.fspath(source) if is_path else getattr(source, "name", "stream")
         raise DomainError(f"coefficient-set file {where}: malformed JSON: {e}") from None
-    except UnicodeDecodeError as e:
-        if not is_path:
-            raise
-        raise DomainError(f"cannot read {os.fspath(source)}: not UTF-8 text "
-                          f"({e.reason})") from None
     if not isinstance(spec, dict):
         raise DomainError("coefficient-set JSON must be an object")
     unknown = set(spec) - set(feature_names) - {"default"}

@@ -11,14 +11,13 @@ code and cached on the instance.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_file
 from .exactnum import common_denominator, scaled_int, to_fraction
 
 INTERCEPT_NAME = "(Intercept)"
@@ -166,23 +165,10 @@ def load_csv(source, *, label_column: str | None = None, add_intercept: bool = T
     """
     if missing_policy not in ("drop", "impute_mean"):
         raise DataError(f"unknown missing_policy {missing_policy!r}")
-    close_me = None
     if isinstance(source, (str, os.PathLike)):
-        if not os.path.exists(source):
-            raise FileNotFoundError(f"no such file: {source}")
-        close_me = handle = open(source, newline="", encoding="utf-8")
+        rows = read_file(source, lambda fh: list(csv.reader(fh)), DataError)
     else:
-        handle = source
-    try:
-        rows = list(csv.reader(handle))
-    except UnicodeDecodeError as e:
-        if close_me is None:
-            raise
-        raise DataError(f"cannot read {os.fspath(source)}: not UTF-8 text "
-                        f"({e.reason})") from None
-    finally:
-        if close_me:
-            close_me.close()
+        rows = list(csv.reader(source))
     rows = list(compress(rows, map(str.strip, map("".join, rows))))  # drop blank rows
     if len(rows) < 2:
         raise DataError("CSV needs a header row and at least one data row")

@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one way input
+files are opened."""
 
 
 class ScoresysError(Exception):
@@ -30,3 +31,15 @@ class VerifyError(ScoresysError, ValueError):
     def __init__(self, message, violations=()):
         super().__init__(message)
         self.violations = list(violations)
+
+
+def read_file(path, parse, error):
+    """parse(fh) for the file at path opened as UTF-8 text, with line
+    ends as in the file.  A file that is not UTF-8 text raises
+    error(message) naming path; one that cannot be opened raises the
+    OSError of open, which carries the file name."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except UnicodeDecodeError as e:
+        raise error(f"cannot read {path}: not UTF-8 text ({e.reason})") from None

@@ -363,12 +363,12 @@ _BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
 class _Tokens(dict):
     """to_fraction of each distinct numeric token, computed once (one
     per parse_lp call).  A term's key is its (sign, digits) pair, with
-    digits None for no number; a pair whose digits are not a whole
-    match of _NUM maps to None."""
+    digits None for no number; a string key, or a pair's digits, that
+    is not a whole match of _NUM maps to None."""
 
     def __missing__(self, key):
         if isinstance(key, str):
-            got = to_fraction(key)
+            got = to_fraction(key) if _NUM_RE.fullmatch(key) else None
         else:
             sign, num = key
             if num is not None and not _NUM_RE.fullmatch(num):
@@ -456,9 +456,14 @@ def parse_lp(text: str) -> MipModel:
             if at < 0:
                 raise ConfigError(f"constraint {name.strip()!r} has no sense")
             start = at - 1 if at and body[at - 1] in "<>" else at
+            rhs_text = body[at + 1:].strip()
+            rhs = tokens[rhs_text]
+            if rhs is None:
+                raise ConfigError(f"constraint {name.strip()!r}: bad right-hand side "
+                                  f"{rhs_text!r}")
             constraints.append(Constraint(
                 name.strip(), _parse_terms(body[:start].strip(), tokens),
-                body[start:at + 1], tokens[body[at + 1:].strip()]))
+                body[start:at + 1], rhs))
         elif section == "bounds":
             mm = _BOUND_BOTH.match(line)
             if mm:
@@ -514,8 +519,9 @@ def parse_lp(text: str) -> MipModel:
 def read_solution(text: str) -> dict:
     """Solution files are whitespace-separated name value pairs, one
     per line; blank lines and lines starting with # are skipped.  A name
-    given twice is an error.  Each distinct value string is converted
-    once, and names with equal strings share one Fraction."""
+    given twice is an error.  A value is a number as LP files spell
+    them (a whole match of _NUM).  Each distinct value string is
+    converted once, and names with equal strings share one Fraction."""
     out = {}
     line_of = {}
     values = {}
@@ -533,10 +539,9 @@ def read_solution(text: str) -> dict:
         line_of[name] = lineno
         x = values.get(val)
         if x is None:
-            try:
-                x = values[val] = to_fraction(val)
-            except Exception:
-                raise VerifyError(f"solution line {lineno}: bad value {val!r}") from None
+            if not _NUM_RE.fullmatch(val):
+                raise VerifyError(f"solution line {lineno}: bad value {val!r}")
+            x = values[val] = to_fraction(val)
         out[name] = x
     return out
 

@@ -1,11 +1,14 @@
+import argparse
 import io
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scoresys.cli import main
+from scoresys.cli import build_parser, main
 from scoresys.data import load_csv
 from scoresys.exactnum import fraction_str
 from scoresys.mipmodel import complete_assignment, parse_lp
@@ -189,8 +192,8 @@ def test_unknown_command_is_exit_2(capsys):
     assert main([]) == 2
 
 
-def test_budget_env_overrides_flag(tmp_path, small_csv, coefset_one,
-                                   capsys, monkeypatch):
+def test_budget_flag_ends_the_solve(tmp_path, capsys, monkeypatch):
+    # the full solve takes minutes; no environment variable moves --budget
     rng = np.random.default_rng(1)
     rows = [(int(rng.integers(-9, 10)), int(rng.integers(-9, 10)),
              int(rng.integers(-9, 10)), int(rng.integers(-9, 10)),
@@ -198,16 +201,68 @@ def test_budget_env_overrides_flag(tmp_path, small_csv, coefset_one,
     big = write_csv(tmp_path / "big.csv", ("a", "b", "c", "d", "y"), rows)
     wide = tmp_path / "lam50.json"
     wide.write_text(json.dumps({"default": {"type": "integer", "max": 50}}))
-    monkeypatch.setenv("SLIM_BUDGET_S", "0.2")
-    rc = main(["train", "--data", str(big), "--coefset", str(wide),
-               "--c0", "0.001", "--budget", "9999"])
-    out = capsys.readouterr().out
-    assert rc == 0  # budget exhaustion is a success
-    assert "status: feasible_budget_exhausted" in out
-    monkeypatch.setenv("SLIM_BUDGET_S", "not-a-number")
-    rc = main(["train", "--data", str(big), "--coefset", str(wide),
-               "--c0", "0.001"])
-    assert rc == 1
+    argv = ["train", "--data", str(big), "--coefset", str(wide), "--c0", "0.001",
+            "--budget", "0.2"]
+    for env in (None, "not-a-number"):
+        if env is not None:
+            monkeypatch.setenv("SLIM_BUDGET_S", env)
+        assert main(argv) == 0  # budget exhaustion is a success
+        assert "status: feasible_budget_exhausted" in capsys.readouterr().out
+
+
+# every option string of each subcommand but -h/--help
+_SURFACE = {
+    "train": "--data --label --no-intercept --missing --one-hot --coefset --c0 --c1 "
+             "--weights --budget --gap-tol --jobs --out --trace --labels",
+    "cv": "--data --label --no-intercept --missing --one-hot --coefset --c1 --weights "
+          "--budget --gap-tol --c0-grid --k --jobs --seed --out-csv --out-json",
+    "export-mip": "--data --label --no-intercept --missing --one-hot --coefset --c0 "
+                  "--c1 --weights --gamma --variant --out",
+    "bound": "--theorem --lambda --p --n --delta",
+    "report": "--model --labels --decision-table --data --label --no-intercept "
+              "--missing --one-hot",
+    "verify": "--model --solution --data --label --no-intercept --missing --one-hot "
+              "--coefset --c0 --c1 --weights",
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_SURFACE)
+    for command, flags in _SURFACE.items():
+        got = [o for a in sub.choices[command]._actions for o in a.option_strings]
+        assert sorted(got) == sorted(flags.split() + ["-h", "--help"]), command
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--c0", "0.05"],
+    ["cv", "--c0-g", "0.05"],
+    ["train", "--c0", "0.05", "--gamma", "0.5"],
+    ["verify", "--model", "m.lp", "--solution", "s.txt", "--c0", "0.05", "--gamma", "0.5"],
+    ["train", "--c0", "0.05", "--bud", "1"],
+    ["export-mip", "--c0", "0.05", "--out", "m.lp", "--gam", "0.5"],
+], ids=["cv_c0", "cv_c0_prefix", "train_gamma", "verify_gamma", "train_bud",
+        "export_mip_gam"])
+def test_a_removed_or_abbreviated_flag_is_exit_2(small_csv, coefset_one, argv, capsys):
+    # without allow_abbrev=False, cv --c0 0.05 would run as --c0-grid 0.05
+    files = ["--data", str(small_csv), "--coefset", str(coefset_one)]
+    assert main(argv[:1] + files + argv[1:]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("scoresys ")]
+    assert len(commands) == 7
+    ap = build_parser()
+    for argv in commands:
+        try:
+            ap.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def test_cv_subcommand(tmp_path, small_csv, coefset_one, capsys):
@@ -271,9 +326,8 @@ def test_export_mip_and_verify_round_trip(tmp_path, small_csv, coefset_one,
 
 
 def test_export_mip_and_verify_take_no_solve_flags(tmp_path, small_csv,
-                                                   coefset_one, capsys, monkeypatch):
-    # neither command solves, so neither reads a budget or a gap tolerance
-    monkeypatch.setenv("SLIM_BUDGET_S", "abc")
+                                                   coefset_one, capsys):
+    # neither command solves, so neither takes a budget or a gap tolerance
     lp = tmp_path / "model.lp"
     flags = ["--data", str(small_csv), "--coefset", str(coefset_one), "--c0", "0.05"]
     assert main(["export-mip", *flags, "--out", str(lp)]) == 0
@@ -287,6 +341,18 @@ def test_export_mip_and_verify_take_no_solve_flags(tmp_path, small_csv,
         assert main(["export-mip", *flags, "--out", str(lp), *extra]) == 2
         assert main(["verify", "--model", str(lp), "--solution", str(sol),
                      *flags, *extra]) == 2
+
+
+@pytest.mark.parametrize("extra, gamma", [([], Fraction(1, 10)),
+                                          (["--gamma", "0.5"], Fraction(1, 2))])
+def test_export_mip_gamma_is_the_loss_rows_right_hand_side(tmp_path, small_csv,
+                                                           coefset_one, extra, gamma):
+    lp = tmp_path / "model.lp"
+    assert main(["export-mip", "--data", str(small_csv), "--coefset", str(coefset_one),
+                 "--c0", "0.05", "--out", str(lp), *extra]) == 0
+    rhs = [c.rhs for c in parse_lp(lp.read_text()).linear_constraints
+           if c.name.startswith("loss_")]
+    assert rhs == [gamma] * 20
 
 
 def test_export_mip_standard_rejects_auto_weights(tmp_path, small_csv,

@@ -218,6 +218,25 @@ def test_parse_lp_accepts_a_bare_objective_name_line():
         parse_lp(f"Minimize\n obj:\n + 2 x + * y\n{rest}")
 
 
+def _one_row_lp(coef="2", bound="20", rhs="1"):
+    return (f"Minimize\n obj: x\nSubject To\n c: {coef} x >= {rhs}\n"
+            f"Bounds\n 0 <= x <= {bound}\nEnd\n")
+
+
+@pytest.mark.parametrize("num", ["2_0", "2e", "inf", "0x14"])
+def test_parse_lp_reads_every_number_by_one_grammar(num):
+    """A bound and a right-hand side are each a whole match of _NUM, as
+    a term's coefficient is; Decimal alone would also read 2_0 as 20.
+    (In a term, 2_0 x is the two terms 2 _0 and x.)"""
+    with pytest.raises(ConfigError, match="^cannot parse bounds line"):
+        parse_lp(_one_row_lp(bound=num))
+    with pytest.raises(ConfigError, match=f"^constraint 'c': bad right-hand side '{num}'$"):
+        parse_lp(_one_row_lp(rhs=num))
+    m = parse_lp(_one_row_lp(coef="2.0e1", bound="2.0e1", rhs="2.0e1"))
+    assert m.linear_constraints[0].terms == (("x", Fraction(20)),)
+    assert m.linear_constraints[0].rhs == m.variables[0].upper == Fraction(20)
+
+
 _TERM_LOOP_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -299,6 +318,13 @@ def test_read_solution_parsing():
         read_solution("z_0\n")
     with pytest.raises(VerifyError):
         read_solution("z_0 abc\n")
+
+
+@pytest.mark.parametrize("value", ["1_5", "0x1", "nan", "inf", "1e"])
+def test_read_solution_reads_values_by_the_lp_number_grammar(value):
+    with pytest.raises(VerifyError, match=rf"^solution line 2: bad value '{value}'$"):
+        read_solution(f"z_0 1\nlam_0 {value}\n")
+    assert read_solution("lam_0 -1.5e1\n") == {"lam_0": Fraction(-15)}
 
 
 def test_read_solution_rejects_a_name_given_twice():
