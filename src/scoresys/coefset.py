@@ -34,6 +34,7 @@ class CoefficientDomain:
     kind: str  # "integer" | "signed_integer" | "digits" | "set"
     values: tuple[Fraction, ...]  # sorted ascending, unique, 0 included
     _value_set: frozenset = field(init=False, repr=False, compare=False)
+    _max_abs: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(sorted(set(self.values)))
@@ -43,6 +44,7 @@ class CoefficientDomain:
             raise DomainError("every coefficient domain must contain 0")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_value_set", frozenset(vals))
+        object.__setattr__(self, "_max_abs", max(abs(vals[0]), abs(vals[-1])))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -55,7 +57,7 @@ class CoefficientDomain:
 
     @property
     def max_abs(self) -> Fraction:
-        return max(abs(self.values[0]), abs(self.values[-1]))
+        return self._max_abs
 
     def is_contiguous_integers(self) -> bool:
         """True when the values are exactly lo, lo+1, ..., hi."""
@@ -148,10 +150,12 @@ class CoefficientSet:
             tiers = tuple(self.tiers)
             if len(tiers) != len(self.domains):
                 raise DomainError("tiers must align with domains (use None entries)")
+            checked = set()  # a (domain, tiers) pair shared by columns is checked once
             for j, spec in enumerate(tiers):
-                if spec is None:
+                if spec is None or (id(self.domains[j]), id(spec)) in checked:
                     continue
                 _check_tiers(self.domains[j], spec, j)
+                checked.add((id(self.domains[j]), id(spec)))
             object.__setattr__(self, "tiers", tiers)
 
     @property
@@ -300,7 +304,11 @@ def _tiers_from_descriptor(raw, where: str) -> tuple[Tier, ...]:
 
 def load_domains(source, feature_names) -> CoefficientSet:
     """Build a CoefficientSet for the named features from a JSON file,
-    path, or already-parsed dict (see the grammar above)."""
+    path, or already-parsed dict (see the grammar above).
+
+    Features that share a descriptor (every feature "default" covers,
+    say) share one CoefficientDomain and one tier tuple, built once;
+    a feature with its own descriptor gets its own, even when equal."""
     is_path = isinstance(source, (str, os.PathLike))
     try:
         if is_path:
@@ -317,17 +325,18 @@ def load_domains(source, feature_names) -> CoefficientSet:
     unknown = set(spec) - set(feature_names) - {"default"}
     if unknown:
         raise DomainError(f"coefficient-set names unknown feature(s): {sorted(unknown)}")
-    domains, tier_specs, any_tiers = [], [], False
+    built, domains, tier_specs = {}, [], []  # built: id of a descriptor -> (domain, tiers)
     for name in feature_names:
         desc = spec.get(name, spec.get("default"))
         if desc is None:
             raise DomainError(f"no descriptor for feature {name!r} and no 'default'")
-        dom, tiers_raw = _domain_from_descriptor(desc, f"feature {name!r}")
+        if id(desc) not in built:
+            dom, tiers_raw = _domain_from_descriptor(desc, f"feature {name!r}")
+            built[id(desc)] = (dom, None if tiers_raw is None else
+                               _tiers_from_descriptor(tiers_raw, f"feature {name!r}"))
+        dom, tiers = built[id(desc)]
         domains.append(dom)
-        if tiers_raw is None:
-            tier_specs.append(None)
-        else:
-            any_tiers = True
-            tier_specs.append(_tiers_from_descriptor(tiers_raw, f"feature {name!r}"))
+        tier_specs.append(tiers)
+    any_tiers = any(t is not None for t in tier_specs)
     return CoefficientSet(domains=tuple(domains),
                           tiers=tuple(tier_specs) if any_tiers else None)

@@ -78,16 +78,20 @@ class Dataset:
     def exact_column(self, j: int) -> tuple[np.ndarray, int]:
         """Column j as (integer numerators, common denominator), exact.
 
-        Numerators are Python ints in an object array.  A column of
-        integral floats with |x| <= 2**53 is read as integers directly:
-        there every float is an integer whose repr spells it exactly.
-        Any other column goes cell by cell through to_fraction (1e23
-        reads as 10**23, which int(1e23) is not)."""
+        A column of integral floats with |x| <= 2**53 is read as integers
+        directly, there every float being an integer whose repr spells
+        it exactly, and its numerators are an int64 array at
+        denominator 1.  Any other column goes cell by cell through
+        to_fraction (1e23 reads as 10**23, which int(1e23) is not), and
+        its numerators are Python ints in an object array.  An int64
+        column's products can leave int64, so a caller that multiplies
+        or sums numerators widens them first where the result could
+        reach 2**63."""
         got = self._exact_cols.get(j)
         if got is None:
             col = self.x[:, j]
             if np.all(np.abs(col) <= _EXACT_INT_MAX) and np.all(col == np.trunc(col)):
-                got = (col.astype(np.int64).astype(object), 1)
+                got = (col.astype(np.int64), 1)
             else:
                 fracs = [to_fraction(v) for v in col.tolist()]
                 denom = common_denominator(fracs)

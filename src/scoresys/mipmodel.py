@@ -30,7 +30,7 @@ from .coefset import CoefficientSet, Tier
 from .data import Dataset
 from .errors import ConfigError, DomainError, VerifyError
 from .exactnum import fraction_str, pow10_denominator, to_fraction
-from .objective import ObjectiveValue, TrainConfig, evaluate, score_ints
+from .objective import ObjectiveValue, TrainConfig, evaluate, int_dtype, score_ints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,19 +114,26 @@ def _big_m_numerators(signed: list, s: CoefficientSet,
                       gamma: Fraction) -> tuple[list[int], int]:
     """big_m_for of every example at once, as integer numerators over
     one common denominator.  signed[j] is (y_i x_ij numerators, their
-    denominator) for column j."""
+    denominator) for column j.  The sums run in int64 when a bound on
+    every term and total fits it, else in Python ints."""
     den = gamma.denominator
     parts = []
     for (c, cden), dom in zip(signed, s.domains):
         vs = dom.values
         vden = math.lcm(vs[0].denominator, vs[-1].denominator)
         lo, hi = (int(v * vden) for v in (vs[0], vs[-1]))
-        parts.append((np.maximum(c * -lo, c * -hi), cden * vden))
+        parts.append((c, -lo, -hi, cden * vden, int(np.abs(c).max())))
         den = math.lcm(den, cden * vden)
-    total = np.full(len(signed[0][0]), gamma.numerator * (den // gamma.denominator),
-                    dtype=object)
-    for term, tden in parts:
-        total = total + term * (den // tden)
+    g = gamma.numerator * (den // gamma.denominator)
+    # an all-zero column adds nothing, and its multipliers may lie
+    # beyond int64
+    parts = [(c, lo, hi, den // tden, top) for c, lo, hi, tden, top in parts if top]
+    dtype = int_dtype(abs(g) + sum(top * max(abs(lo), abs(hi)) * m
+                                   for _, lo, hi, m, top in parts))
+    total = np.full(len(signed[0][0]), g, dtype=dtype)
+    for c, lo, hi, m, _ in parts:
+        c = c.astype(dtype, copy=False)
+        total += np.maximum(c * lo, c * hi) * m
     return total.tolist(), den
 
 
@@ -190,12 +197,12 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     for j in range(p):
         objective.append((f"I_{j}", ONE))
 
-    # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma
-    y = d.y.astype(object)
+    # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma; an int64
+    # column's signed cells stay within 2**53
     signed = []
     for j in range(p):
         nums, den = d.exact_column(j)
-        signed.append((y * nums, den))
+        signed.append((d.y * nums, den))
     big_m, m_den = _big_m_numerators(signed, s, gamma)
     m_dec = {num: _dec(Fraction(num, m_den)) for num in set(big_m)}
     # column j's term in each row, None for a zero cell (a data cell is

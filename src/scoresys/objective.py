@@ -197,22 +197,26 @@ def _coerce_lam(lam, p: int) -> list[Fraction]:
     return vals
 
 
+def int_dtype(bound: int) -> np.dtype:
+    """int64 when every integer of magnitude at most bound fits it
+    (bound < 2**63), else object (Python ints)."""
+    return np.dtype(np.int64) if bound < 2**63 else np.dtype(object)
+
+
 def score_ints(d: Dataset, lam) -> tuple[np.ndarray, int]:
-    """Exact per-example scores x_i . lam as (integer array, denominator)."""
+    """Exact per-example scores x_i . lam as (integer array, denominator):
+    int64 when a bound on every |score| fits it, else Python ints."""
     vals = _coerce_lam(lam, d.p)
-    active = [j for j, v in enumerate(vals) if v != 0]
-    total = np.zeros(d.n, dtype=object)
-    if not active:
-        return total, 1
-    dens = []
-    for j in active:
-        _, cden = d.exact_column(j)
-        dens.append(Fraction(1, cden * vals[j].denominator))
-    q = common_denominator(dens)
-    for j in active:
-        nums, cden = d.exact_column(j)
-        mult = q // (cden * vals[j].denominator) * vals[j].numerator
-        total = total + nums * mult
+    cols = [(d.exact_column(j), v) for j, v in enumerate(vals) if v != 0]
+    q = math.lcm(*(cden * v.denominator for (_, cden), v in cols))
+    # (numerators, their multiplier at q, max |numerator|); an all-zero
+    # column adds nothing, and its multiplier may lie beyond int64
+    terms = [(nums, q // (cden * v.denominator) * v.numerator, top)
+             for (nums, cden), v in cols if (top := int(np.abs(nums).max()))]
+    dtype = int_dtype(sum(top * abs(mult) for _, mult, top in terms))
+    total = np.zeros(d.n, dtype=dtype)
+    for nums, mult, _ in terms:
+        total += nums.astype(dtype, copy=False) * mult
     return total, q
 
 
@@ -224,8 +228,7 @@ def evaluate(d: Dataset, lam, cfg: TrainConfig, tiers=None) -> ObjectiveValue:
         raise ConfigError("cfg.c1 is unresolved; call cfg.resolve(n, coefset) first")
     vals = _coerce_lam(lam, d.p)
     score, _ = score_ints(d, vals)
-    y = d.y.astype(object)
-    miss = np.asarray((score * y) <= 0, dtype=bool)
+    miss = np.where(d.y == 1, score <= 0, score >= 0)  # y_i * score_i <= 0
     mis_pos = int(np.sum(miss & (d.y == 1)))
     mis_neg = int(np.sum(miss & (d.y == -1)))
     loss = (cfg.w_pos * mis_pos + cfg.w_neg * mis_neg) / d.n
@@ -271,6 +274,11 @@ class CompiledInstance:
     int64's bytes.  Otherwise every array holds Python ints and
     margin_dtype is object.
 
+    Columns whose domain and tiers are the same objects (load_domains
+    shares them between the features of one descriptor) share one vi,
+    pen and l1i array, worked out once: set-up scales with the distinct
+    domains, not with the columns.
+
     lost_cost and lost_costs sum int64 costs by a BLAS product in
     sum_dtype, the narrowest float that holds every subset sum of the
     costs exactly (cost_sum_dtype): float32 while cost.sum() < 2**24,
@@ -289,63 +297,81 @@ class CompiledInstance:
         self.d, self.s, self.cfg = d, s, cfg
         self.p = d.p
 
-        dom_vals = [dom.values for dom in s.domains]
-        val_dens = [common_denominator(vs) for vs in dom_vals]
+        # each distinct (domain, tiers) pair, shared by the columns that
+        # name it, is worked out once: its values' denominator den, their
+        # integers v at it, and their penalties as integers pn over pd,
+        # the least denominator at which every penalty is an integer
+        index, pairs, pair_of = {}, [], []
+        c0, c1 = cfg.c0, cfg.c1
+        for j, dom in enumerate(s.domains):
+            key = (id(dom), id(None if s.tiers is None else s.tiers[j]))
+            if key not in index:
+                index[key] = len(pairs)
+                vs = dom.values
+                den = common_denominator(vs)
+                v = [scaled_int(x, den) for x in vs]
+                tc = [s.tier_cost(j, x) for x in vs]
+                pd = math.lcm(c0.denominator, c1.denominator * den, common_denominator(tc))
+                a = c0.numerator * (pd // c0.denominator)
+                b = c1.numerator * (pd // (c1.denominator * den))
+                pn = [(a if x else 0) + b * abs(x) + t.numerator * (pd // t.denominator)
+                      for x, t in zip(v, tc)]
+                g = math.gcd(pd, *pn)
+                pairs.append((den, v, [x // g for x in pn], pd // g))
+            pair_of.append(index[key])
         cols = [d.exact_column(j) for j in range(d.p)]
+        val_dens = [pairs[i][0] for i in pair_of]
         self.margin_den = math.lcm(*(val_dens[j] * cols[j][1] for j in range(d.p)))
         mults = [self.margin_den // (val_dens[j] * cden)
                  for j, (_, cden) in enumerate(cols)]
-        v_ints = [[scaled_int(v, val_dens[j]) for v in vs]
-                  for j, vs in enumerate(dom_vals)]
 
-        pen_fracs = [[(cfg.c0 if v != 0 else ZERO) + cfg.c1 * abs(v)
-                      + s.tier_cost(j, v) for v in vs]
-                     for j, vs in enumerate(dom_vals)]
         cost_pos = cfg.w_pos / d.n
         cost_neg = cfg.w_neg / d.n
-        self.pen_den = common_denominator(
-            [cost_pos, cost_neg] + [f for fs in pen_fracs for f in fs])
-        self.l1_den = math.lcm(*val_dens)
-        pen_ints = [[scaled_int(f, self.pen_den) for f in fs] for fs in pen_fracs]
+        self.pen_den = math.lcm(cost_pos.denominator, cost_neg.denominator,
+                                *(pd for *_, pd in pairs))
+        self.l1_den = math.lcm(*(den for den, *_ in pairs))
         cpos = scaled_int(cost_pos, self.pen_den)
         cneg = scaled_int(cost_neg, self.pen_den)
-
-        l1_ints = [[abs(x) * (self.l1_den // val_dens[j]) for x in v_ints[j]]
-                   for j in range(d.p)]
+        # each pair's value, penalty and l1 integers, and its max |value|
+        ints = [(v, [x * (self.pen_den // pd) for x in pn],
+                 [abs(x) * (self.l1_den // den) for x in v], max(map(abs, v)))
+                for den, v, pn, pd in pairs]
 
         # the width, from exact bounds on |margin| and on the objective;
         # max(1, .) also bounds the cells of a column whose domain is
         # {0}, and every l1 value (each at least |value|) must fit too
         num_max = [int(np.abs(nums).max()) for nums, _ in cols]
-        margin_bound = sum(num_max[j] * mults[j] * max(1, *map(abs, v_ints[j]))
-                           for j in range(d.p))
+        margin_bound = sum(num_max[j] * mults[j] * max(1, ints[i][3])
+                           for j, i in enumerate(pair_of))
         n_pos = d.n_pos
         pen_bound = (cpos * n_pos + cneg * (d.n - n_pos)
-                     + sum(max(pi) for pi in pen_ints))
+                     + sum(max(ints[i][1]) for i in pair_of))
         self.int64_ok = (2 * margin_bound < _INT64_HEADROOM
                          and 2 * pen_bound < _INT64_HEADROOM
-                         and max(map(max, l1_ints)) < _INT64_HEADROOM)
+                         and max(max(l1) for _, _, l1, _ in ints) < _INT64_HEADROOM)
         dtype = np.int64 if self.int64_ok else object
         # the margin width: the narrowest of int16, int32 and int64 whose
         # 2**(bits - 3) exceeds twice the margin bound and every |value|,
         # the test int64_ok makes for int64
         mtype = np.dtype(object)
         if self.int64_ok:
-            need = max(2 * margin_bound, *(abs(x) for v in v_ints for x in v))
+            need = max(2 * margin_bound, *(vmax for *_, vmax in ints))
             mtype = next(np.dtype(w) for w in (np.int16, np.int32, np.int64)
                          if need < 2 ** (np.iinfo(w).bits - 3))
         self.margin_dtype = mtype
 
-        # np.array and astype raise on a Python int beyond the width and
-        # never wrap; an all-zero column may carry a multiplier beyond
-        # int64, and a class with no rows a cost beyond it, which no row
-        # takes
+        # np.array raises on a Python int beyond the width and never
+        # wraps; the margin bound keeps every cell, and its product with
+        # the multiplier, inside the margin width, but an all-zero column
+        # may carry a multiplier beyond int64, and a class with no rows a
+        # cost beyond it, which no row takes.  The columns of a pair
+        # share its arrays
         y = d.y.astype(mtype)
         b_cols = [y * nums.astype(mtype) * (mult if top else 0)
                   for (nums, _), mult, top in zip(cols, mults, num_max)]
-        vi = [np.array(v, dtype=mtype) for v in v_ints]
-        pen = [np.array(pi, dtype=dtype) for pi in pen_ints]
-        l1i = [np.array(l1, dtype=dtype) for l1 in l1_ints]
+        arrays = [(np.array(v, dtype=mtype), np.array(pi, dtype=dtype),
+                   np.array(l1, dtype=dtype)) for v, pi, l1, _ in ints]
+        vi, pen, l1i = (list(a) for a in zip(*(arrays[i] for i in pair_of)))
         cost = np.where(d.y == 1, np.array(cpos if n_pos else 0, dtype),
                         np.array(cneg if n_pos < d.n else 0, dtype))
         first, group, twin_a, twin_b = _merge_rows(b_cols)
@@ -358,8 +384,8 @@ class CompiledInstance:
         self.twin_cost = np.minimum(merged[twin_a], merged[twin_b])
         self.sum_dtype = cost_sum_dtype(int(merged.sum())) if self.int64_ok else None
         self.cost_f = None if self.sum_dtype is None else merged.astype(self.sum_dtype)
-        self.zero_index = [int(np.nonzero(v == 0)[0][0]) for v in vi]
-        self.values = dom_vals  # Fractions, aligned with vi/pen/l1i
+        self.zero_index = [ints[i][0].index(0) for i in pair_of]
+        self.values = [dom.values for dom in s.domains]  # aligned with vi/pen/l1i
 
     def loss(self, margins):
         """Loss (pen_den scale) of rows at these exact margins; rows run

@@ -39,7 +39,7 @@ from .coefset import CoefficientSet
 from .data import Dataset
 from .errors import ConfigError, DomainError, ScoresysError
 from .exactnum import to_fraction
-from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate
+from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, int_dtype
 from .report import ScoringSystem
 
 INF = float("inf")
@@ -113,6 +113,8 @@ def _class_mean_diffs(d: Dataset) -> list[Fraction]:
         if n_pos == 0 or n_neg == 0:
             out.append(Fraction(0))
             continue
+        # a class sum stays in int64 only while it cannot reach 2**63
+        nums = nums.astype(int_dtype(d.n * int(np.abs(nums).max())), copy=False)
         mp = Fraction(int(nums[pos].sum()), den * n_pos)
         mn = Fraction(int(nums[~pos].sum()), den * n_neg)
         out.append(mp - mn)
@@ -254,14 +256,15 @@ class _Prep:
         self.order = sorted(range(ci.p), key=lambda j: (-mass[j], -abs(diffs[j]), j))
         self.B, self.VI, self.PEN, self.PENL, self.L1, self.KIDX = [], [], [], [], [], []
         for j in self.order:
-            vals = ci.values[j]
-            pidx = sorted(range(len(vals)), key=lambda k: (abs(vals[k]), vals[k]))
+            # vi runs in ascending order of value, so a stable sort on
+            # |vi| puts -v before v
+            pidx = np.argsort(np.abs(ci.vi[j]), kind="stable")
             self.B.append(ci.b_cols[j])
             self.VI.append(ci.vi[j][pidx])
             self.PEN.append(ci.pen[j][pidx])
             self.PENL.append(self.PEN[-1].tolist())
             self.L1.append(ci.l1i[j][pidx].tolist())
-            self.KIDX.append([int(k) for k in pidx])
+            self.KIDX.append(pidx.tolist())
         mx = [ext[j][1] for j in self.order]
         dtype = ci.margin_dtype
         self.zeros_margin = np.zeros(ci.n_rows, dtype=dtype)
@@ -497,16 +500,21 @@ class _Engine:
                 return
 
 
-def _evaluate_assign(prep: _Prep, assign: list) -> tuple[int, int]:
-    margin = prep.zeros_margin.copy()
-    obj = 0
-    l1 = 0
-    for t, k in enumerate(assign):
-        margin = margin + prep.VI[t][k] * prep.B[t]
-        obj += prep.PENL[t][k]
-        l1 += prep.L1[t][k]
-    obj += int(prep.ci.loss(margin))
-    return obj, l1
+def _margins(prep: _Prep, assign) -> np.ndarray:
+    """Margins (starts x rows) of assign, an array of level value indexes
+    (starts x levels)."""
+    margin = np.zeros((len(assign), prep.ci.n_rows), dtype=prep.zeros_margin.dtype)
+    for t in range(prep.p):
+        margin = margin + prep.VI[t][assign[:, t], None] * prep.B[t]
+    return margin
+
+
+def _offers(prep: _Prep, assign, margin) -> list:
+    """(objective, l1, assignment) of each row of assign, whose margins
+    are margin, at pen_den and l1_den scale: one loss over all rows."""
+    return [(loss + sum(map(list.__getitem__, prep.PENL, a)),
+             sum(map(list.__getitem__, prep.L1, a)), a)
+            for a, loss in zip(assign.tolist(), prep.ci.loss(margin).tolist())]
 
 
 def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
@@ -517,20 +525,21 @@ def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
     pairs.  Deterministic and strictly improving, so it terminates.  A
     start stops after a sweep in which it did not move, or after 60
     sweeps.  Past the deadline every start stops mid-sweep; every step
-    leaves a valid assignment.  Returns the assignments in the order
-    of starts.  Used only to seed the incumbent."""
+    leaves a valid assignment.  Returns, in the order of starts, each
+    descent's (objective, l1, assignment) as _offers scores it, from
+    the margins the descent ends with.  Used only to seed the
+    incumbent."""
     out = np.array(starts, dtype=np.intp)
     live = np.arange(len(out))
     assign = out.copy()
-    margin = np.zeros((len(out), prep.ci.n_rows), dtype=prep.zeros_margin.dtype)
-    for t in range(prep.p):
-        margin = margin + prep.VI[t][assign[:, t], None] * prep.B[t]
+    margin = _margins(prep, assign)
+    out_margin = margin.copy()
     for _ in range(60):
         moved = np.zeros(len(live), dtype=bool)
         for t in range(prep.p):
             if deadline is not None and time.monotonic() >= deadline:
-                out[live] = assign
-                return out.tolist()
+                out[live], out_margin[live] = assign, margin
+                return _offers(prep, out, out_margin)
             vi, b = prep.VI[t], prep.B[t]
             base = margin - vi[assign[:, t], None] * b
             tot = prep.PEN[t] + prep.value_losses(t, base)
@@ -540,11 +549,11 @@ def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
             moved |= best != assign[:, t]
             assign[:, t] = best
             margin = base + vi[best, None] * b
-        out[live] = assign
+        out[live], out_margin[live] = assign, margin
         live, assign, margin = live[moved], assign[moved], margin[moved]
         if not len(live):
             break
-    return out.tolist()
+    return _offers(prep, out, out_margin)
 
 
 def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
@@ -567,11 +576,13 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
     block (starts x values x rows, for the level with the most values)
     within WORK_QUANTUM cells, and at least one start; each batch's
     descents are offered in list order, so the offers are those of
-    descending the starts one at a time.  Past the deadline no new
-    batch starts."""
+    descending the starts one at a time.  Every offer is scored from
+    margins already at hand (_offers): the plain starts' from one
+    _margins call, each descent's from those _polish ends with.  Past
+    the deadline no new batch starts."""
     ci, p = prep.ci, prep.p
     zero = (0,) * p
-    w = tuple(prep.KIDX[t].index(ci.values[j].index(warm[j]))
+    w = tuple(prep.KIDX[t].index(bisect.bisect_left(ci.values[j], warm[j]))
               for t, j in enumerate(prep.order))
     ranked = sorted(range(p), key=lambda t: (-abs(warm[prep.order[t]]), t))
     t_bias = p - 1
@@ -581,15 +592,16 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
                    for keep in (1, 2, 3, 4, 6, 8) if keep < p]
     biases = [tuple(k if t == t_bias else 0 for t in range(p))
               for k in range(1, min(9, len(prep.KIDX[t_bias])))]
-    for a in (zero, w):
-        eng.consider(*_evaluate_assign(prep, a), a)
+    plain = np.array([zero, w], dtype=np.intp)
+    for offer in _offers(prep, plain, _margins(prep, plain)):
+        eng.consider(*offer)
     starts = list(dict.fromkeys([w, *truncations, zero, *biases]))
     size = max(1, WORK_QUANTUM // (max(map(len, prep.VI)) * ci.n_rows))
     for i in range(0, len(starts), size):
         if deadline is not None and time.monotonic() >= deadline:
             return
-        for a in _polish(prep, starts[i:i + size], deadline):
-            eng.consider(*_evaluate_assign(prep, a), a)
+        for offer in _polish(prep, starts[i:i + size], deadline):
+            eng.consider(*offer)
 
 
 def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,

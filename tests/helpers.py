@@ -68,8 +68,10 @@ def brute_solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig):
     Everything runs on a single common integer denominator so the
     200-instance oracle loop stays well under its time limit while the
     comparison itself is exact.  Cells are read through
-    Dataset.exact_column, and the margins are computed in int64 only
-    when a bound on every one of them fits, else on Python ints.
+    Dataset.exact_column and scaled to one denominator on Python ints
+    (an int64 column times the multiplier can leave int64), and the
+    margins are computed in int64 only when a bound on every one of
+    them fits, else on Python ints.
     Returns (best_total, best_combo) with the (total, l1, values)
     tie-break.
     """
@@ -79,7 +81,7 @@ def brute_solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig):
     combos = list(itertools.product(*dom_vals))
     cols = [d.exact_column(j) for j in range(d.p)]
     xden = math.lcm(*(cden for _, cden in cols))
-    xs = np.stack([nums * (xden // cden) for nums, cden in cols], axis=1)
+    xs = np.stack([nums.astype(object) * (xden // cden) for nums, cden in cols], axis=1)
     cints = [[int(v * den) for v in c] for c in combos]
     cmax = max(abs(v) for c in cints for v in c)
     xmax = max(abs(int(v)) for v in xs.ravel().tolist())

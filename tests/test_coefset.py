@@ -204,6 +204,31 @@ def test_load_domains_with_tiers():
     assert s.tier_cost(1, -1) == Fraction(5, 100)
 
 
+def _tiered(m, costs=(0.01, 0.05)):
+    """An integer descriptor -m..m whose tiers are {0} and the rest."""
+    rest = [v for v in range(-m, m + 1) if v]
+    return {"type": "integer", "max": m,
+            "tiers": [{"cost": costs[0], "values": [0]},
+                      {"cost": costs[1], "values": rest}]}
+
+
+def test_features_that_share_a_descriptor_share_one_domain():
+    # a and b take "default"; c names an equal descriptor of its own, d
+    # the same domain without tiers, e other tier costs
+    doc = {"default": _tiered(3), "c": _tiered(3), "d": {"type": "integer", "max": 3},
+           "e": _tiered(3, (0.02, 0.03))}
+    s = load_domains(doc, ("a", "b", "c", "d", "e"))
+    assert s.domains[0] is s.domains[1] and s.tiers[0] is s.tiers[1]
+    for j in (2, 3, 4):
+        assert s.domains[j] is not s.domains[0] and s.domains[j] == s.domains[0]
+    assert s.tiers[2] is not s.tiers[0] and s.tiers[2] == s.tiers[0]
+    assert s.tiers[3] is None
+    assert s.tiers[4] != s.tiers[0]
+    # an error names the first feature that reaches the bad descriptor
+    with pytest.raises(DomainError, match="feature 'a'"):
+        load_domains({"default": {"type": "integer", "max": 0}}, ("a", "b"))
+
+
 def test_describe_smoke():
     for dom in (bounded_integers(3), signed_integers("neg", 2),
                 digit_values(1, 0, 0), explicit_values([0, 2])):

@@ -98,6 +98,68 @@ def test_score_ints_exact():
     assert scores.tolist() == [5, -1, 1]  # (0.5 + f) * 2
 
 
+def _wide_table() -> Dataset:
+    """An integral column at +-2**53 beside a fractional one at
+    denominator 10**4: the integral column's numerators are int64, but
+    their products with the multiplier that brings them to a common
+    denominator with the other column leave int64 (2**53 * 10**4 >
+    2**63), and so does their sum over the 1030 positive rows
+    (1030 * 2**53 > 2**63)."""
+    big = 2.0**53
+    a = [big] * 1030 + [-big, 3.0, -(big - 1), 0.0, big, -big]
+    b = [(0.0001, 1.5, -2.25)[i % 3] for i in range(1030)]
+    b += [-0.0003, 0.0001, 2.5, -1.5, 0.5, 1.25]
+    x = np.column_stack([np.ones(len(a)), a, b])
+    return Dataset(x=x, y=np.array([1] * 1030 + [-1] * 6),
+                   feature_names=("(Intercept)", "a", "b"), intercept_index=0)
+
+
+def test_int64_columns_widen_wherever_a_product_leaves_int64():
+    """Every consumer of an int64 exact column agrees with a cell-by-cell
+    Fraction reference on a table whose products and sums leave int64:
+    the class-mean differences, CompiledInstance's margins, evaluate(),
+    the optimum of brute_solve and the exported MIP's big-M and loss
+    terms."""
+    from scoresys.exactnum import to_fraction
+    from scoresys.mipmodel import build_model
+    from scoresys.solver import _class_mean_diffs
+    d = _wide_table()
+    assert d.exact_column(1)[0].dtype == np.int64
+    cells = [[to_fraction(v) for v in row] for row in d.x.tolist()]
+    ys = d.y.tolist()
+    s = uniform(bounded_integers(1), d.p)
+    cfg = TrainConfig(c0=Fraction(1, 100)).resolve(d.n, s)
+
+    pos = [row for row, y in zip(cells, ys) if y == 1]
+    neg = [row for row, y in zip(cells, ys) if y == -1]
+    assert _class_mean_diffs(d) == [sum(r[j] for r in pos) / len(pos)
+                                    - sum(r[j] for r in neg) / len(neg)
+                                    for j in range(d.p)]
+
+    ci = CompiledInstance(d, s, cfg)
+    assert ci.margin_dtype == object
+    best = None
+    for lam in s.enumerate():
+        margins = [y * sum(c * v for c, v in zip(row, lam)) for row, y in zip(cells, ys)]
+        loss = sum(cfg.w_pos if y == 1 else cfg.w_neg
+                   for m, y in zip(margins, ys) if m <= 0) / d.n
+        l1 = sum(map(abs, lam))
+        total = loss + cfg.c0 * sum(v != 0 for v in lam) + cfg.c1 * l1
+        assert evaluate(d, lam, cfg).total == total, lam
+        got = sum(b * vi[vals.index(v)] for b, vi, vals, v
+                  in zip(ci.b_cols, ci.vi, ci.values, lam))
+        assert {Fraction(int(m), ci.margin_den) for m in got} == set(margins), lam
+        best = min(best or (total, l1, lam), (total, l1, lam))
+    assert brute_solve(d, s, cfg) == (best[0], best[2])
+
+    rows = {c.name: dict(c.terms) for c in build_model(d, s, cfg).linear_constraints
+            if c.name.startswith("loss_")}
+    for i, (row, y) in enumerate(zip(cells, ys)):
+        terms = rows[f"loss_{i}"]
+        assert terms.pop(f"z_{i}") == cfg.gamma + sum(abs(c) for c in row)
+        assert terms == {f"lam_{j}": y * c for j, c in enumerate(row) if c}
+
+
 def test_evaluate_counts_zero_score_as_miss():
     d = _tiny()
     cfg = TrainConfig(c0=Fraction(1, 100), c1=Fraction(1, 1000))
@@ -247,7 +309,7 @@ def _compiled_reference(d, s, cfg):
     margin_bound = 0
     for j in range(d.p):
         nums, cden = d.exact_column(j)
-        b = y * nums * (margin_den // (val_dens[j] * cden))
+        b = y * nums.astype(object) * (margin_den // (val_dens[j] * cden))
         b_cols.append(b)
         v_int = np.array([scaled_int(v, val_dens[j]) for v in dom_vals[j]], dtype=object)
         vi.append(v_int)
@@ -302,6 +364,73 @@ def _assert_matches(ci, ref, tag):
         assert len(got) == len(want), (tag, name)
         for g, r in zip(map(np.asarray, got), map(np.asarray, want)):
             assert g.dtype == r.dtype and g.tolist() == r.tolist(), (tag, name)
+
+
+def test_compiled_instance_prices_each_shared_domain_once():
+    """Columns on one load_domains descriptor share their value, penalty
+    and l1 arrays; two columns on one domain object with different
+    tiers get different penalties; equal but distinct domain and tier
+    objects compile to the same arrays as shared ones."""
+    from scoresys.coefset import load_domains
+    rng = np.random.default_rng(211)
+    d = rand_dup_dataset(rng, 40, 4)
+    tiers = {"tiers": [{"cost": 0.01, "values": [0]},
+                       {"cost": 0.02, "values": [-2, -1, 1, 2]}]}
+    desc = {"type": "integer", "max": 2, **tiers}
+    shared = load_domains({"default": desc}, d.feature_names)
+    equal = load_domains({name: dict(desc) for name in d.feature_names}, d.feature_names)
+    assert len({id(dom) for dom in equal.domains}) == d.p
+    cfg = TrainConfig(c0=Fraction(1, 50)).resolve(d.n, shared)
+    ci, eq = CompiledInstance(d, shared, cfg), CompiledInstance(d, equal, cfg)
+    for name in ("vi", "pen", "l1i"):
+        arrays = getattr(ci, name)
+        assert all(a is arrays[0] for a in arrays), name
+        assert [a.tolist() for a in getattr(eq, name)] == [a.tolist() for a in arrays]
+        assert [a.dtype for a in getattr(eq, name)] == [a.dtype for a in arrays]
+    assert eq.cost.tolist() == ci.cost.tolist()
+    assert (eq.pen_den, eq.margin_dtype) == (ci.pen_den, ci.margin_dtype)
+    dom = shared.domains[0]
+    cheap = (Tier(Fraction(1, 100), frozenset([Fraction(0)])),
+             Tier(Fraction(3, 100), frozenset(v for v in dom.values if v)))
+    mixed = CoefficientSet(domains=(dom,) * d.p, tiers=(shared.tiers[0], cheap) * (d.p // 2))
+    mi = CompiledInstance(d, mixed, cfg)
+    assert mi.pen[0] is mi.pen[2] and mi.pen[0] is not mi.pen[1]
+    assert mi.pen[0].tolist() == ci.pen[0].tolist() != mi.pen[1].tolist()
+    assert mi.pen[1].tolist() == mi.pen[3].tolist()
+
+
+def test_compile_and_prep_work_once_per_distinct_value(monkeypatch):
+    """Set-up work scales with the distinct domain values, not with the
+    columns: loading one tiered -100..100 descriptor for 12 columns
+    checks its tiers once, and compiling and prepping it scales each
+    value to an integer once (scaled_int, besides the two class costs)
+    and looks up its tier cost once."""
+    from collections import Counter
+
+    from scoresys import coefset, objective, solver
+    from scoresys.coefset import load_domains
+    rng = np.random.default_rng(223)
+    d = rand_dataset(rng, 60, 12, intercept=True)
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(coefset, "_check_tiers", counted("check_tiers", coefset._check_tiers))
+    rest = [v for v in range(-100, 101) if v]
+    s = load_domains({"default": {"type": "integer", "max": 100, "tiers": [
+        {"cost": 0.001, "values": [0]}, {"cost": 0.002, "values": rest}]}}, d.feature_names)
+    assert calls == {"check_tiers": 1}
+    cfg = TrainConfig(c0=Fraction(1, 500)).resolve(d.n, s)
+    calls.clear()
+    monkeypatch.setattr(objective, "scaled_int", counted("scaled_int", scaled_int))
+    monkeypatch.setattr(CoefficientSet, "tier_cost",
+                        counted("tier_cost", CoefficientSet.tier_cost))
+    solver._Prep(CompiledInstance(d, s, cfg))
+    assert calls == {"scaled_int": 201 + 2, "tier_cost": 201}
 
 
 def test_compiled_instance_all_zero_column_beside_tiny_cells():

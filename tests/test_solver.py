@@ -586,12 +586,26 @@ def test_returned_vector_is_the_oracle_tie_break():
         assert solve(d, s, cfg).best.coefficients == tuple(combo), trial
 
 
+def _scored(prep, a):
+    """(objective, l1, assignment) of the level value indexes a, as the
+    search keeps them: evaluate()'s objective at pen_den scale and the
+    l1 norm at l1_den scale."""
+    ci = prep.ci
+    lam = [None] * ci.p
+    for t, j in enumerate(prep.order):
+        lam[j] = ci.values[j][prep.KIDX[t][a[t]]]
+    total = evaluate(ci.d, lam, ci.cfg, tiers=ci.s.tiers).total * ci.pen_den
+    l1 = sum(map(abs, lam)) * ci.l1_den
+    assert total.denominator == l1.denominator == 1
+    return int(total), int(l1), list(a)
+
+
 def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     # seed the mirror model (0, 1) of the footnote instance: its
     # objective and l1 equal those of the answer (-1, 0), whose subtree
     # has bound == incumbent, so only the tie rule can still reach it
     from scoresys.objective import CompiledInstance
-    from scoresys.solver import _Engine, _evaluate_assign, _Prep
+    from scoresys.solver import _Engine, _Prep
     d = footnote_dataset()
     s = uniform(bounded_integers(1), 2)
     cfg = TrainConfig(c0=Fraction(1, 10)).resolve(d.n, s)
@@ -600,7 +614,7 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     eng = _Engine(prep, cfg, time.monotonic(), None)
     mirror = [prep.KIDX[t].index(ci.values[j].index((0, 1)[j]))
               for t, j in enumerate(prep.order)]
-    eng.consider(*_evaluate_assign(prep, mirror), mirror)
+    eng.consider(*_scored(prep, mirror))
     eng.dfs(0, prep.zeros_margin, 0, 0, [])
     korig = eng.best[2]
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
@@ -640,7 +654,7 @@ def test_checkpoint_bound_stays_below_the_optimum(monkeypatch, tol):
 
     def seed_zero(prep, eng, warm, deadline):
         zero = [0] * prep.p
-        eng.consider(*solver._evaluate_assign(prep, zero), zero)
+        eng.consider(*_scored(prep, zero))
 
     monkeypatch.setattr(solver, "_seed_incumbent", seed_zero)
     floors, frontier, memo = [], [], {}
@@ -854,9 +868,10 @@ def test_polish_is_the_same_with_either_kernel(monkeypatch, scale):
             got[kernel] = solver._polish(prep, starts)
             assert [solver._polish(prep, [a])[0] for a in starts] == got[kernel], trial
         assert got["block"] == got["sweep"], trial
-        assert got["sweep"] == list(want), trial
+        assert got["sweep"] == [_scored(prep, a) for a in want], trial
         # past its deadline a descent takes no step
-        assert solver._polish(prep, starts, time.monotonic() - 1) == starts
+        assert (solver._polish(prep, starts, time.monotonic() - 1)
+                == [_scored(prep, a) for a in starts])
     assert mixed >= 10, mixed
 
 
@@ -871,8 +886,8 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     prep = solver._Prep(CompiledInstance(d, s, cfg))
     eng = solver._Engine(prep, cfg, time.monotonic(), None)
     descents = []
-    monkeypatch.setattr(solver, "_polish",
-                        lambda prep, batch, deadline=None: descents.extend(batch) or batch)
+    monkeypatch.setattr(solver, "_polish", lambda prep, batch, deadline=None:
+                        descents.extend(batch) or [_scored(prep, a) for a in batch])
     warm = warm_start(d, s)
     solver._seed_incumbent(prep, eng, warm, time.monotonic() - 1)
     assert descents == []
@@ -899,7 +914,7 @@ def test_seeding_descends_each_distinct_start_once(monkeypatch):
     def record(prep, batch, deadline=None):
         batches.append(len(batch))
         descents.extend(map(tuple, batch))
-        return batch
+        return [_scored(prep, a) for a in batch]
 
     monkeypatch.setattr(solver, "_polish", record)
     warm = warm_start(d, s)
