@@ -6,7 +6,8 @@ file that external solvers accept, parse_lp reads that text back, and
 verify_solution checks a solver's assignment against every constraint
 and against the exact objective.
 
-Variable naming is fixed: z_i (loss indicators), lam_j (coefficients),
+Variable naming is fixed: z_i (loss indicators, one per distinct signed
+row y_i x_i, named after the row's first example i), lam_j (coefficients),
 alpha_j (nonzero indicators), beta_j (absolute values), I_j (penalty
 totals), u_j_k / u_j_r_k (one-of-K value pickers), s_j_r (tier
 pickers); indexes are 0-based.  Every number in a model is a decimal
@@ -30,7 +31,8 @@ from .coefset import CoefficientSet, Tier
 from .data import Dataset
 from .errors import ConfigError, DomainError, VerifyError
 from .exactnum import fraction_str, pow10_denominator, to_fraction
-from .objective import ObjectiveValue, TrainConfig, evaluate, int_dtype, score_ints
+from .objective import (ObjectiveValue, TrainConfig, _merge_rows, evaluate, int_dtype,
+                        score_ints)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,10 +114,10 @@ def big_m_for(d: Dataset, s: CoefficientSet, gamma: Fraction, i: int) -> Fractio
 
 def _big_m_numerators(signed: list, s: CoefficientSet,
                       gamma: Fraction) -> tuple[list[int], int]:
-    """big_m_for of every example at once, as integer numerators over
-    one common denominator.  signed[j] is (y_i x_ij numerators, their
-    denominator) for column j.  The sums run in int64 when a bound on
-    every term and total fits it, else in Python ints."""
+    """big_m_for of every row at once, as integer numerators over one
+    common denominator.  signed[j] is (y_i x_ij numerators, one per row,
+    their denominator) for column j.  The sums run in int64 when a
+    bound on every term and total fits it, else in Python ints."""
     den = gamma.denominator
     parts = []
     for (c, cden), dom in zip(signed, s.domains):
@@ -141,9 +143,16 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
                 variant: str = "standard") -> MipModel:
     """Exact MIP over the coefficient set.
 
-    standard: per-example loss indicators z weighted 1/n, penalty
+    Examples with equal signed rows y_i x_i have equal margins under
+    every lam, so they share one loss indicator z_i and one loss row,
+    named after the first of them (i) and ordered by it; the row's
+    objective weight is the class weights of its examples summed over
+    n.  A table with no repeated signed row gets one row per example.
+
+    standard: loss indicators weighted (examples in the row)/n, penalty
     variables I_j = c0 alpha_j + c1 beta_j.  weighted: the same with
-    w_pos/n and w_neg/n loss coefficients, loss rows named by class.
+    (w_pos * positives + w_neg * negatives)/n loss coefficients, loss
+    rows named by the class of their first example.
     pilm: loss plus per-tier costs only, coefficients picked through
     one-of-K indicators u_j_r_k and tier indicators s_j_r.  Domains
     with gaps use the one-of-K encoding in every variant.
@@ -172,7 +181,23 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     constraints: list[Constraint] = []
     objective: list[tuple] = []
 
-    for i in range(n):
+    # one loss row per distinct signed row y_i x_i, named after its
+    # first example and in the order of the first examples; equal rows
+    # have equal margins under every lam, so their z's are one
+    signed = []
+    for j in range(p):
+        nums, den = d.exact_column(j)
+        signed.append((d.y * nums, den))
+    first, group, _, _ = _merge_rows([c for c, _ in signed])
+    order = np.argsort(first)
+    rows = first[order]
+    firsts = rows.tolist()
+    ys = d.y[rows].tolist()
+    # each row's examples, and how many of them are positive
+    n_pos = np.bincount(group[d.y == 1], minlength=len(first))[order].tolist()
+    n_all = np.bincount(group, minlength=len(first))[order].tolist()
+
+    for i in firsts:
         variables.append(Variable(f"z_{i}", "binary", ZERO, ONE))
     for j in range(p):
         dom = s.domains[j]
@@ -188,21 +213,20 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     for j in range(p):
         variables.append(Variable(f"I_{j}", "continuous", ZERO, None))
 
-    # loss indicators in the objective
-    wp = _dec(cfg.w_pos / n)
-    wn = _dec(cfg.w_neg / n)
-    ys = d.y.tolist()
-    for i, yi in enumerate(ys):
-        objective.append((f"z_{i}", wp if yi == 1 else wn))
+    # loss indicators in the objective: a row weighs the class weights
+    # of its examples over n; rows with equal counts share one weight
+    weight = {}
+    for i, a, k in zip(firsts, n_pos, n_all):
+        w = weight.get((a, k))
+        if w is None:
+            w = weight[a, k] = _dec((cfg.w_pos * a + cfg.w_neg * (k - a)) / n)
+        objective.append((f"z_{i}", w))
     for j in range(p):
         objective.append((f"I_{j}", ONE))
 
     # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma; an int64
     # column's signed cells stay within 2**53
-    signed = []
-    for j in range(p):
-        nums, den = d.exact_column(j)
-        signed.append((d.y * nums, den))
+    signed = [(c[rows], den) for c, den in signed]
     big_m, m_den = _big_m_numerators(signed, s, gamma)
     m_dec = {num: _dec(Fraction(num, m_den)) for num in set(big_m)}
     # column j's term in each row, None for a zero cell (a data cell is
@@ -214,7 +238,7 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         term = {num: (f"lam_{j}", _dec(Fraction(num, den))) if num else None
                 for num in set(nums)}
         lam_cols.append(list(map(term.__getitem__, nums)))
-    for i, (yi, mnum, row) in enumerate(zip(ys, big_m, zip(*lam_cols))):
+    for i, yi, mnum, row in zip(firsts, ys, big_m, zip(*lam_cols)):
         if variant == "weighted":
             name = f"loss_pos_{i}" if yi == 1 else f"loss_neg_{i}"
         else:
@@ -431,6 +455,22 @@ def _parse_terms(text: str, tokens: _Tokens):
     return tuple(terms)
 
 
+def _bound_line(line: str, tokens: _Tokens) -> tuple:
+    """(name, lower, upper) of a bounds line in any spacing, None for a
+    missing bound: "lo <= name <= hi", "name free", "name >= lo" or
+    "name <= hi", the numbers whole matches of _NUM."""
+    mm = _BOUND_BOTH.match(line)
+    if mm:
+        return mm[2], tokens[mm[1]], tokens[mm[3]]
+    if line.endswith(" free"):
+        return line[:-5].strip(), None, None
+    mm = _BOUND_ONE.match(line)
+    if not mm:
+        raise ConfigError(f"cannot parse bounds line {line!r}")
+    name, sense, num = mm.groups()
+    return (name, tokens[num], None) if sense == ">=" else (name, None, tokens[num])
+
+
 def parse_lp(text: str) -> MipModel:
     """Invert write_lp.  Understands the subset this module writes: a
     Minimize block, named constraints, one Bounds line per variable,
@@ -472,22 +512,20 @@ def parse_lp(text: str) -> MipModel:
                 name.strip(), _parse_terms(body[:start].strip(), tokens),
                 body[start:at + 1], rhs))
         elif section == "bounds":
-            mm = _BOUND_BOTH.match(line)
-            if mm:
-                bounds.append((mm.group(2), tokens[mm.group(1)],
-                               tokens[mm.group(3)]))
-                continue
-            if line.endswith(" free"):
-                bounds.append((line[:-5].strip(), None, None))
-                continue
-            mm = _BOUND_ONE.match(line)
-            if not mm:
-                raise ConfigError(f"cannot parse bounds line {line!r}")
-            name, sense, num = mm.groups()
-            if sense == ">=":
-                bounds.append((name, tokens[num], None))
-            else:
-                bounds.append((name, None, tokens[num]))
+            # the spaced forms write_lp writes, read by one split and the
+            # token cache; any other line goes through _bound_line
+            parts = line.split()
+            got = None
+            if len(parts) == 5 and parts[1] == parts[3] == "<=":
+                lo, hi = tokens[parts[0]], tokens[parts[4]]
+                if lo is not None and hi is not None:
+                    got = (parts[2], lo, hi)
+            elif len(parts) == 3 and parts[1] in ("<=", ">=") and "=" not in parts[0]:
+                # (a name with "=" in it may hide a glued "lo <=")
+                num = tokens[parts[2]]
+                if num is not None:
+                    got = (parts[0], num, None) if parts[1] == ">=" else (parts[0], None, num)
+            bounds.append(got or _bound_line(line, tokens))
         elif section == "obj":
             body = line.split(":", 1)[1].strip() if ":" in line else line
             if body:  # a bare name line ("obj:") adds no terms
@@ -556,6 +594,7 @@ def read_solution(text: str) -> dict:
 # --- verification -------------------------------------------------------------
 
 _LAM_NAME = re.compile(r"lam_(\d+)")
+_Z_NAME = re.compile(r"z_(\d+)")
 _PICKER_INDEX = re.compile(r"u_(\d+)(?:_|$)")
 
 
@@ -639,7 +678,10 @@ def tiers_from_model(m: MipModel):
 def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
     """The cheapest feasible assignment that realizes the coefficient
     vector lam: loss indicators exactly where the margin misses gamma,
-    every auxiliary variable at its forced value."""
+    every auxiliary variable at its forced value.  Only the variables
+    the model declares get a value: z_i, for each z_i declared, is set
+    from example i's margin, which serves a model with one loss row per
+    example and one with a row per distinct signed row alike."""
     lam = [to_fraction(v) for v in lam]
     lay = _layout(m)
     if len(lam) != len(lay.lams):
@@ -648,12 +690,18 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
         raise ConfigError("model has no loss rows")
     out = dict(zip(lay.lams.values(), lam))
     value = dict(zip(lay.lams, lam))
+    declared = {v.name for v in m.variables}
     # margin_i = y_i score_i / q < gamma, compared as integers (q > 0)
     score, q = score_ints(d, lam)
     cut = lay.gamma.numerator * q
-    for i, (yi, si) in enumerate(zip(d.y.tolist(), score.tolist())):
-        out[f"z_{i}"] = ONE if yi * si * lay.gamma.denominator < cut else ZERO
-    declared = {v.name for v in m.variables}
+    ys, scores = d.y.tolist(), score.tolist()
+    for var in m.variables:
+        if mm := _Z_NAME.fullmatch(var.name):
+            i = int(mm[1])
+            if i >= d.n:
+                raise ConfigError(f"model declares {var.name}, but the data has "
+                                  f"{d.n} examples")
+            out[var.name] = ONE if ys[i] * scores[i] * lay.gamma.denominator < cut else ZERO
     for j, v in value.items():
         if f"alpha_{j}" in declared:
             out[f"alpha_{j}"] = ONE if v != 0 else ZERO
@@ -746,8 +794,10 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
                     cfg: TrainConfig) -> ObjectiveValue:
     """Check an external solver's assignment.
 
-    Every variable must be present, inside its bounds, and integral
-    where declared so; every constraint must hold within 1e-6.  The
+    The assignment must name every variable of the model and no other
+    name (a solution to a model with other loss rows is refused).
+    Every variable must be inside its bounds, and integral where
+    declared so; every constraint must hold within 1e-6.  The
     coefficient vector is then extracted (snapped to the integer grid
     or the one-of-K values) and re-scored exactly; if the model's
     objective value disagrees with the exact objective beyond 1e-6 the
@@ -761,6 +811,13 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
         raise VerifyError(
             f"assignment is missing {len(missing)} variables "
             f"(first: {', '.join(missing[:5])})", violations=missing)
+    # model names are distinct, so with none missing the assignment has
+    # a name the model lacks exactly when it has more names
+    if len(assignment) > len(m.variables):
+        declared = {v.name for v in m.variables}
+        extra = next(name for name in assignment if name not in declared)
+        raise VerifyError(f"solution names {extra}, which the model does not declare",
+                          violations=[extra])
     vals = {v.name: to_fraction(assignment[v.name]) for v in m.variables}
     violations = _violations(m, vals)
     if violations:

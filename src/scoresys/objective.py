@@ -471,21 +471,47 @@ def _merge_rows(b_cols: list):
     sign(b) * (1 + the rank of |b| among the column's magnitudes),
     which is equal where b is equal and negated where b is negated.
     Each row is keyed with the sign that makes its first nonzero entry
-    positive, so one sort finds both."""
+    positive, so one sort finds both.
+
+    The key is a mixed-radix integer: the sign is its lowest digit and
+    each column's offset from the column's least entry a digit above
+    it, column 0 the most significant.  It is cut into as few int64
+    words as hold it (one when twice the product of the columns' spans
+    is at most 2**63), and a stable lexsort of the words orders the
+    rows, so groups are numbered in key order and a key's positive
+    group comes just before its negated twin.  Cells lie below 2**61 in
+    magnitude: the margin and data bounds keep them there."""
     coded = []
     for b in b_cols:
         if b.dtype == object:
             _, rank = np.unique(np.abs(b), return_inverse=True)
             b = np.sign(b).astype(np.int64) * (rank + 1)
         coded.append(b)
-    rows = np.stack(coded, axis=1)
-    n, p = rows.shape
-    lead = rows[np.arange(n), (rows != 0).argmax(axis=1)]
-    neg = lead < 0
-    keyed = np.ascontiguousarray(np.where(neg[:, None], -rows, rows))
-    keys = keyed.view(np.dtype((np.void, keyed.itemsize * p))).ravel()
-    _, key_of = np.unique(keys, return_inverse=True)
-    ids, first, group = np.unique(2 * key_of + neg, return_index=True,
-                                  return_inverse=True)
-    twin_a = np.nonzero(ids[1:] // 2 == ids[:-1] // 2)[0]
+    cols = np.stack(coded)
+    p, n = cols.shape
+    neg = cols[(cols != 0).argmax(axis=0), np.arange(n)] < 0
+    keyed = np.where(neg, -cols, cols).astype(np.int64, copy=False)
+    digits = keyed - keyed.min(axis=1)[:, None]
+    # each column's word and place value, the last column first
+    place, word, scale = [], 0, 2
+    for span in (digits.max(axis=1) + 1).tolist()[::-1]:
+        if scale * span > 2**63:
+            word, scale = word + 1, 1
+        place.append((word, scale))
+        scale *= span
+    scales = np.zeros((word + 1, p), dtype=np.int64)
+    for j, (k, v) in enumerate(reversed(place)):
+        scales[k, j] = v
+    words = scales @ digits
+    words[0] += neg
+    order = np.lexsort(words)
+    words = words[:, order]
+    new = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    words[0] >>= 1
+    same = (words[:, 1:] == words[:, :-1]).all(axis=0)  # equal unsigned keys
+    gid = np.concatenate(([0], np.cumsum(new)))
+    group = np.empty(n, dtype=gid.dtype)
+    group[order] = gid
+    first = order[np.concatenate(([True], new))]
+    twin_a = gid[:-1][same & new]
     return first, group, twin_a, twin_a + 1

@@ -143,6 +143,14 @@ def rand_dup_dataset(rng, n, p, lo=-3, hi=3, scale=1) -> Dataset:
                    intercept_index=None)
 
 
+def first_of_signed_rows(d: Dataset) -> list[int]:
+    """For each example i, the first example whose signed row y x equals
+    y_i x_i: the example the exported loss row of i is named after."""
+    first: dict = {}
+    return [first.setdefault(tuple((y * row).tolist()), i)
+            for i, (y, row) in enumerate(zip(d.y, d.x))]
+
+
 def footnote_dataset() -> Dataset:
     """Two-point instance with two optimal unit-coefficient models."""
     x = np.array([[-1.0, 1.0], [1.0, -1.0]])

@@ -14,7 +14,7 @@ from scoresys.exactnum import fraction_str
 from scoresys.mipmodel import complete_assignment, parse_lp
 from scoresys.report import ScoringSystem
 
-from helpers import write_csv
+from helpers import first_of_signed_rows, write_csv
 
 
 @pytest.fixture()
@@ -325,6 +325,28 @@ def test_export_mip_and_verify_round_trip(tmp_path, small_csv, coefset_one,
     assert "loss_0" in captured.err
 
 
+def test_verify_refuses_a_solution_naming_an_undeclared_variable(tmp_path, small_csv,
+                                                                 coefset_one, capsys):
+    # examples 4 and 10 of small.csv share a signed row, so the LP has
+    # z_4 and no z_10; a solution written per example names z_10 too
+    lp, sol = tmp_path / "model.lp", tmp_path / "sol.txt"
+    flags = ["--data", str(small_csv), "--coefset", str(coefset_one), "--c0", "0.05"]
+    assert main(["export-mip", *flags, "--out", str(lp)]) == 0
+    m = parse_lp(lp.read_text())
+    names = {v.name for v in m.variables}
+    assert "z_4" in names and "z_10" not in names
+    a = complete_assignment(m, load_csv(small_csv), [0] * 3)
+    per_example = {f"z_{i}": a.get(f"z_{i}", a["z_4"]) for i in range(20)}
+    per_example.update(a)
+    sol.write_text("".join(f"{k} {fraction_str(v)}\n" for k, v in per_example.items()))
+    capsys.readouterr()
+    assert main(["verify", "--model", str(lp), "--solution", str(sol), *flags]) == 1
+    assert capsys.readouterr().err == ("error: solution names z_10, which the model "
+                                       "does not declare\n")
+    sol.write_text("".join(f"{k} {fraction_str(v)}\n" for k, v in a.items()))
+    assert main(["verify", "--model", str(lp), "--solution", str(sol), *flags]) == 0
+
+
 def test_export_mip_and_verify_take_no_solve_flags(tmp_path, small_csv,
                                                    coefset_one, capsys):
     # neither command solves, so neither takes a budget or a gap tolerance
@@ -352,7 +374,9 @@ def test_export_mip_gamma_is_the_loss_rows_right_hand_side(tmp_path, small_csv,
                  "--c0", "0.05", "--out", str(lp), *extra]) == 0
     rhs = [c.rhs for c in parse_lp(lp.read_text()).linear_constraints
            if c.name.startswith("loss_")]
-    assert rhs == [gamma] * 20
+    # one loss row per distinct signed row: (-2, 2, -1) repeats
+    assert len(set(first_of_signed_rows(load_csv(small_csv)))) == 19
+    assert rhs == [gamma] * 19
 
 
 def test_export_mip_standard_rejects_auto_weights(tmp_path, small_csv,

@@ -17,9 +17,9 @@ from scoresys.mipmodel import (_NUM, TOL, VARIANTS, _dec, _layout,
                                big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
                                tiers_from_model, verify_solution, write_lp)
-from scoresys.objective import TrainConfig, default_weights, evaluate
+from scoresys.objective import CompiledInstance, TrainConfig, default_weights, evaluate
 
-from helpers import brute_solve, rand_dataset
+from helpers import brute_solve, first_of_signed_rows, rand_dataset, rand_dup_dataset
 
 
 def _resolved(d, s, **kw):
@@ -130,10 +130,11 @@ def test_weighted_variant_names_and_guard():
     m = build_model(d, s, cfg, variant="weighted")
     loss_names = [c.name for c in m.linear_constraints
                   if c.name.startswith("loss_")]
-    assert all(nm.startswith(("loss_pos_", "loss_neg_")) for nm in loss_names)
-    # global example index is preserved in the name
-    idx = sorted(int(nm.rsplit("_", 1)[1]) for nm in loss_names)
-    assert idx == list(range(4))
+    # one row per distinct signed row, named by the class and the index
+    # of its first example, in example order
+    firsts = sorted(set(first_of_signed_rows(d)))
+    assert firsts != list(range(d.n))  # the table repeats a signed row
+    assert loss_names == [f"loss_{'pos' if d.y[i] == 1 else 'neg'}_{i}" for i in firsts]
 
 
 def test_unknown_variant():
@@ -333,6 +334,59 @@ def test_read_solution_rejects_a_name_given_twice():
         read_solution("z_0 1\nlam_0 -2\n# z_0 0\nz_0 0\n")
 
 
+_REF_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
+_REF_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
+
+
+def _bound_reference(line):
+    """A bounds line read by regex matches alone, as parse_lp once read
+    every line: (name, lower, upper), or None where it is an error."""
+    line = line.strip()
+    if mm := _REF_BOTH.match(line):
+        return mm[2], Fraction(mm[1]), Fraction(mm[3])
+    if line.endswith(" free"):
+        return line[:-5].strip(), None, None
+    if mm := _REF_ONE.match(line):
+        num = Fraction(mm[3])
+        return (mm[1], num, None) if mm[2] == ">=" else (mm[1], None, num)
+    return None
+
+
+def _bounds_lp(line):
+    return f"Minimize\n obj: y\nSubject To\n c: y >= 0\nBounds\n {line}\nEnd\n"
+
+
+@pytest.mark.parametrize("line", [
+    "0 <= x <= 1", "-2.5 <= lam_0 <= 1e3", "x >= 0", "x <= -1", "x free",
+    "  x \t >=   .5 ", "1 <= 2", "0 <= <= <= 1", "x<=1 >= 2",
+    # glued forms, which the split does not take
+    "0<=x<=1", "x>=0", "x<=-1", "0 <= x<=1", "0<=x <= 1", "0 <= x <=1", "x <=1",
+    "x>= 2", "1<=x >= 2"])
+def test_bounds_lines_read_as_by_the_regex_reference(line):
+    v = parse_lp(_bounds_lp(line)).variables[0]
+    assert (v.name, v.lower, v.upper) == _bound_reference(line)
+
+
+def test_written_bounds_lines_take_the_split(monkeypatch):
+    # every bounds line write_lp writes is read without _bound_line
+    rng = np.random.default_rng(44)
+    d = rand_dataset(rng, 6, 2)
+    s = CoefficientSet(domains=(bounded_integers(2), explicit_values([0, 1, -1, 3])))
+    text = write_lp(build_model(d, s, _resolved(d, s)))
+    monkeypatch.setattr(mipmodel, "_bound_line", None)
+    assert write_lp(parse_lp(text)) == text
+
+
+@pytest.mark.parametrize("line", [
+    "x", "x >=", "<= 5", "free", "x\tfree", "x == 1", "x >= abc", "x >= 1 2",
+    "abc <= x <= 1", "0 <= x <= 1_0", "0 <= x >= 1", "0 <= x <= 1 <= 2", "0 <= x"])
+def test_malformed_bounds_lines_are_rejected(line):
+    assert _bound_reference(line) is None
+    with pytest.raises(ConfigError,
+                       match=f"^cannot parse bounds line {re.escape(repr(line.strip()))}$"):
+        parse_lp(_bounds_lp(line))
+
+
 def test_exported_model_minimum_matches_objective():
     """Criterion-sized check: exhaustive search over the exported MIP's
     feasible completions equals the training objective's optimum."""
@@ -350,6 +404,64 @@ def test_exported_model_minimum_matches_objective():
         m = build_model(d, s, cfg, variant=variant)
         want, _ = brute_solve(d, s, cfg)
         assert _lattice_min(m, d, s, cfg) == want, trial
+
+
+def _dup_instance(rng, variant):
+    """A table with repeated signed rows, and rows merging (x, +1) with
+    (-x, -1) (no intercept), its cells integers (int64 columns) or
+    quarters (Python-int columns); a coefficient set and config for the
+    variant, with class weights apart from 1 outside the standard one."""
+    n = int(rng.choice([8, 10, 16, 20, 25]))  # terminating 1/n
+    p = int(rng.integers(1, 4))
+    d = rand_dup_dataset(rng, n, p, lo=-2, hi=2)
+    flip = rng.random(n) < 0.3
+    x = np.where(flip[:, None], -d.x, d.x) * (0.25 if rng.random() < 0.5 else 1)
+    d = Dataset(x=x, y=np.where(flip, -d.y, d.y), feature_names=d.feature_names,
+                intercept_index=None)
+    if variant == "pilm":
+        s = _tiered_set(p)
+        return d, s, _resolved(d, s, c0=Fraction(1, 100))
+    doms = [bounded_integers(2) if rng.random() < 0.6
+            else explicit_values([0, 1, -1, 3]) for _ in range(p)]
+    s = CoefficientSet(domains=tuple(doms))
+    w = (Fraction(3, 2), Fraction(1, 2)) if variant == "weighted" else (1, 1)
+    return d, s, _resolved(d, s, c1=Fraction(1, 10**4), w_pos=w[0], w_neg=w[1])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loss_rows_are_the_distinct_signed_rows(variant):
+    """One loss row and one z per row of CompiledInstance, named after
+    the first example of its signed row, in example order; the z weights
+    sum to the loss of the all-miss model, (w_pos n_pos + w_neg n_neg)/n."""
+    rng = np.random.default_rng(41)
+    merged = 0
+    for trial in range(15):
+        d, s, cfg = _dup_instance(rng, variant)
+        m = build_model(d, s, cfg, variant)
+        firsts = sorted(set(first_of_signed_rows(d)))
+        rows = [c.name for c in m.linear_constraints if c.name.startswith("loss")]
+        assert len(rows) == CompiledInstance(d, s, cfg).n_rows == len(firsts), trial
+        assert [nm.rsplit("_", 1)[1] for nm in rows] == [str(i) for i in firsts]
+        zs = [(name, w) for name, w in m.objective if name.startswith("z_")]
+        assert [name for name, _ in zs] == [f"z_{i}" for i in firsts]
+        assert sum(w for _, w in zs) == (cfg.w_pos * d.n_pos
+                                         + cfg.w_neg * (d.n - d.n_pos)) / d.n
+        merged += d.n - len(firsts)
+    assert merged > 50
+
+
+@pytest.mark.parametrize("variant", ["standard", "weighted"])
+def test_merged_model_minimum_matches_brute_force(variant):
+    """On tables with repeated signed rows the exported MIP's minimum is
+    the training optimum: each merged row carries the weight of all its
+    examples, and verify accepts the completed optimum."""
+    rng = np.random.default_rng(43)
+    for trial in range(12):
+        d, s, cfg = _dup_instance(rng, variant)
+        m = build_model(d, s, cfg, variant)
+        want, lam = brute_solve(d, s, cfg)
+        assert _lattice_min(m, d, s, cfg) == want, trial
+        assert verify_solution(m, complete_assignment(m, d, lam), d, cfg).total == want
 
 
 def test_complete_assignment_is_feasible_and_scored():

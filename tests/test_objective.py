@@ -16,7 +16,7 @@ from scoresys.objective import (CompiledInstance, ObjectiveValue, TrainConfig,
                                 score_ints)
 from scoresys.solver import OPTIMAL, solve
 
-from helpers import brute_solve, rand_dataset, rand_dup_dataset
+from helpers import brute_solve, first_of_signed_rows, rand_dataset, rand_dup_dataset
 
 
 def _tiny():
@@ -152,10 +152,14 @@ def test_int64_columns_widen_wherever_a_product_leaves_int64():
         best = min(best or (total, l1, lam), (total, l1, lam))
     assert brute_solve(d, s, cfg) == (best[0], best[2])
 
+    # each example's loss row is the one named after the first example
+    # with its signed row
     rows = {c.name: dict(c.terms) for c in build_model(d, s, cfg).linear_constraints
             if c.name.startswith("loss_")}
-    for i, (row, y) in enumerate(zip(cells, ys)):
-        terms = rows[f"loss_{i}"]
+    firsts = first_of_signed_rows(d)
+    assert sorted(rows) == sorted(f"loss_{i}" for i in set(firsts))
+    for row, y, i in zip(cells, ys, firsts):
+        terms = dict(rows[f"loss_{i}"])
         assert terms.pop(f"z_{i}") == cfg.gamma + sum(abs(c) for c in row)
         assert terms == {f"lam_{j}": y * c for j, c in enumerate(row) if c}
 
@@ -238,39 +242,40 @@ def test_objective_value_to_dict():
     assert set(doc) >= {"total", "total_exact", "loss", "l0", "l1", "tier", "nnz"}
 
 
-def _merge_reference(rows):
-    """Groups of equal rows (by first occurrence) and the pairs of
-    groups whose rows are negations of each other, by plain loops."""
-    keys = []
-    for r in rows.tolist():
-        if tuple(r) not in keys:
-            keys.append(tuple(r))
-    groups = {k: frozenset(i for i, r in enumerate(rows.tolist()) if tuple(r) == k)
-              for k in keys}
-    twins = {frozenset((groups[a], groups[b])) for a in keys for b in keys
-             if a != b and a == tuple(-v for v in b)}
-    return set(groups.values()), twins
-
-
-@pytest.mark.parametrize("merge", ["int64", "object", "beyond_int64"])
+@pytest.mark.parametrize("merge", ["int64", "object", "beyond_int64", "int16",
+                                   "int64_wide"])
 def test_row_merge_groups_and_twins(merge):
-    # Python-int columns, the last with magnitudes int64 cannot hold,
-    # group and pair exactly as the int64 ones do
-    rng = np.random.default_rng(59)
-    for _ in range(40):
-        n, p = int(rng.integers(1, 40)), int(rng.integers(1, 4))
-        rows = rng.integers(-2, 3, size=(n, p))
-        if merge == "int64":
-            cols = [rows[:, j] for j in range(p)]
-        else:
-            scale = 1 if merge == "object" else 10**30
-            cols = [rows[:, j].astype(object) * scale for j in range(p)]
-        first, group, ta, tb = _merge_rows(cols)
-        members = [frozenset(np.flatnonzero(group == g).tolist())
-                   for g in range(len(first))]
-        assert all(first[g] in members[g] for g in range(len(first)))
-        twins = {frozenset((members[a], members[b])) for a, b in zip(ta, tb)}
-        assert (set(members), twins) == _merge_reference(rows)
+    """Rows drawn with repeats from a pool, a random share of them
+    negated, against a dict of row tuples: each group is one row tuple,
+    numbered with its first row the least index of its rows, and the
+    twin pairs are exactly the groups of opposite tuples, the one whose
+    first nonzero entry is positive first.  Python-int columns, the
+    beyond_int64 ones with magnitudes int64 cannot hold, group and pair
+    as int64 ones do; int64_wide keys span more than one int64 word."""
+    rng = np.random.default_rng(67)
+    scale = {"beyond_int64": 10**30, "int64_wide": 2**58}.get(merge, 1)
+    dtype = {"object": object, "beyond_int64": object, "int16": np.int16}.get(merge, np.int64)
+    for trial in range(60):
+        n, p = int(rng.integers(1, 50)), int(rng.integers(1, 6))
+        pool = rng.integers(-3, 4, size=(max(1, n // 3), p))
+        rows = pool[rng.integers(0, len(pool), size=n)] * rng.choice([-1, 1], size=(n, 1))
+        rows = rows.astype(object) * scale
+        first, group, twin_a, twin_b = _merge_rows([rows[:, j].astype(dtype)
+                                                    for j in range(p)])
+        members: dict = {}
+        for i, row in enumerate(rows.tolist()):
+            members.setdefault(tuple(row), []).append(i)
+        key_of = {}
+        for key, ids in members.items():
+            g = int(group[ids[0]])
+            assert np.flatnonzero(group == g).tolist() == ids and first[g] == ids[0]
+            key_of[g] = key
+        assert len(first) == len(key_of) == len(members)
+        pairs = {(key_of[a], key_of[b]) for a, b in zip(twin_a.tolist(), twin_b.tolist())}
+        assert pairs == {(k, tuple(-v for v in k)) for k in members
+                         if tuple(-v for v in k) in members
+                         and next((v for v in k if v), 0) > 0}, trial
+        assert (twin_b == twin_a + 1).all()
 
 
 def test_compiled_instance_merges_rows_and_keeps_total_cost():
