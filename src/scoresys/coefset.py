@@ -35,6 +35,7 @@ class CoefficientDomain:
     values: tuple[Fraction, ...]  # sorted ascending, unique, 0 included
     _value_set: frozenset = field(init=False, repr=False, compare=False)
     _max_abs: Fraction = field(init=False, repr=False, compare=False)
+    _scaled: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(sorted(set(self.values)))
@@ -58,6 +59,16 @@ class CoefficientDomain:
     @property
     def max_abs(self) -> Fraction:
         return self._max_abs
+
+    def scaled_values(self) -> tuple[int, ...]:
+        """The values times their least common denominator, as Python
+        ints in the same ascending order; worked out on first use and
+        kept with the domain."""
+        if self._scaled is None:
+            den = math.lcm(*(v.denominator for v in self.values))
+            object.__setattr__(self, "_scaled", tuple(
+                v.numerator * (den // v.denominator) for v in self.values))
+        return self._scaled
 
     def is_contiguous_integers(self) -> bool:
         """True when the values are exactly lo, lo+1, ..., hi."""

@@ -458,12 +458,16 @@ def _parse_terms(text: str, tokens: _Tokens):
 def _bound_line(line: str, tokens: _Tokens) -> tuple:
     """(name, lower, upper) of a bounds line in any spacing, None for a
     missing bound: "lo <= name <= hi", "name free", "name >= lo" or
-    "name <= hi", the numbers whole matches of _NUM."""
+    "name <= hi", the numbers whole matches of _NUM.  A free variable's
+    name is one ASCII identifier, as _parse_terms reads names."""
     mm = _BOUND_BOTH.match(line)
     if mm:
         return mm[2], tokens[mm[1]], tokens[mm[3]]
     if line.endswith(" free"):
-        return line[:-5].strip(), None, None
+        name = line[:-5].strip()
+        if not (name.isidentifier() and name.isascii()):
+            raise ConfigError(f"cannot parse bounds line {line!r}")
+        return name, None, None
     mm = _BOUND_ONE.match(line)
     if not mm:
         raise ConfigError(f"cannot parse bounds line {line!r}")

@@ -15,7 +15,12 @@ Before the search, coordinate descent seeds the incumbent from a list
 of starts, descended side by side in batches.  Below a node, every
 completion but the all-zero one pays at least one more nonzero
 penalty; when that alone prunes, the all-zero completion is scored
-exactly instead of searched.  Objective ties resolve
+exactly instead of searched.  Every completion with two or more
+nonzero free levels pays at least the two least such penalties; when
+that prunes, the child is closed: its all-zero completion and every
+completion with exactly one nonzero free level are scored exactly, a
+chunk of levels per comparison block, and it is not searched (the
+lookahead of CORELS and OSDT).  Objective ties resolve
 to the smallest l1 norm, then to the lexicographically smallest
 coefficient vector; pruning is careful to respect that rule, so the
 returned vector is a pure function of the problem and not of traversal
@@ -27,6 +32,7 @@ reported lower bound never exceeds it.
 from __future__ import annotations
 
 import bisect
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from .coefset import CoefficientSet
 from .data import Dataset
 from .errors import ConfigError, DomainError, ScoresysError
 from .exactnum import to_fraction
-from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, int_dtype
+from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate
 from .report import ScoringSystem
 
 INF = float("inf")
@@ -90,7 +96,9 @@ class TracePoint:
 class SolveResult:
     """A solve's model and certificate.  nodes_explored counts search
     nodes: expansions (nodes whose children were bounded) plus leaves
-    (complete vectors scored at the last level)."""
+    (complete vectors scored at the last level, which is expanded only
+    when it is the root).  A closed child is not counted, nor are the
+    completions with one nonzero free level that it scores."""
 
     best: ScoringSystem
     objective: ObjectiveValue
@@ -101,24 +109,38 @@ class SolveResult:
     nodes_explored: int
 
 
-def _class_mean_diffs(d: Dataset) -> list[Fraction]:
-    """Exact mean(x_j | y=+1) - mean(x_j | y=-1) per column; 0 when a
-    class is absent."""
+def _class_mean_diffs(d: Dataset) -> tuple[list[int], int]:
+    """Exact mean(x_j | y=+1) - mean(x_j | y=-1) per column, as integer
+    numerators over one common denominator q > 0: ([a_j], q), all a_j
+    0 when a class is absent.  Column j's difference is
+    (s_pos n_neg - s_neg n_pos) / (den_j n_pos n_neg), with s_pos and
+    s_neg its class sums of numerators at its denominator den_j
+    (Dataset.exact_column), so q = lcm(den_j) n_pos n_neg."""
     pos = d.y == 1
     n_pos = int(pos.sum())
     n_neg = d.n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return [0] * d.p, 1
+    cols = [d.exact_column(j) for j in range(d.p)]
+    den = math.lcm(*(cden for _, cden in cols))
+    # class sums: of the int64 columns side by side while no sum can
+    # reach 2**63, of the others column by column in Python ints
+    sums = [None] * d.p
+    fast = [j for j, (nums, _) in enumerate(cols) if nums.dtype == np.int64]
+    if fast:
+        block = np.stack([cols[j][0] for j in fast], axis=1)
+        if d.n * int(np.abs(block).max()) < 2**63:
+            for j, s_pos, s_all in zip(fast, block[pos].sum(axis=0).tolist(),
+                                       block.sum(axis=0).tolist()):
+                sums[j] = s_pos, s_all
     out = []
-    for j in range(d.p):
-        nums, den = d.exact_column(j)
-        if n_pos == 0 or n_neg == 0:
-            out.append(Fraction(0))
-            continue
-        # a class sum stays in int64 only while it cannot reach 2**63
-        nums = nums.astype(int_dtype(d.n * int(np.abs(nums).max())), copy=False)
-        mp = Fraction(int(nums[pos].sum()), den * n_pos)
-        mn = Fraction(int(nums[~pos].sum()), den * n_neg)
-        out.append(mp - mn)
-    return out
+    for j, (nums, cden) in enumerate(cols):
+        if sums[j] is None:
+            nums = nums.astype(object, copy=False)
+            sums[j] = int(nums[pos].sum()), int(nums.sum())
+        s_pos, s_all = sums[j]
+        out.append((s_pos * n_neg - (s_all - s_pos) * n_pos) * (den // cden))
+    return out, den * n_pos * n_neg
 
 
 def _snap(dom, target: Fraction) -> Fraction:
@@ -132,20 +154,37 @@ def _snap(dom, target: Fraction) -> Fraction:
 def warm_start(d: Dataset, s: CoefficientSet) -> tuple[Fraction, ...]:
     """Feasible starting vector: per-column class-mean differences,
     rescaled so the largest lands on its domain's largest magnitude,
-    then each coordinate snapped to the nearest domain value.  Columns
-    that do not separate the classes (constants included) snap to 0.
+    then each coordinate snapped to the nearest domain value, all in
+    exact integers.  Columns that do not separate the classes
+    (constants included) snap to 0.
     """
     if s.p != d.p:
         raise ConfigError(f"coefficient set has {s.p} domains for {d.p} columns")
     return _snap_diffs(_class_mean_diffs(d), s)
 
 
-def _snap_diffs(diffs: list[Fraction], s: CoefficientSet) -> tuple[Fraction, ...]:
-    """warm_start from the class-mean differences diffs."""
-    scale = max((abs(u) for u in diffs), default=Fraction(0))
+def _snap_diffs(diffs: tuple[list[int], int], s: CoefficientSet) -> tuple[Fraction, ...]:
+    """warm_start from the class-mean differences diffs, as
+    _class_mean_diffs gives them, in integers: with scale the largest
+    |a_j| and w_i the values of column j's domain times their common
+    denominator (CoefficientDomain.scaled_values), the target of column
+    j times scale, at that denominator, is a_j * max |w_i|, and the
+    distance of value i from it is |w_i * scale - a_j * max |w_i||
+    over a positive constant.  Ties prefer small |value|, then small
+    value, as in _snap."""
+    nums = diffs[0]
+    scale = max(map(abs, nums), default=0)
     if scale == 0:
-        return tuple(Fraction(0) for _ in diffs)
-    return tuple(_snap(dom, u / scale * dom.max_abs) for u, dom in zip(diffs, s.domains))
+        return tuple(Fraction(0) for _ in nums)
+    out = []
+    for a, dom in zip(nums, s.domains):
+        vals = dom.scaled_values()
+        target = a * max(-vals[0], vals[-1])
+        i = bisect.bisect_left(vals, target, key=lambda w: w * scale)
+        k = min(range(max(i - 1, 0), min(i + 1, len(vals))),
+                key=lambda k: (abs(vals[k] * scale - target), abs(vals[k]), vals[k]))
+        out.append(dom.values[k])
+    return tuple(out)
 
 
 # --- public bound over partial assignments -----------------------------------
@@ -226,23 +265,25 @@ class _Prep:
     makes lost rows, and so bounds that prune, appear sooner.  Ties go
     to the larger |class-mean difference|, then to the lower column
     index.  Each level's values run small |value| first.  PEN holds a
-    level's penalties as an array for block arithmetic, and PENB the
+    level's penalties as an array for block arithmetic.  PENB holds the
     penalty part of its children's bounds, PEN[t] + sufminpen[t + 1]
     (the least penalty of the later levels) plus the twin credit of
-    the pairs the later levels can still move (moving); COST holds its
-    two cost columns for CompiledInstance.lost_costs, the costs with
-    those pairs priced up front and the plain ones; root_bound is the
-    root's bound, priced the same way.  PENL and L1 hold its
-    penalties and l1 norms as Python-int lists for the search's
-    per-child bookkeeping.  B, VI, zeros_margin and lost_at
-    hold margins in ci.margin_dtype, as do the threshold blocks THR
-    keeps (see thresholds).  diffs holds the class-mean differences by
-    column, which also give solve its warm start."""
+    the pairs the later levels can still move (moving, credit[t + 1]);
+    COST holds its two cost columns for CompiledInstance.lost_costs,
+    the costs with those pairs priced up front and the plain ones;
+    root_bound is the root's bound, priced the same way.  PENB, PENL
+    and L1 hold Python ints, PENL and L1 the penalties and l1 norms,
+    for the search's per-child bookkeeping.  B, VI, zeros_margin and
+    lost_at hold margins in ci.margin_dtype, as do the threshold blocks
+    THR keeps (see thresholds) and the chunks CHUNK keeps (see chunk).
+    diffs holds the class-mean differences by column, which also give
+    solve its warm start."""
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
         self.p = ci.p
-        self.diffs = diffs = _class_mean_diffs(ci.d)
+        self.diffs = _class_mean_diffs(ci.d)
+        diffs = self.diffs[0]
         ext = [ci.margin_extrema(j) for j in range(ci.p)]
         widths = [hi - lo for lo, hi in ext]
         # exact masses: in int64 when no sum can reach 2**63, else in
@@ -277,27 +318,33 @@ class _Prep:
         self.sufminpen = [0] * (ci.p + 1)
         self.sufzeropen = [0] * (ci.p + 1)
         self.sufnz = [INF] * (ci.p + 1)
+        self.sufnz2 = [INF] * (ci.p + 1)
+        steps = [INF, INF]  # the two least steps of the levels below
         for t in range(ci.p - 1, -1, -1):
             pens = self.PEN[t]  # value 0 first
             self.lost_at[t] = self.lost_at[t + 1] - mx[t]
             self.sufminpen[t] = self.sufminpen[t + 1] + int(pens.min())
             self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
             step = int(pens[1:].min()) - int(pens.min()) if len(pens) > 1 else INF
-            self.sufnz[t] = min(self.sufnz[t + 1], step)
+            steps = sorted(steps + [step])[:2]
+            self.sufnz[t] = steps[0]
+            # objectives may lie beyond float range, so no int meets INF
+            self.sufnz2[t] = INF if steps[1] == INF else steps[0] + steps[1]
         # row t of credit and priced prices up front the twin pairs that
         # levels t.. can still move: the root's bound takes row 0, level
         # t's children row t + 1
         credit, priced = ci.priced_costs(self.moving(np.array(self.lost_at)))
-        credit = credit.tolist()
+        self.credit = credit = credit.tolist()
         self.root_bound = (self.sufminpen[0] + credit[0]
                            + int(priced[0][self.lost_at[0] >= 0].sum()))
-        self.PENB = [pens + (self.sufminpen[t + 1] + credit[t + 1])
-                     for t, pens in enumerate(self.PEN)]
+        self.PENB = [[pen + self.sufminpen[t + 1] + credit[t + 1] for pen in pens]
+                     for t, pens in enumerate(self.PENL)]
         self.COST = list(ci.cost_columns(np.stack(
             [priced[1:], np.broadcast_to(ci.cost, priced[1:].shape)], axis=1)))
         self.THR = [None] * ci.p
         self.thr_bytes = 0
         self.over_cap = [False] * ci.p
+        self.CHUNK = [None] * ci.p
 
     def moving(self, at) -> np.ndarray:
         """The twin pairs whose margins levels t..p-1 can still move, for
@@ -342,24 +389,66 @@ class _Prep:
         j, kidx = self.order[t], self.KIDX[t]
         return np.array([self.ci.value_losses(j, b)[kidx] for b in base])
 
-    def child_bounds(self, t: int, margin):
+    def child_bounds(self, t: int, margin, fpen: int = 0):
         """Bounds of the children of a level-t node whose fixed levels
-        give the margins margin, one per value at level t, from one
-        comparison with the level's thresholds and one product of the
-        rows it marks with the level's two cost columns: the twin-priced
-        costs (column 0, whose sums give the bounds) and the plain ones
-        (column 1, whose sums give the losses of the all-zero
-        completions).  Returns the bounds as an array, those losses as a
-        list of Python ints, and the -out rows of the thresholds, from
-        which child k's margins are margin - neg_out[k].  The bounds
-        leave out the penalties of levels before t; they are the bounds
+        give the margins margin and the penalty fpen, one per value at
+        level t, from one comparison with the level's thresholds and
+        one product of the rows it marks with the level's two cost
+        columns: the twin-priced costs (column 0, whose sums give the
+        bounds) and the plain ones (column 1, whose sums give the losses
+        of the all-zero completions).  Returns the bounds and those losses as lists of
+        Python ints, and the -out rows of the thresholds, from which
+        child k's margins are margin - neg_out[k].  The bounds are those
         of lower_bound_of, which is exact at the last level (there the
         block is the -out rows alone, and no twin pair can move, so the
         two columns are equal)."""
         k = len(self.VI[t])
-        thr = self.thresholds(t)
-        loss = self.ci.lost_costs(margin <= thr, self.COST[t])
-        return self.PENB[t] + loss[:k, 0], loss[-k:, 1].tolist(), thr[-k:]
+        thr = self.THR[t]
+        if thr is None:
+            thr = self.thresholds(t)
+        priced, plain = self.ci.lost_costs(margin <= thr, self.COST[t]).T.tolist()
+        return ([fpen + pen + c for pen, c in zip(self.PENB[t], priced)],
+                plain[-k:], thr[-k:])
+
+    def chunk(self, u: int) -> tuple:
+        """The chunk of the chain of zero values that starts at level u:
+        levels u..w, as many as fit, their nonzero values' -out rows
+        and, above the last level, the lost_at[w + 1] row in as many rows
+        as level u's threshold block holds (level u always fits).  For a node at
+        level u with margins m, one comparison of m with the block and
+        one lost_costs product with COST[w] give, in the plain column,
+        the loss of each completion that sets one of levels u..w to a
+        nonzero value and every other free level to 0, and in the
+        priced column the cost part of the bound of the node's zero
+        node at level w + 1 (levels u..w set to 0).  Returns (block,
+        COST[w], offs, tail, w + 1, zconst): offs holds each
+        completion's penalty less that of the all-zero completion, tail
+        its (level, value index, l1 norm), and zconst the zero node's
+        bound less the all-zero completion's penalty and less the
+        priced cost.  A chunk has at most the rows of level u's block,
+        so it is kept exactly when that block is, and the kept chunks
+        hold no more bytes than the kept blocks."""
+        ch = self.CHUNK[u]
+        if ch is not None:
+            return ch
+        room = len(self.thresholds(u)) - 1
+        rows, offs, tail, w = [], [], [], u
+        while w < self.p and len(self.VI[w]) - 1 <= room:
+            k = len(self.VI[w])
+            room -= k - 1
+            rows.append(self.thresholds(w)[-k:][1:])
+            pens = self.PENL[w]
+            offs += [pens[kk] - pens[0] for kk in range(1, k)]
+            tail += [(w, kk, self.L1[w][kk]) for kk in range(1, k)]
+            w += 1
+        if w < self.p:  # the last level has no zero node below it
+            rows.append(self.lost_at[w][None, :])
+        zconst = self.sufminpen[w] + self.credit[w] - self.sufzeropen[w]
+        ch = (np.concatenate(rows), self.COST[w - 1],
+              np.array(offs, dtype=self.PEN[u].dtype), tail, w, zconst)
+        if self.THR[u] is not None:
+            self.CHUNK[u] = ch
+        return ch
 
 
 class _Engine:
@@ -427,9 +516,10 @@ class _Engine:
     def _checkpoint(self, t: int, prefix: list):
         """Clock check plus monotone lower-bound bookkeeping; called
         before the first expansion and then once per WORK_QUANTUM block
-        cells, as the level-t node at prefix is expanded.  The bound is
-        the least over that node and the open siblings above it.  The
-        node was not pruned, so its bound is at most the incumbent's."""
+        cells, as the level-t node at prefix is expanded or closed.  The
+        bound is the least over that node and the open siblings above
+        it.  The node was not pruned, so its bound is at most the
+        incumbent's."""
         now = time.monotonic()
         if self.deadline is not None and now >= self.deadline:
             self.stop = True
@@ -462,8 +552,13 @@ class _Engine:
         equals obj and l1k >= l1; the all-zero completion is then scored
         exactly, from the loss child_bounds gives it along with the
         bounds.  A child that is searched reaches that completion anyway.
-        At the last level the bounds are the exact objectives, and only
-        those at or below the incumbent's can replace it."""
+        Likewise every completion with two or more nonzero free levels
+        costs at least bk + sufnz2[t + 1] and has l1 > l1k; when those
+        are dropped by the same rule, the child is closed: its all-zero
+        completion is scored as above, and close scores the rest that
+        can win, those with exactly one nonzero free level.  At the last
+        level the bounds are the exact objectives, and only those at or
+        below the incumbent's can replace it."""
         self.nodes += 1
         if self.work >= WORK_QUANTUM:
             self.work = 0
@@ -471,9 +566,8 @@ class _Engine:
         if self.stop:
             return
         pr = self.prep
-        bounds, zloss, neg_out = pr.child_bounds(t, margin)
+        bounds, zloss, neg_out = pr.child_bounds(t, margin, fpen)
         self.work += len(bounds) * pr.ci.n_rows
-        bounds = (fpen + bounds).tolist()
         l1s = pr.L1[t]
         if t == pr.p - 1:
             self.nodes += len(bounds)
@@ -482,21 +576,65 @@ class _Engine:
                     self.consider(obj, fl1 + l1s[k], prefix + [k])
             return
         self.frames[t] = bounds
-        pens, nzpen, zpen = pr.PENL[t], pr.sufnz[t + 1], pr.sufzeropen[t + 1]
+        pens, zpen = pr.PENL[t], pr.sufzeropen[t + 1]
+        nzpen, nz2pen = pr.sufnz[t + 1], pr.sufnz2[t + 1]
+        obj, l1 = self.best[0], self.best[1]  # read again after each call
         for k, bk in enumerate(bounds):
-            obj, l1 = self.best[0], self.best[1]
             if bk > obj:
                 continue
             l1k = fl1 + l1s[k]
             if bk == obj and l1k > l1:
                 continue
             pk = fpen + pens[k]
-            nz = bk + nzpen
-            if nz > obj or (nz == obj and l1k >= l1):
-                self.consider(pk + zpen + zloss[k], l1k, prefix + [k])
+            # bk + step > obj, with no int + INF: objectives may lie
+            # beyond float range
+            slack = obj - bk
+            if nzpen > slack or (nzpen == slack and l1k >= l1):
+                zobj = pk + zpen + zloss[k]
+                if zobj < obj or (zobj == obj and l1k <= l1):
+                    self.consider(zobj, l1k, prefix + [k])
+                    obj, l1 = self.best[0], self.best[1]
                 continue
-            self.dfs(t + 1, margin - neg_out[k], pk, l1k, prefix + [k])
+            if nz2pen > slack or (nz2pen == slack and l1k >= l1):
+                self.consider(pk + zpen + zloss[k], l1k, prefix + [k])
+                self.close(t + 1, margin - neg_out[k], pk + zpen, l1k, prefix + [k])
+            else:
+                self.dfs(t + 1, margin - neg_out[k], pk, l1k, prefix + [k])
             if self.stop:
+                return
+            obj, l1 = self.best[0], self.best[1]
+
+    def close(self, u: int, margin, zpen: int, l1: int, prefix: list):
+        """Score exactly, and offer to consider, every completion that
+        sets one free level of the level-u node at prefix to a nonzero
+        value and the others to 0, the node's margins being margin, its
+        all-zero completion's penalty zpen and its l1 norm l1.  The walk
+        takes the node's chain of zero values a chunk at a time
+        (_Prep.chunk) and stops once the bound of the chunk's zero node
+        plus sufnz of the levels below it prunes (by the rule of dfs):
+        the completions left all lie below that node.  The clock is read
+        once per WORK_QUANTUM block cells, as in dfs."""
+        pr = self.prep
+        while True:
+            if self.work >= WORK_QUANTUM:
+                self.work = 0
+                self._checkpoint(len(prefix), prefix)
+                if self.stop:
+                    return
+            block, cost, offs, tail, u, zconst = pr.chunk(u)
+            loss = pr.ci.lost_costs(margin <= block, cost)
+            self.work += len(block) * pr.ci.n_rows
+            objs = (loss[:len(offs), 1] + offs).tolist()
+            if objs and min(objs) <= self.best[0] - zpen:
+                for extra, (v, kk, l1v) in zip(objs, tail):
+                    if extra <= self.best[0] - zpen:
+                        self.consider(zpen + extra, l1 + l1v,
+                                      prefix + [0] * (v - len(prefix)) + [kk])
+            if u == pr.p:
+                return
+            obj, l1_best = self.best[0], self.best[1]
+            slack = obj - (zpen + zconst + int(loss[-1, 0]))
+            if pr.sufnz[u] > slack or (pr.sufnz[u] == slack and l1 >= l1_best):
                 return
 
 

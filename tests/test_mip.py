@@ -340,12 +340,14 @@ _REF_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
 
 def _bound_reference(line):
     """A bounds line read by regex matches alone, as parse_lp once read
-    every line: (name, lower, upper), or None where it is an error."""
+    every line, with a free variable's name one ASCII identifier:
+    (name, lower, upper), or None where it is an error."""
     line = line.strip()
     if mm := _REF_BOTH.match(line):
         return mm[2], Fraction(mm[1]), Fraction(mm[3])
     if line.endswith(" free"):
-        return line[:-5].strip(), None, None
+        name = line[:-5].strip()
+        return (name, None, None) if re.fullmatch(r"[A-Za-z_]\w*", name, re.A) else None
     if mm := _REF_ONE.match(line):
         num = Fraction(mm[3])
         return (mm[1], num, None) if mm[2] == ">=" else (mm[1], None, num)
@@ -379,7 +381,9 @@ def test_written_bounds_lines_take_the_split(monkeypatch):
 
 @pytest.mark.parametrize("line", [
     "x", "x >=", "<= 5", "free", "x\tfree", "x == 1", "x >= abc", "x >= 1 2",
-    "abc <= x <= 1", "0 <= x <= 1_0", "0 <= x >= 1", "0 <= x <= 1 <= 2", "0 <= x"])
+    "abc <= x <= 1", "0 <= x <= 1_0", "0 <= x >= 1", "0 <= x <= 1 <= 2", "0 <= x",
+    # free takes one name, not any text before it
+    "a b free", "x >= free"])
 def test_malformed_bounds_lines_are_rejected(line):
     assert _bound_reference(line) is None
     with pytest.raises(ConfigError,

@@ -132,9 +132,10 @@ def test_int64_columns_widen_wherever_a_product_leaves_int64():
 
     pos = [row for row, y in zip(cells, ys) if y == 1]
     neg = [row for row, y in zip(cells, ys) if y == -1]
-    assert _class_mean_diffs(d) == [sum(r[j] for r in pos) / len(pos)
-                                    - sum(r[j] for r in neg) / len(neg)
-                                    for j in range(d.p)]
+    nums, den = _class_mean_diffs(d)
+    assert [Fraction(a, den) for a in nums] == [sum(r[j] for r in pos) / len(pos)
+                                                - sum(r[j] for r in neg) / len(neg)
+                                                for j in range(d.p)]
 
     ci = CompiledInstance(d, s, cfg)
     assert ci.margin_dtype == object

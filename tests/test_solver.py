@@ -11,6 +11,7 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               uniform)
 from scoresys.data import Dataset, load_csv
 from scoresys.errors import ConfigError, DomainError
+from scoresys.exactnum import to_fraction
 from scoresys.objective import TrainConfig, evaluate
 from scoresys.solver import (BUDGET, OPTIMAL, SearchState, SolveResult,
                              _snap, lower_bound_of, solve, warm_start)
@@ -139,6 +140,53 @@ def test_warm_start_lands_in_domains():
         assert len(w) == p
         assert s.contains(w)
         assert warm_start(d, s) == w  # deterministic
+
+
+def _warm_start_reference(d, s):
+    """warm_start in Fractions, cell by cell: class-mean differences
+    (0 when a class is absent), rescaled so the largest lands on its
+    domain's largest magnitude, each snapped by the linear scan."""
+    cells = [[to_fraction(v) for v in row] for row in d.x.tolist()]
+    pos = [row for row, y in zip(cells, d.y.tolist()) if y == 1]
+    neg = [row for row, y in zip(cells, d.y.tolist()) if y != 1]
+    diffs = [sum(r[j] for r in pos) / len(pos) - sum(r[j] for r in neg) / len(neg)
+             if pos and neg else Fraction(0) for j in range(d.p)]
+    scale = max(map(abs, diffs))
+    if scale == 0:
+        return (Fraction(0),) * d.p
+    return tuple(_snap_linear(dom, u / scale * dom.max_abs)
+                 for u, dom in zip(diffs, s.domains))
+
+
+def test_warm_start_matches_the_fraction_reference():
+    """The integer warm start (class sums over the exact columns, the
+    snap on each domain's scaled values) returns the Fraction
+    reference's values, on int64 columns, on Python-int columns (cells
+    of 1e18, or halves), with one class absent, and on integer,
+    fractional and digit domains."""
+    from scoresys.coefset import digit_values
+    rng = np.random.default_rng(181)
+    doms = [bounded_integers(1), bounded_integers(5), signed_integers("neg", 4),
+            explicit_values([0, 1, -1, 10, -10]),
+            explicit_values([0, Fraction(1, 2), Fraction(-3, 2), 7, Fraction(-7, 3)]),
+            digit_values(1, -1, 0)]
+    kinds = set()
+    for trial in range(120):
+        n, p = int(rng.integers(2, 40)), int(rng.integers(1, 6))
+        d = (rand_dataset(rng, n, p, intercept=trial % 2 == 0) if trial % 4 == 0 else
+             rand_dup_dataset(rng, n, p, scale=10**18 if trial % 4 == 1 else 1))
+        x, y = d.x, d.y
+        if trial % 4 == 2:
+            x = x / 2
+        if trial % 10 == 3:
+            y = np.ones_like(y)
+        d = Dataset(x=x, y=y, feature_names=d.feature_names,
+                    intercept_index=d.intercept_index)
+        s = CoefficientSet(domains=tuple(doms[int(rng.integers(len(doms)))]
+                                         for _ in range(p)))
+        kinds.add(tuple(sorted({str(d.exact_column(j)[0].dtype) for j in range(p)})))
+        assert warm_start(d, s) == _warm_start_reference(d, s), trial
+    assert {("int64",), ("object",)} <= kinds, kinds
 
 
 def test_solve_accepts_external_warm_start():
@@ -519,10 +567,10 @@ def test_threshold_block_is_measured_once_per_level(monkeypatch):
     rng = np.random.default_rng(149)
     cases = []
     for trial in range(8):
-        n, p = int(rng.integers(20, 50)), int(rng.integers(3, 5))
+        n, p = int(rng.integers(30, 60)), int(rng.integers(4, 6))
         d = rand_dup_dataset(rng, n, p, scale=10**18)
-        s = uniform(bounded_integers(3), p)
-        cfg = TrainConfig(c0=Fraction(int(rng.integers(1, 20)), 1000)).resolve(n, s)
+        s = uniform(bounded_integers(4), p)
+        cfg = TrainConfig(c0=Fraction(int(rng.integers(1, 10)), 1000)).resolve(n, s)
         assert CompiledInstance(d, s, cfg).margin_dtype == object
         cases.append((d, s, cfg, solve(d, s, cfg)))
     init, measure = solver._Prep.__init__, solver._block_bytes
@@ -618,6 +666,203 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     eng.dfs(0, prep.zeros_margin, 0, 0, [])
     korig = eng.best[2]
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
+
+
+def _closing_case(rng, trial):
+    """A random table and coefficient set for the closing tests: plain
+    tables, tables with repeats and twins (every third of those on
+    Python ints), and every fourth set with tier costs, under which a
+    level's least penalty is not its zero value's."""
+    n, p = int(rng.integers(4, 24)), int(rng.integers(2, 6))
+    if trial % 3 == 0:
+        d = rand_dataset(rng, n, p)
+    else:
+        d = rand_dup_dataset(rng, n, p, scale=10**18 if trial % 3 == 2 else 1)
+    if trial % 4 == 1:
+        s = CoefficientSet(domains=(bounded_integers(2),) * p, tiers=(_TIERS,) * p)
+    else:
+        s = rand_coefset(rng, p, max_values=6)
+    return d, s, _cfg(rng, n, s)
+
+
+def test_close_scores_every_one_nonzero_completion(monkeypatch):
+    """Against an incumbent nothing beats, so that its walk never stops,
+    _Engine.close offers each completion of a node that sets exactly one
+    free level to a nonzero value, once, with evaluate()'s objective
+    and its l1 norm, from any level, across chunk boundaries, on both
+    integer paths and with tier costs."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    rng = np.random.default_rng(157)
+    seen = {"offers": 0, "chunks": 0, "object": 0, "tiers": 0}
+    for trial in range(120):
+        d, s, cfg = _closing_case(rng, trial)
+        ci = CompiledInstance(d, s, cfg)
+        pr = solver._Prep(ci)
+        u = int(rng.integers(0, ci.p))
+        prefix = [int(rng.integers(0, len(pr.VI[t]))) for t in range(u)]
+        margin, fpen, fl1 = pr.zeros_margin, 0, 0
+        for t, k in enumerate(prefix):
+            margin = margin + pr.VI[t][k] * pr.B[t]
+            fpen += pr.PENL[t][k]
+            fl1 += pr.L1[t][k]
+        eng = solver._Engine(pr, cfg, time.monotonic(), None)
+        eng.best, eng.work = (10**40, 0, (), 0), 0  # no checkpoint: no frames
+        offered = []
+        monkeypatch.setattr(eng, "consider", lambda obj, l1, a: offered.append(
+            (obj, l1, a + [0] * (ci.p - len(a)))))
+        eng.close(u, margin, fpen + pr.sufzeropen[u], fl1, prefix)
+        want = [_scored(pr, prefix + [0] * (v - u) + [k] + [0] * (ci.p - v - 1))
+                for v in range(u, ci.p) for k in range(1, len(pr.VI[v]))]
+        assert sorted(offered) == sorted(want), trial
+        seen["offers"] += len(want)
+        seen["chunks"] += sum(ch is not None for ch in pr.CHUNK) > 1
+        seen["object"] += not ci.int64_ok
+        seen["tiers"] += s.tiers is not None
+    assert seen["offers"] >= 600 and min(seen.values()) >= 20, seen
+
+
+def test_closing_matches_brute_force(monkeypatch):
+    """With children closed once their completions of two or more
+    nonzero free levels are pruned, the search still returns the very
+    vector brute_solve picks, on plain tables, tables with repeats and
+    twins, Python-int tables and tier costs."""
+    from scoresys import solver
+    closes = []
+    close = solver._Engine.close
+
+    def counted(eng, u, *args):
+        closes.append(u)
+        return close(eng, u, *args)
+
+    monkeypatch.setattr(solver._Engine, "close", counted)
+    rng = np.random.default_rng(163)
+    closed = 0
+    for trial in range(240):
+        d, s, cfg = _closing_case(rng, trial)
+        before = len(closes)
+        res = solve(d, s, cfg)
+        want, combo = brute_solve(d, s, cfg)
+        assert res.status == OPTIMAL, trial
+        assert (res.objective.total, res.best.coefficients) == (want, tuple(combo)), trial
+        assert res.lower_bound == want, trial
+        closed += len(closes) > before
+    assert closed >= 150, closed
+
+
+def test_search_past_float_range():
+    """c0 = 1/10**320 puts every objective at pen_den scale beyond float
+    range, and a {0} domain makes a level with no nonzero step: the
+    closing and nonzero tests still decide in integers, and the search
+    returns brute_solve's vector."""
+    rng = np.random.default_rng(179)
+    for trial in range(30):
+        n, p = int(rng.integers(3, 16)), int(rng.integers(2, 5))
+        d = (rand_dataset if trial % 2 else rand_dup_dataset)(rng, n, p)
+        doms = list(rand_coefset(rng, p).domains)
+        if trial % 3 == 0:
+            doms[int(rng.integers(p))] = explicit_values([0])
+        s = CoefficientSet(domains=tuple(doms))
+        cfg = TrainConfig(c0=Fraction(1, 10**320)).resolve(n, s)
+        want, combo = brute_solve(d, s, cfg)
+        res = solve(d, s, cfg)
+        assert res.status == OPTIMAL, trial
+        assert (res.objective.total, res.best.coefficients) == (want, tuple(combo)), trial
+
+
+def test_search_closes_every_child_the_two_step_charge_prunes(monkeypatch):
+    """No node below the root is expanded whose completions with two or
+    more nonzero free levels are pruned: its lower_bound_of plus the two
+    least steps from a free level's least penalty to its least nonzero
+    one, worked out here from the compiled penalties, exceeds the
+    incumbent, or equals it and the node's l1 norm is not below the
+    incumbent's.  Such a child must be closed instead."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    dfs = solver._Engine.dfs
+    expanded = []
+
+    def record(eng, t, margin, fpen, fl1, prefix):
+        if t:
+            expanded.append((tuple(prefix), fl1, eng.best[0], eng.best[1]))
+        return dfs(eng, t, margin, fpen, fl1, prefix)
+
+    monkeypatch.setattr(solver._Engine, "dfs", record)
+    rng = np.random.default_rng(167)
+    checked = 0
+    for trial in range(120):
+        d, s, cfg = _closing_case(rng, trial)
+        ci = CompiledInstance(d, s, cfg)
+        pr = solver._Prep(ci)
+        steps = []
+        for j in range(ci.p):
+            nonzero = [int(x) for k, x in enumerate(ci.pen[j]) if k != ci.zero_index[j]]
+            steps.append(min(nonzero) - int(ci.pen[j].min()) if nonzero else math.inf)
+        expanded.clear()
+        solve(d, s, cfg)
+        for prefix, l1, obj, l1_best in expanded:
+            values = [None] * ci.p
+            for t, k in enumerate(prefix):
+                j = pr.order[t]
+                values[j] = ci.values[j][pr.KIDX[t][k]]
+            bound = lower_bound_of(SearchState(ci, tuple(values)), cfg) * ci.pen_den
+            two = sum(sorted(steps[pr.order[t]] for t in range(len(prefix), ci.p))[:2])
+            if len(prefix) == ci.p - 1:
+                two = math.inf
+            assert bound + two < obj or (bound + two == obj and l1 < l1_best), trial
+            checked += 1
+    assert checked >= 200, checked
+
+
+def test_budget_holds_through_closes(monkeypatch):
+    """A budgeted -100..100 solve whose search spends its time closing
+    children: between two checkpoints (the clock reads that can stop
+    the search) the search takes at most WORK_QUANTUM block cells plus
+    one block, closes included, and the solve returns within its
+    budget."""
+    from scoresys import solver
+    rng = np.random.default_rng(173)
+    n, p, budget = 600, 6, 0.5
+    x = rng.integers(0, 10, size=(n, p)).astype(np.float64)
+    score = x @ np.array([3, -2, 2, -1, 1, 0]) - 8 + rng.normal(0, 3.0, n)
+    d = Dataset(x=x, y=np.where(score > 0, 1, -1),
+                feature_names=tuple(f"f{j}" for j in range(p)))
+    s = uniform(bounded_integers(100), p)
+    cfg = TrainConfig(c0=Fraction(1, 500), time_budget_s=budget)
+    cells, gaps, largest = [0, 0], [], [0]
+    chunk, child_bounds, checkpoint = (solver._Prep.chunk, solver._Prep.child_bounds,
+                                       solver._Engine._checkpoint)
+
+    def add(prep, rows, kind):
+        cells[0] += rows * prep.ci.n_rows
+        cells[1] += kind * rows * prep.ci.n_rows
+        largest[0] = max(largest[0], rows * prep.ci.n_rows)
+
+    def counted_chunk(prep, u):
+        ch = chunk(prep, u)
+        add(prep, len(ch[0]), 1)
+        return ch
+
+    def counted_bounds(prep, t, margin, *fpen):
+        out = child_bounds(prep, t, margin, *fpen)
+        add(prep, len(out[0]), 0)
+        return out
+
+    def counted_checkpoint(eng, t, prefix):
+        gaps.append(cells[0])
+        cells[0] = 0
+        return checkpoint(eng, t, prefix)
+
+    monkeypatch.setattr(solver._Prep, "chunk", counted_chunk)
+    monkeypatch.setattr(solver._Prep, "child_bounds", counted_bounds)
+    monkeypatch.setattr(solver._Engine, "_checkpoint", counted_checkpoint)
+    t0 = time.monotonic()
+    res = solve(d, s, cfg)
+    took = time.monotonic() - t0
+    assert res.status == BUDGET
+    assert cells[1] > 10 * solver.WORK_QUANTUM, cells  # closes did much of the work
+    assert max(gaps) <= solver.WORK_QUANTUM + largest[0], (max(gaps), largest)
+    assert took <= budget + 0.25, took
 
 
 def _frontier_bound(prep, t, prefix, memo):
@@ -756,10 +1001,10 @@ def test_jobs_determinism():
     # instances, and one that gap_tolerance stops with a gap left open
     small = rand_dataset(np.random.default_rng(37), 30, 4, intercept=True)
     wide = rand_dataset(np.random.default_rng(3), 80, 5, intercept=True)
-    gapped = rand_dataset(np.random.default_rng(22), 80, 5, intercept=True)
+    gapped = rand_dup_dataset(np.random.default_rng(24), 150, 6)
     cases = [(small, uniform(bounded_integers(3), 4), TrainConfig(c0=Fraction(1, 100))),
              (wide, uniform(bounded_integers(4), 5), TrainConfig(c0=Fraction(1, 100))),
-             (gapped, uniform(bounded_integers(3), 5),
+             (gapped, uniform(bounded_integers(3), 6),
               TrainConfig(c0=Fraction(1, 100), gap_tolerance=0.5))]
     for i, (d, s, cfg) in enumerate(cases):
         base = solve(d, s, cfg, jobs=1)
