@@ -9,6 +9,11 @@ and --gap-tol; cv takes a --c0-grid and no --c0, and only export-mip
 takes the margin --gamma of the MIP's loss rows.  cv's --seed (default
 0) picks the folds and is always printed so runs can be reproduced
 verbatim; train uses no randomness and takes no seed.
+
+main builds the parser of the command in argv[0] only, and all six
+when argv[0] names none (no arguments, --help, a typo), so the usage,
+help and error texts are those of the full parser either way.  Each
+command declares its flags in one _add_* function, listed in _COMMANDS.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ def _add_solve_flags(sp):
 
 
 def _load_dataset(args):
-    one_hot = tuple(c for c in args.one_hot.split(",") if c) if args.one_hot else ()
+    one_hot = tuple(filter(None, map(str.strip, args.one_hot.split(","))))
     return load_csv(args.data, label_column=args.label, add_intercept=not args.no_intercept,
                     missing_policy=args.missing, one_hot=one_hot)
 
@@ -203,16 +208,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="scoresys", allow_abbrev=False,
-        description="Exact training and reporting of sparse integer scoring systems")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, summary):  # no flag takes an abbreviation of its name
-        return sub.add_parser(name, help=summary, allow_abbrev=False)
-
-    sp = add("train", "solve one training problem")
+def _add_train(sp):
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True, help="coefficient-set JSON")
     sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
@@ -226,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")
     sp.set_defaults(func=_cmd_train)
 
-    sp = add("cv", "cross-validate over a c0 grid")
+
+def _add_cv(sp):
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True)
     _add_config_flags(sp)
@@ -239,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-json", default=None)
     sp.set_defaults(func=_cmd_cv)
 
-    sp = add("export-mip", "write the training MIP as an LP file")
+
+def _add_export_mip(sp):
     _add_data_flags(sp)
     sp.add_argument("--coefset", required=True)
     sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
@@ -251,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_export_mip)
 
-    sp = add("bound", "finite-class generalization bound")
+
+def _add_bound(sp):
     sp.add_argument("--theorem", required=True, choices=["1", "2"],
                     help="1: all vectors, 2: coprime directions only")
     sp.add_argument("--lambda", dest="max_coef", type=int, required=True,
@@ -261,14 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True)
     sp.set_defaults(func=_cmd_bound)
 
-    sp = add("report", "render a trained model")
+
+def _add_report(sp):
     sp.add_argument("--model", required=True, help="model JSON path")
     sp.add_argument("--labels", default=None, help="'pos,neg' display labels")
     sp.add_argument("--decision-table", action="store_true")
     _add_data_flags(sp, data_required=False)
     sp.set_defaults(func=_cmd_report)
 
-    sp = add("verify", "check an external MIP solution")
+
+def _add_verify(sp):
     sp.add_argument("--model", required=True, help="LP file")
     sp.add_argument("--solution", required=True, help="name value pairs")
     _add_data_flags(sp)
@@ -277,11 +278,44 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c0", required=True, help="sparsity penalty per coefficient")
     _add_config_flags(sp)
     sp.set_defaults(func=_cmd_verify)
+
+
+# each command's one-line summary and the function that declares its flags
+_COMMANDS = {
+    "train": ("solve one training problem", _add_train),
+    "cv": ("cross-validate over a c0 grid", _add_cv),
+    "export-mip": ("write the training MIP as an LP file", _add_export_mip),
+    "bound": ("finite-class generalization bound", _add_bound),
+    "report": ("render a trained model", _add_report),
+    "verify": ("check an external MIP solution", _add_verify),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, when command names one, a
+    parser that knows that command alone and prints the same texts.
+    argparse makes a help formatter for each flag it declares, so one
+    command's parser costs a fraction of all six."""
+    ap = argparse.ArgumentParser(
+        prog="scoresys", allow_abbrev=False,
+        description="Exact training and reporting of sparse integer scoring systems")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True)
+    if len(names) == 1:
+        # the usage text of all six; argparse also names the action by
+        # its metavar in "invalid choice" and "required" errors, which a
+        # parser for a given command never raises
+        sub.metavar = "{%s}" % ",".join(_COMMANDS)
+    for name in names:
+        summary, add_flags = _COMMANDS[name]
+        # no flag takes an abbreviation of its name
+        add_flags(sub.add_parser(name, help=summary, allow_abbrev=False))
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    ap = build_parser(argv[0] if argv else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

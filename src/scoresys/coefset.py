@@ -60,14 +60,14 @@ class CoefficientDomain:
     def max_abs(self) -> Fraction:
         return self._max_abs
 
-    def scaled_values(self) -> tuple[int, ...]:
+    def scaled_values(self) -> tuple[tuple[int, ...], int]:
         """The values times their least common denominator, as Python
-        ints in the same ascending order; worked out on first use and
-        kept with the domain."""
+        ints in the same ascending order, and that denominator; worked
+        out on first use and kept with the domain."""
         if self._scaled is None:
             den = math.lcm(*(v.denominator for v in self.values))
-            object.__setattr__(self, "_scaled", tuple(
-                v.numerator * (den // v.denominator) for v in self.values))
+            object.__setattr__(self, "_scaled", (tuple(
+                v.numerator * (den // v.denominator) for v in self.values), den))
         return self._scaled
 
     def is_contiguous_integers(self) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -118,38 +118,16 @@ class Dataset:
         return h.hexdigest()
 
 
-def _normalize_labels(raw, where) -> np.ndarray:
-    vals = sorted(set(raw))
+def _normalize_labels(raw: np.ndarray, where) -> np.ndarray:
+    vals = sorted(set(raw.tolist()))  # not np.unique, whose first call imports numpy.ma
     bad = [v for v in vals if v not in (-1.0, 0.0, 1.0)]
     if bad:
         raise DataError(f"label value {bad[0]!r} in {where}: expected 0/1 or -1/+1")
     if -1.0 in vals and 0.0 in vals:
         raise DataError(f"labels in {where} mix the 0/1 and -1/+1 conventions")
-    y = np.asarray(raw)
     if 0.0 in vals:
-        y = np.where(y == 0.0, -1.0, y)
-    return y.astype(np.int8)
-
-
-def _parse_cells(col, numeric: bool):
-    """Parse each distinct raw cell of the tuple col once; return col's
-    values (None if missing, else float() of the stripped cell, or the
-    stripped cell if not numeric), its missing mask and the index of the
-    first cell float() rejects, or None."""
-    table, bad = {}, set()
-    for raw in set(col):
-        cell = raw.strip()
-        table[raw] = None if cell.lower() in _MISSING else cell
-        if numeric and table[raw] is not None:
-            try:
-                table[raw] = float(cell)
-            except ValueError:
-                table[raw] = None
-                bad.add(raw)
-    missing = {raw for raw, v in table.items() if v is None}
-    miss = np.fromiter(map(missing.__contains__, col), bool, len(col))
-    first_bad = min(map(col.index, bad)) if bad else None
-    return list(map(table.__getitem__, col)), miss, first_bad
+        raw = np.where(raw == 0.0, -1.0, raw)
+    return raw.astype(np.int8)
 
 
 def load_csv(source, *, label_column: str | None = None, add_intercept: bool = True,
@@ -189,47 +167,61 @@ def load_csv(source, *, label_column: str | None = None, add_intercept: bool = T
     if unknown:
         raise DataError(f"one_hot column(s) not in data: {sorted(unknown)}")
 
-    body = rows[1:]
+    body, w = rows[1:], len(header)
     widths = np.fromiter(map(len, body), int, len(body))
-    ragged = np.flatnonzero(widths != len(header))
+    ragged = np.flatnonzero(widths != w)
     cut = int(ragged[0]) if ragged.size else len(body)  # parse only up to here
-    cols = list(zip(*body[:cut])) or [()] * len(header)
-    lab, unlabeled, bad = _parse_cells(cols[li], numeric=True)
-    if bad is not None:  # a bad label before the first ragged row comes first
-        raise DataError(f"row {bad + 2}, column {label_column!r}: "
-                        f"bad label {cols[li][bad].strip()!r}")
+    # one table of the distinct raw cells: the stripped text, float() of
+    # it (nan for a missing marker or a cell float() rejects), and whether
+    # the cell is missing or bad; codes[i, k] indexes row i's cell k in it
+    flat = list(chain.from_iterable(body[:cut]))
+    raws = list(set(flat))
+    text = [raw.strip() for raw in raws]
+    missing = np.array([t.lower() in _MISSING for t in text], dtype=bool)
+    num, bad = np.full(len(text), np.nan), np.zeros(len(text), dtype=bool)
+    for c in np.flatnonzero(~missing).tolist():
+        try:
+            num[c] = float(text[c])
+        except ValueError:
+            bad[c] = True
+    code = {raw: c for c, raw in enumerate(raws)}
+    codes = np.fromiter(map(code.__getitem__, flat), np.intp, len(flat)).reshape(cut, w)
+    lab = codes[:, li]
+    if bad[lab].any():  # a bad label before the first ragged row comes first
+        i = int(bad[lab].argmax())
+        raise DataError(f"row {i + 2}, column {label_column!r}: "
+                        f"bad label {text[lab[i]]!r}")
     if cut < len(body):
-        raise DataError(f"row {cut + 2} has {len(body[cut])} cells, expected {len(header)}")
-    labeled = (~unlabeled).tolist()  # unlabeled rows are useless for training
-    labels = list(compress(lab, labeled))
-    if not labels:
+        raise DataError(f"row {cut + 2} has {len(body[cut])} cells, expected {w}")
+    labeled = np.flatnonzero(~missing[lab])  # unlabeled rows are useless for training
+    if not labeled.size:
         raise DataError("no labeled rows in CSV")
-    if unlabeled.any():
-        cols = [tuple(compress(c, labeled)) for c in cols]
-    y = _normalize_labels(labels, "CSV")
-    n = len(labels)
-    rownums = np.flatnonzero(labeled) + 2  # CSV row number of each labeled row
+    codes = codes[labeled]
+    vals, miss = num[codes], missing[codes]
+    y = _normalize_labels(vals[:, li], "CSV")
+    n = len(y)
     out_names, out_cols, out_miss = [], [], []  # out_miss: each column's missing cells
     for k, name in zip(fi, names):
-        vals, miss, bad = _parse_cells(cols[k], numeric=name not in hot)
+        m = miss[:, k]
         if name in hot:
-            if missing_policy == "impute_mean" and miss.any():
+            if missing_policy == "impute_mean" and m.any():
                 raise DataError(
-                    f"row {rownums[vals.index(None)]}, column {name!r}: missing "
+                    f"row {labeled[m.argmax()] + 2}, column {name!r}: missing "
                     "categorical cell; impute_mean does not apply, "
                     "use missing_policy='drop'")
-            cells = np.array(vals, dtype=object)
-            for lev in sorted(set(vals) - {None}):
+            cells = np.array(text, dtype=object)[codes[:, k]]
+            for lev in sorted(set(cells[~m])):
                 out_names.append(f"{name}={lev}")
                 out_cols.append((cells == lev).astype(np.float64))
-                out_miss.append(miss)
+                out_miss.append(m)
         else:
-            if bad is not None:
-                raise DataError(f"row {rownums[bad]}, column {name!r}: "
-                                f"bad numeric cell {cols[k][bad].strip()!r}")
+            if bad[codes[:, k]].any():
+                i = int(bad[codes[:, k]].argmax())
+                raise DataError(f"row {labeled[i] + 2}, column {name!r}: "
+                                f"bad numeric cell {text[codes[i, k]]!r}")
             out_names.append(name)
-            out_cols.append(np.array(vals, dtype=np.float64))  # None -> nan
-            out_miss.append(miss)
+            out_cols.append(vals[:, k])
+            out_miss.append(m)
 
     if missing_policy == "impute_mean":
         for col, miss in zip(out_cols, out_miss):

@@ -35,11 +35,13 @@ class VerifyError(ScoresysError, ValueError):
 
 def read_file(path, parse, error):
     """parse(fh) for the file at path opened as UTF-8 text, with line
-    ends as in the file.  A file that is not UTF-8 text raises
-    error(message) naming path; one that cannot be opened raises the
-    OSError of open, which carries the file name."""
+    ends as in the file and without the byte-order mark that some
+    programs (Excel's "CSV UTF-8" among them) write first.  A file that
+    is not UTF-8 text raises error(message) naming path; one that
+    cannot be opened raises the OSError of open, which carries the
+    file name."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh)
     except UnicodeDecodeError as e:
         raise error(f"cannot read {path}: not UTF-8 text ({e.reason})") from None

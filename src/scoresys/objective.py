@@ -307,10 +307,8 @@ class CompiledInstance:
             key = (id(dom), id(None if s.tiers is None else s.tiers[j]))
             if key not in index:
                 index[key] = len(pairs)
-                vs = dom.values
-                den = common_denominator(vs)
-                v = [scaled_int(x, den) for x in vs]
-                tc = [s.tier_cost(j, x) for x in vs]
+                v, den = dom.scaled_values()
+                tc = [s.tier_cost(j, x) for x in dom.values]
                 pd = math.lcm(c0.denominator, c1.denominator * den, common_denominator(tc))
                 a = c0.numerator * (pd // c0.denominator)
                 b = c1.numerator * (pd // (c1.denominator * den))

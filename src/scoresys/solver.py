@@ -178,7 +178,7 @@ def _snap_diffs(diffs: tuple[list[int], int], s: CoefficientSet) -> tuple[Fracti
         return tuple(Fraction(0) for _ in nums)
     out = []
     for a, dom in zip(nums, s.domains):
-        vals = dom.scaled_values()
+        vals, _ = dom.scaled_values()
         target = a * max(-vals[0], vals[-1])
         i = bisect.bisect_left(vals, target, key=lambda w: w * scale)
         k = min(range(max(i - 1, 0), min(i + 1, len(vals))),

@@ -131,13 +131,13 @@ def test_a_directory_for_a_file_is_exit_1(tmp_path, footnote_csv, coefset_one, f
     assert err == f"error: cannot open {tmp_path}: Is a directory\n"
 
 
-@pytest.mark.parametrize("flag", ["--data", "--coefset", "report --model",
-                                  "verify --model", "--solution"])
-def test_a_file_that_is_not_utf8_is_exit_1(tmp_path, small_csv, coefset_one, flag, capsys):
-    # the start of an executable: 0x80 after an ELF header is no UTF-8
-    binary = tmp_path / "binary"
-    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
-    flags = ["--data", str(small_csv), "--coefset", str(coefset_one), "--c0", "0.05"]
+_READERS = ["--data", "--coefset", "report --model", "verify --model", "--solution"]
+
+
+def _reading_call(tmp_path, csv, coefset, flag):
+    """A call that succeeds and reads its input files through the
+    reader of flag, and the index in it of the file that reader opens."""
+    flags = ["--data", str(csv), "--coefset", str(coefset), "--c0", "0.05"]
     model, lp, sol = tmp_path / "model.json", tmp_path / "model.lp", tmp_path / "sol.txt"
     assert main(["train", *flags, "--out", str(model)]) == 0
     assert main(["export-mip", *flags, "--out", str(lp)]) == 0
@@ -147,13 +147,53 @@ def test_a_file_that_is_not_utf8_is_exit_1(tmp_path, small_csv, coefset_one, fla
     argv = {"--data": ["train", *flags], "--coefset": ["train", *flags],
             "report --model": ["report", "--model", str(model)],
             "verify --model": verify, "--solution": verify}[flag]
+    return argv, argv.index(flag.split()[-1]) + 1
+
+
+@pytest.mark.parametrize("flag", _READERS)
+def test_a_file_that_is_not_utf8_is_exit_1(tmp_path, small_csv, coefset_one, flag, capsys):
+    # the start of an executable: 0x80 after an ELF header is no UTF-8
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    argv, i = _reading_call(tmp_path, small_csv, coefset_one, flag)
     assert main(argv) == 0
     capsys.readouterr()
-    argv[argv.index(flag.split()[-1]) + 1] = str(binary)
+    argv[i] = str(binary)
     rc = main(argv)
     assert rc == 1
     assert capsys.readouterr().err == (f"error: cannot read {binary}: not UTF-8 "
                                        "text (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("flag", _READERS)
+def test_a_file_with_a_byte_order_mark_reads_as_without(tmp_path, small_csv, coefset_one,
+                                                        flag, capsys):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+    argv, i = _reading_call(tmp_path, small_csv, coefset_one, flag)
+    capsys.readouterr()
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    marked = tmp_path / ("bom-" + Path(argv[i]).name)
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(argv[i]).read_bytes())
+    argv[i] = str(marked)
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_one_hot_names_may_carry_spaces(tmp_path, capsys):
+    rows = [(c, s, 1 if (c == "red") != (s == "big") else -1)
+            for c in ("red", "blue") for s in ("big", "small")]
+    data = write_csv(tmp_path / "oh.csv", ("color", "size", "y"), rows)
+    cs = tmp_path / "c.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 2}}))
+    outs = []
+    for names in ("color,size", "color, size", " color ,size,"):
+        assert main(["export-mip", "--data", str(data), "--one-hot", names, "--coefset",
+                     str(cs), "--c0", "0.05", "--out", str(tmp_path / "m.lp")]) == 0
+        outs.append((capsys.readouterr(), (tmp_path / "m.lp").read_text()))
+    assert outs[1] == outs[0] == outs[2]
+    # the intercept and one indicator per level of each column
+    assert "Generals\n lam_0 lam_1 lam_2 lam_3 lam_4\n" in outs[0][1]
 
 
 def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
@@ -233,6 +273,93 @@ def test_each_command_takes_exactly_its_flags():
     for command, flags in _SURFACE.items():
         got = [o for a in sub.choices[command]._actions for o in a.option_strings]
         assert sorted(got) == sorted(flags.split() + ["-h", "--help"]), command
+
+
+def _subparsers(ap):
+    (sub,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub
+
+
+def _described(parser):
+    """What a parser declares: each action's flags and settings, its
+    defaults, and its help text."""
+    fields = ("option_strings", "dest", "default", "choices", "help", "required",
+              "type", "nargs", "const", "metavar")
+    return ([tuple(getattr(a, f) for f in fields) for a in parser._actions],
+            parser._defaults, parser.format_help())
+
+
+@pytest.mark.parametrize("command", sorted(_SURFACE))
+def test_one_command_parser_declares_what_the_full_parser_does(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _subparsers(build_parser())
+    one = _subparsers(build_parser(command))
+    assert list(one.choices) == [command]
+    assert _described(one.choices[command]) == _described(full.choices[command])
+    assert [a.help for a in one._choices_actions] == [
+        a.help for a in full._choices_actions if a.dest == command]
+    assert build_parser(command).format_usage() == build_parser().format_usage()
+
+
+def test_a_call_builds_only_its_own_command(small_csv, coefset_one, monkeypatch, capsys):
+    from scoresys import cli
+    built = []
+
+    def recording(command=None):
+        built.append(cli_build(command))
+        return built[-1]
+
+    cli_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", recording)
+    assert main(["bound", "--theorem", "1", "--lambda", "1", "--p", "2", "--n", "100",
+                 "--delta", "0.05"]) == 0
+    assert main(["train", "--data", str(small_csv), "--coefset", str(coefset_one),
+                 "--c0", "0.05"]) == 0
+    assert main(["nope"]) == 2
+    assert [list(_subparsers(ap).choices) for ap in built] == [
+        ["bound"], ["train"], list(_SURFACE)]
+
+
+_USAGE = "usage: scoresys [-h] {train,cv,export-mip,bound,report,verify} ...\n"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 2, "", _USAGE + "scoresys: error: the following arguments are required: "
+                        "command\n"),
+    (["nope"], 2, "", _USAGE + "scoresys: error: argument command: invalid choice: "
+                              "'nope' (choose from 'train', 'cv', 'export-mip', "
+                              "'bound', 'report', 'verify')\n"),
+    (["bound", "--theorem", "1", "--lambda", "1", "--p", "2", "--n", "9",
+      "--delta", "0.1", "--bogus"], 2, "",
+     _USAGE + "scoresys: error: unrecognized arguments: --bogus\n"),
+    (["--help"], 0, _USAGE + """
+Exact training and reporting of sparse integer scoring systems
+
+positional arguments:
+  {train,cv,export-mip,bound,report,verify}
+    train               solve one training problem
+    cv                  cross-validate over a c0 grid
+    export-mip          write the training MIP as an LP file
+    bound               finite-class generalization bound
+    report              render a trained model
+    verify              check an external MIP solution
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+], ids=["none", "unknown", "unrecognized", "help"])
+def test_top_level_texts(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_command_help_is_that_commands_help(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out == _subparsers(build_parser()).choices["train"].format_help()
+    assert out.startswith("usage: scoresys train [-h] --data DATA")
 
 
 @pytest.mark.parametrize("argv", [

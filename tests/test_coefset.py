@@ -48,6 +48,13 @@ def test_max_abs_and_contiguity():
     assert signed_integers("pos", 3).is_contiguous_integers()
 
 
+def test_scaled_values_are_the_values_at_their_least_denominator():
+    assert bounded_integers(2).scaled_values() == ((-2, -1, 0, 1, 2), 1)
+    dom = explicit_values([0, Fraction(1, 2), Fraction(-2, 3), 4])
+    assert dom.scaled_values() == ((-4, 0, 3, 24), 6)
+    assert dom.scaled_values() is dom.scaled_values()
+
+
 def test_bounded_integers_values():
     dom = bounded_integers(2)
     assert dom.values == tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))

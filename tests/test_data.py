@@ -119,6 +119,15 @@ def test_load_csv_file_that_is_not_utf8(tmp_path):
         load_csv(io.TextIOWrapper(io.BytesIO(p.read_bytes()), encoding="utf-8"))
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,b,y\nx,1,1\nz,2,-1\n")
+    d = load_csv(p, one_hot=("a",))
+    assert d.feature_names == ("(Intercept)", "a=x", "a=z", "b")
+    assert d.x.tolist() == [[1, 1, 0, 1], [1, 0, 1, 2]]
+
+
 def test_load_csv_ragged_row(tmp_path):
     with open(tmp_path / "d.csv", "w") as fh:
         fh.write("a,b,y\n1,2,1\n3,4\n")

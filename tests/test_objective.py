@@ -408,9 +408,10 @@ def test_compiled_instance_prices_each_shared_domain_once():
 def test_compile_and_prep_work_once_per_distinct_value(monkeypatch):
     """Set-up work scales with the distinct domain values, not with the
     columns: loading one tiered -100..100 descriptor for 12 columns
-    checks its tiers once, and compiling and prepping it scales each
-    value to an integer once (scaled_int, besides the two class costs)
-    and looks up its tier cost once."""
+    checks its tiers once, and compiling and prepping it looks up each
+    value's tier cost once.  The values' integers come from the domain
+    (CoefficientDomain.scaled_values), so scaled_int scales only the
+    two class costs."""
     from collections import Counter
 
     from scoresys import coefset, objective, solver
@@ -436,7 +437,7 @@ def test_compile_and_prep_work_once_per_distinct_value(monkeypatch):
     monkeypatch.setattr(CoefficientSet, "tier_cost",
                         counted("tier_cost", CoefficientSet.tier_cost))
     solver._Prep(CompiledInstance(d, s, cfg))
-    assert calls == {"scaled_int": 201 + 2, "tier_cost": 201}
+    assert calls == {"scaled_int": 2, "tier_cost": 201}
 
 
 def test_compiled_instance_all_zero_column_beside_tiny_cells():
