@@ -29,10 +29,9 @@ import numpy as np
 
 from .coefset import CoefficientSet, Tier
 from .data import Dataset
-from .errors import ConfigError, DomainError, VerifyError
+from .errors import ConfigError, VerifyError
 from .exactnum import fraction_str, pow10_denominator, to_fraction
-from .objective import (ObjectiveValue, TrainConfig, _merge_rows, evaluate, int_dtype,
-                        score_ints)
+from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, score_ints
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,42 +111,19 @@ def big_m_for(d: Dataset, s: CoefficientSet, gamma: Fraction, i: int) -> Fractio
     return total
 
 
-def _big_m_numerators(signed: list, s: CoefficientSet,
-                      gamma: Fraction) -> tuple[list[int], int]:
-    """big_m_for of every row at once, as integer numerators over one
-    common denominator.  signed[j] is (y_i x_ij numerators, one per row,
-    their denominator) for column j.  The sums run in int64 when a
-    bound on every term and total fits it, else in Python ints."""
-    den = gamma.denominator
-    parts = []
-    for (c, cden), dom in zip(signed, s.domains):
-        vs = dom.values
-        vden = math.lcm(vs[0].denominator, vs[-1].denominator)
-        lo, hi = (int(v * vden) for v in (vs[0], vs[-1]))
-        parts.append((c, -lo, -hi, cden * vden, int(np.abs(c).max())))
-        den = math.lcm(den, cden * vden)
-    g = gamma.numerator * (den // gamma.denominator)
-    # an all-zero column adds nothing, and its multipliers may lie
-    # beyond int64
-    parts = [(c, lo, hi, den // tden, top) for c, lo, hi, tden, top in parts if top]
-    dtype = int_dtype(abs(g) + sum(top * max(abs(lo), abs(hi)) * m
-                                   for _, lo, hi, m, top in parts))
-    total = np.full(len(signed[0][0]), g, dtype=dtype)
-    for c, lo, hi, m, _ in parts:
-        c = c.astype(dtype, copy=False)
-        total += np.maximum(c * lo, c * hi) * m
-    return total.tolist(), den
-
-
 def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
                 variant: str = "standard") -> MipModel:
     """Exact MIP over the coefficient set.
 
-    Examples with equal signed rows y_i x_i have equal margins under
-    every lam, so they share one loss indicator z_i and one loss row,
-    named after the first of them (i) and ordered by it; the row's
-    objective weight is the class weights of its examples summed over
-    n.  A table with no repeated signed row gets one row per example.
+    The loss rows are the rows of CompiledInstance(d, s, cfg): examples
+    with equal signed rows y_i x_i have equal margins under every lam,
+    so they share one loss indicator z_i and one loss row, named after
+    the first of them (i, CompiledInstance.first) and ordered by it.
+    The row's objective weight is its compiled cost, the class weights
+    of its examples summed over n, and its big-M is gamma minus its
+    least margin over the coefficient set (margin_extrema), the value
+    big_m_for gives its first example.  A table with no repeated signed
+    row gets one row per example.
 
     standard: loss indicators weighted (examples in the row)/n, penalty
     variables I_j = c0 alpha_j + c1 beta_j.  weighted: the same with
@@ -169,33 +145,24 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         if s.tiers is None:
             raise ConfigError("pilm variant needs a tiered coefficient set")
         for j in range(s.p):
-            if not s.domains[j].values:
-                raise DomainError(f"empty domain for coefficient {j}")
             if s.tiers[j] is None:
                 raise ConfigError("pilm variant needs tiers for every coefficient; "
                                   f"coefficient {j} ({d.feature_names[j]!r}) has none")
 
     gamma = _dec(cfg.gamma)
-    n, p = d.n, d.p
+    p = d.p
     variables: list[Variable] = []
     constraints: list[Constraint] = []
     objective: list[tuple] = []
 
-    # one loss row per distinct signed row y_i x_i, named after its
-    # first example and in the order of the first examples; equal rows
-    # have equal margins under every lam, so their z's are one
-    signed = []
-    for j in range(p):
-        nums, den = d.exact_column(j)
-        signed.append((d.y * nums, den))
-    first, group, _, _ = _merge_rows([c for c, _ in signed])
-    order = np.argsort(first)
-    rows = first[order]
+    # one loss row per row of the compiled instance (a distinct signed
+    # row y_i x_i), named after its first example and in their order;
+    # equal rows have equal margins under every lam, so their z's are one
+    ci = CompiledInstance(d, s, cfg)
+    order = np.argsort(ci.first)
+    rows = ci.first[order]
     firsts = rows.tolist()
-    ys = d.y[rows].tolist()
-    # each row's examples, and how many of them are positive
-    n_pos = np.bincount(group[d.y == 1], minlength=len(first))[order].tolist()
-    n_all = np.bincount(group, minlength=len(first))[order].tolist()
+    y_rows = d.y[rows]
 
     for i in firsts:
         variables.append(Variable(f"z_{i}", "binary", ZERO, ONE))
@@ -213,38 +180,38 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
     for j in range(p):
         variables.append(Variable(f"I_{j}", "continuous", ZERO, None))
 
-    # loss indicators in the objective: a row weighs the class weights
-    # of its examples over n; rows with equal counts share one weight
-    weight = {}
-    for i, a, k in zip(firsts, n_pos, n_all):
-        w = weight.get((a, k))
-        if w is None:
-            w = weight[a, k] = _dec((cfg.w_pos * a + cfg.w_neg * (k - a)) / n)
-        objective.append((f"z_{i}", w))
+    # loss indicators in the objective: a row's cost is the class
+    # weights of its examples over n; rows with equal costs share one
+    # weight
+    costs = ci.cost[order].tolist()
+    weight = {c: _dec(Fraction(c, ci.pen_den)) for c in set(costs)}
+    for i, c in zip(firsts, costs):
+        objective.append((f"z_{i}", weight[c]))
     for j in range(p):
         objective.append((f"I_{j}", ONE))
 
-    # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma; an int64
-    # column's signed cells stay within 2**53
-    signed = [(c[rows], den) for c, den in signed]
-    big_m, m_den = _big_m_numerators(signed, s, gamma)
-    m_dec = {num: _dec(Fraction(num, m_den)) for num in set(big_m)}
+    # loss rows: M_i z_i + sum_j y_i x_ij lam_j >= gamma, where M_i is
+    # gamma minus the row's least margin over the coefficient set
+    # (big_m_for); rows share the M of each distinct least margin
+    least = sum(ci.margin_extrema(j)[0] for j in range(p))[order].tolist()
+    big_m = {lo: _dec(gamma - Fraction(lo, ci.margin_den)) for lo in set(least)}
     # column j's term in each row, None for a zero cell (a data cell is
     # a nonzero decimal, so _dec keeps it nonzero); rows share the term
     # of each distinct value
     lam_cols = []
-    for j, (c, den) in enumerate(signed):
-        nums = c.tolist()
+    for j in range(p):
+        nums, den = d.exact_column(j)
+        nums = (y_rows * nums[rows]).tolist()
         term = {num: (f"lam_{j}", _dec(Fraction(num, den))) if num else None
                 for num in set(nums)}
         lam_cols.append(list(map(term.__getitem__, nums)))
-    for i, yi, mnum, row in zip(firsts, ys, big_m, zip(*lam_cols)):
+    for i, yi, lo, row in zip(firsts, y_rows.tolist(), least, zip(*lam_cols)):
         if variant == "weighted":
             name = f"loss_pos_{i}" if yi == 1 else f"loss_neg_{i}"
         else:
             name = f"loss_{i}"
         constraints.append(Constraint(
-            name, ((f"z_{i}", m_dec[mnum]), *filter(None, row)), ">=", gamma))
+            name, ((f"z_{i}", big_m[lo]), *filter(None, row)), ">=", gamma))
 
     if variant != "pilm":
         c0, c1 = _dec(cfg.c0), _dec(cfg.c1)

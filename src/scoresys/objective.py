@@ -199,7 +199,9 @@ def _coerce_lam(lam, p: int) -> list[Fraction]:
 
 def int_dtype(bound: int) -> np.dtype:
     """int64 when every integer of magnitude at most bound fits it
-    (bound < 2**63), else object (Python ints)."""
+    (bound < 2**63), else object (Python ints): the width of each exact
+    sum that is not a compiled margin (score_ints, and the solver's
+    class sums and column masses)."""
     return np.dtype(np.int64) if bound < 2**63 else np.dtype(object)
 
 
@@ -252,8 +254,9 @@ class CompiledInstance:
 
     Rows are the distinct vectors y_i x_i: examples with equal vectors
     have equal margins under every lam, so they merge into one row
-    whose loss cost is the sum of theirs (n_rows <= d.n).  Margins live
-    at denominator margin_den: the margin of row r is
+    whose loss cost is the sum of theirs (n_rows <= d.n); first[r] is
+    the first example of row r.  Margins live at denominator
+    margin_den: the margin of row r is
     (sum_j b_cols[j][r] * vi[j][k_j]) / margin_den where k_j indexes
     the chosen domain value.  Loss costs and per-value penalties live
     at denominator pen_den, so any two objective values compare as
@@ -373,7 +376,7 @@ class CompiledInstance:
         cost = np.where(d.y == 1, np.array(cpos if n_pos else 0, dtype),
                         np.array(cneg if n_pos < d.n else 0, dtype))
         first, group, twin_a, twin_b = _merge_rows(b_cols)
-        self.n_rows = len(first)
+        self.first, self.n_rows = first, len(first)
         merged = np.zeros(self.n_rows, dtype=cost.dtype)
         np.add.at(merged, group, cost)
         self.b_cols = [b[first] for b in b_cols]
@@ -466,8 +469,9 @@ def _merge_rows(b_cols: list):
     Returns (first, group, twin_a, twin_b): the first row of each group,
     each row's group, and the groups whose rows are negations of each
     other.  A Python-int column is first coded as int64,
-    sign(b) * (1 + the rank of |b| among the column's magnitudes),
-    which is equal where b is equal and negated where b is negated.
+    sign(b) * (1 + the rank of |b| among the column's magnitudes), the
+    ranks read from a dict of the sorted distinct magnitudes; the code
+    is equal where b is equal and negated where b is negated.
     Each row is keyed with the sign that makes its first nonzero entry
     positive, so one sort finds both.
 
@@ -482,8 +486,9 @@ def _merge_rows(b_cols: list):
     coded = []
     for b in b_cols:
         if b.dtype == object:
-            _, rank = np.unique(np.abs(b), return_inverse=True)
-            b = np.sign(b).astype(np.int64) * (rank + 1)
+            mags = np.abs(b).tolist()
+            rank = {m: r for r, m in enumerate(sorted(set(mags)), start=1)}
+            b = np.sign(b).astype(np.int64) * np.array([rank[m] for m in mags])
         coded.append(b)
     cols = np.stack(coded)
     p, n = cols.shape

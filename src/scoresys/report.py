@@ -285,7 +285,7 @@ def induce_decision_table(m: ScoringSystem, d: Dataset) -> DecisionTable:
         if np.all(col == col[0]):
             base += c * to_fraction(float(col[0]))
             continue
-        vals = set(np.unique(col).tolist())
+        vals = set(col.tolist())  # not np.unique, whose first call imports numpy.ma
         if not vals <= {0.0, 1.0}:
             raise ReportError(
                 f"feature {m.feature_names[j]!r} is not binary "

@@ -37,7 +37,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .coefset import CoefficientSet
 from .data import Dataset
 from .errors import ConfigError, DomainError, ScoresysError
 from .exactnum import to_fraction
-from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate
+from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, int_dtype
 from .report import ScoringSystem
 
 INF = float("inf")
@@ -123,23 +122,13 @@ def _class_mean_diffs(d: Dataset) -> tuple[list[int], int]:
         return [0] * d.p, 1
     cols = [d.exact_column(j) for j in range(d.p)]
     den = math.lcm(*(cden for _, cden in cols))
-    # class sums: of the int64 columns side by side while no sum can
-    # reach 2**63, of the others column by column in Python ints
-    sums = [None] * d.p
-    fast = [j for j, (nums, _) in enumerate(cols) if nums.dtype == np.int64]
-    if fast:
-        block = np.stack([cols[j][0] for j in fast], axis=1)
-        if d.n * int(np.abs(block).max()) < 2**63:
-            for j, s_pos, s_all in zip(fast, block[pos].sum(axis=0).tolist(),
-                                       block.sum(axis=0).tolist()):
-                sums[j] = s_pos, s_all
-    out = []
-    for j, (nums, cden) in enumerate(cols):
-        if sums[j] is None:
-            nums = nums.astype(object, copy=False)
-            sums[j] = int(nums[pos].sum()), int(nums.sum())
-        s_pos, s_all = sums[j]
-        out.append((s_pos * n_neg - (s_all - s_pos) * n_pos) * (den // cden))
+    # class sums of the columns side by side, in the width that holds
+    # every sum (int_dtype)
+    block = np.stack([nums for nums, _ in cols], axis=1)
+    block = block.astype(int_dtype(d.n * int(np.abs(block).max())), copy=False)
+    sums = zip(block[pos].sum(axis=0).tolist(), block.sum(axis=0).tolist())
+    out = [(s_pos * n_neg - (s_all - s_pos) * n_pos) * (den // cden)
+           for (s_pos, s_all), (_, cden) in zip(sums, cols)]
     return out, den * n_pos * n_neg
 
 
@@ -286,14 +275,10 @@ class _Prep:
         diffs = self.diffs[0]
         ext = [ci.margin_extrema(j) for j in range(ci.p)]
         widths = [hi - lo for lo, hi in ext]
-        # exact masses: in int64 when no sum can reach 2**63, else in
-        # Python ints (about 25x slower over 3000 rows)
-        cap = int(ci.cost.sum()) * max((int(w.max()) for w in widths), default=0)
-        if ci.int64_ok and cap < 2**63:
-            mass = [int(ci.cost @ w) for w in widths]
-        else:
-            cost = ci.cost.tolist()
-            mass = [sum(map(mul, cost, w.tolist())) for w in widths]
+        # exact masses, in the width that holds every sum (int_dtype)
+        dtype = int_dtype(int(ci.cost.sum()) * max(int(w.max()) for w in widths))
+        cost = ci.cost.astype(dtype, copy=False)
+        mass = [int(cost @ w.astype(dtype, copy=False)) for w in widths]
         self.order = sorted(range(ci.p), key=lambda j: (-mass[j], -abs(diffs[j]), j))
         self.B, self.VI, self.PEN, self.PENL, self.L1, self.KIDX = [], [], [], [], [], []
         for j in self.order:

@@ -1,20 +1,24 @@
 import argparse
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scoresys
 from scoresys.cli import build_parser, main
 from scoresys.data import load_csv
 from scoresys.exactnum import fraction_str
 from scoresys.mipmodel import complete_assignment, parse_lp
 from scoresys.report import ScoringSystem
 
-from helpers import first_of_signed_rows, write_csv
+from helpers import DATA, first_of_signed_rows, write_csv
 
 
 @pytest.fixture()
@@ -583,6 +587,31 @@ def test_report_decision_table_reads_a_one_hot_table(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert "1. if" in captured.out
+
+
+def test_report_decision_table_leaves_numpy_ma_unloaded(tmp_path, capsys):
+    """report --decision-table in a fresh interpreter exits 0 without
+    importing numpy.ma, which numpy's first np.unique call would load."""
+    data = str(DATA / "mammo.csv")
+    cs = tmp_path / "c.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 1}}))
+    model = tmp_path / "m.json"
+    assert main(["train", "--data", data, "--coefset", str(cs), "--c0", "0.05",
+                 "--out", str(model)]) == 0
+    capsys.readouterr()
+    code = ("import sys\n"
+            "from scoresys.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(rc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scoresys.__file__)))
+    out = subprocess.run([sys.executable, "-c", code, "report", "--model", str(model),
+                          "--decision-table", "--data", data],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert "1. if" in out.stdout
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(

@@ -8,7 +8,7 @@ import pytest
 
 from scoresys import mipmodel
 from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
-                              explicit_values, uniform)
+                              digit_values, explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
 from scoresys.exactnum import fraction_str, to_fraction
@@ -46,25 +46,57 @@ def test_big_m_worked_example():
     assert big_m_for(d, s, Fraction(1, 10), 0) == Fraction(301, 10)
 
 
-@pytest.mark.parametrize("variant", ["standard", "weighted"])
-def test_loss_rows_match_per_cell_reference(variant):
-    """The column-wise loss rows equal the single-row big_m_for and the
-    per-cell Fraction coefficients, on a table with a non-integral
-    column, a gapped domain and a gamma with no terminating decimal."""
+def _per_cell_instance(table):
+    """mixed: distinct rows with an intercept, a non-integral column and
+    a gapped domain.  dup: repeated rows and twins (a row and its
+    negation) under a one-digit decimal domain, so margin_den carries a
+    value denominator, -100..100 and {0, +-1, +-10}; dup_1e18: the same
+    table times 10**18, where CompiledInstance is on Python ints."""
     rng = np.random.default_rng(21)
-    d0 = rand_dataset(rng, 12, 3, intercept=True)
-    x = d0.x.copy()
-    x[:, 2] = rng.integers(-8, 9, size=d0.n) * 0.25 + 0.1
-    d = Dataset(x=x, y=d0.y, feature_names=d0.feature_names, intercept_index=0)
-    s = uniform(explicit_values([0, 1, -1, 10, -10]), d.p)
+    if table == "mixed":
+        d0 = rand_dataset(rng, 12, 3, intercept=True)
+        x = d0.x.copy()
+        x[:, 2] = rng.integers(-8, 9, size=d0.n) * 0.25 + 0.1
+        d = Dataset(x=x, y=d0.y, feature_names=d0.feature_names, intercept_index=0)
+        return d, uniform(explicit_values([0, 1, -1, 10, -10]), d.p)
+    d = rand_dup_dataset(rng, 30, 3, scale=10**18 if table == "dup_1e18" else 1)
+    return d, CoefficientSet(domains=(digit_values(1, -1, 0), bounded_integers(100),
+                                      explicit_values([0, 1, -1, 10, -10])))
+
+
+@pytest.mark.parametrize("variant, table", [
+    pytest.param(v, t, id=v if t == "mixed" else f"{v}-{t}")
+    for t in ("mixed", "dup", "dup_1e18") for v in ("standard", "weighted")])
+def test_loss_rows_match_per_cell_reference(variant, table):
+    """The loss rows read from the compiled instance equal the per-example
+    references: each is named after and ordered by the first example of
+    its signed row, its z weight is the class weights of its examples
+    over n, its big-M is big_m_for of its first example, and its terms
+    are the per-cell Fractions; gamma has no terminating decimal."""
+    d, s = _per_cell_instance(table)
     w = (1, 1) if variant == "standard" else default_weights(d.n, d.n_pos)
     cfg = _resolved(d, s, gamma=Fraction(1, 3), w_pos=w[0], w_neg=w[1])
     m = build_model(d, s, cfg, variant)
+    ci = CompiledInstance(d, s, cfg)
+    assert (ci.margin_dtype == object) == (table == "dup_1e18")
     gamma = _dec(cfg.gamma)
+    first_of = first_of_signed_rows(d)
+    firsts = sorted(set(first_of))
+    if table != "mixed":
+        assert len(firsts) < d.n and len(ci.twin_a) > 0
+    count = {i: [0, 0] for i in firsts}  # positives, negatives
+    for f, y in zip(first_of, d.y.tolist()):
+        count[f][y != 1] += 1
     rows = [c for c in m.linear_constraints if c.name.startswith("loss")]
-    assert len(rows) == d.n
-    for i, row in enumerate(rows):
+    zs = [(name, w) for name, w in m.objective if name.startswith("z_")]
+    assert [name for name, _ in zs] == [f"z_{i}" for i in firsts]
+    assert len(rows) == len(firsts)
+    for i, row, (_, z) in zip(firsts, rows, zs):
         y = int(d.y[i])
+        cls = "" if variant == "standard" else "pos_" if y == 1 else "neg_"
+        assert row.name == f"loss_{cls}{i}"
+        pos, neg = count[i]
+        assert z == _dec((cfg.w_pos * pos + cfg.w_neg * neg) / d.n)
         terms = dict(row.terms)
         assert row.rhs == gamma
         assert terms.pop(f"z_{i}") == _dec(big_m_for(d, s, gamma, i))
