@@ -36,6 +36,8 @@ command the time of a pair's calls (median over pairs).
 
 Both modes then print, per timed group, the median over pairs of the
 time ratio new / old, and in how many pairs the new tree was faster.
+The exit status is 1 when any workload prints a NO (a result, exit
+status or output that differs, or a call that did not exit 0), else 0.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def print_ratio(label: str, old: list, new: list):
           f"new faster in {faster} of {len(ratios)} pairs")
 
 
-def run_solves(name: str, inp, trees: list, pairs: int):
+def run_solves(name: str, inp, trees: list, pairs: int) -> bool:
     import workloads
     setup = {"csv": inp.csv, "coefset": inp.coefset, "k": workloads.CV_K,
              "cv_seed": workloads.CV_SEED, "cv_budget_s": 60.0,
@@ -189,15 +191,18 @@ def run_solves(name: str, inp, trees: list, pairs: int):
             w.close()
     times = [[sum(pair) for pair in s] for s in secs]
     print(f"{name} (seed {inp.seed}, {len(first[0])} solves, {pairs} pairs)")
+    ok = True
     for w, tree in enumerate(trees):
         same = all(a["result"] == b["result"] for a, b in zip(first[0], first[w]))
+        ok &= same
         nodes = sum(r["nodes"] for r in first[w])
         print(f"  {tree}: same results {'yes' if same else 'NO'}, "
               f"nodes {nodes}, median {statistics.median(times[w]):.4f} s")
     print_ratio("", times[0], times[-1])
+    return ok
 
 
-def run_cli(name: str, inp, trees: list, pairs: int, work: str):
+def run_cli(name: str, inp, trees: list, pairs: int, work: str) -> bool:
     from run import num
     files = ["--data", inp.csv, "--coefset", inp.coefset]
     # export-mip + verify forms: each coefficient set (the workload's,
@@ -240,14 +245,17 @@ def run_cli(name: str, inp, trees: list, pairs: int, work: str):
     times = {k: [[sum(pair[i] for i in idx) for pair in s] for s in secs]
              for k, idx in groups.items()}
     print(f"{name} (seed {inp.seed}, cli, {len(calls)} calls, {pairs} pairs)")
+    all_ok = True
     for w, tree in enumerate(trees):
         ok = all(code == 0 for r in first[w] for code, _, _ in r["result"][0])
         same = all(a["result"] == b["result"] for a, b in zip(first[0], first[w]))
+        all_ok &= ok and same
         medians = ", ".join(f"{k} {statistics.median(t[w]):.4f} s" for k, t in times.items())
         print(f"  {tree}: exit 0 {'yes' if ok else 'NO'}, same outputs "
               f"{'yes' if same else 'NO'}, median {medians}")
     for k, t in times.items():
         print_ratio(f"{k} ", t[0], t[-1])
+    return all_ok
 
 
 def main(argv=None) -> int:
@@ -262,15 +270,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, BENCH)  # workloads, run and the oracle they import
     import workloads
+    ok = True
     with tempfile.TemporaryDirectory() as work:
         for name in args.workloads.split(","):
             inp = workloads.make_inputs(name, args.seed, ROOT, work)
             trees = [args.old, args.new]
             if args.cli:
-                run_cli(name, inp, trees, args.pairs, work)
+                ok &= run_cli(name, inp, trees, args.pairs, work)
             else:
-                run_solves(name, inp, trees, args.pairs)
-    return 0
+                ok &= run_solves(name, inp, trees, args.pairs)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

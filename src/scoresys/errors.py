@@ -26,7 +26,9 @@ class ReportError(ScoresysError, ValueError):
 class VerifyError(ScoresysError, ValueError):
     """A solution file fails the exported model's constraints or its
     objective disagrees with the recomputed one.  Carries the list of
-    violations as (name, detail) pairs."""
+    violations as strings: a violated row with its detail, the name of
+    a variable the solution misses, adds or sets off its domain, or
+    "objective"."""
 
     def __init__(self, message, violations=()):
         super().__init__(message)

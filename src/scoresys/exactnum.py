@@ -11,17 +11,26 @@ binary expansion.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, InvalidOperation
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ConfigError
 
 Numeric = int | float | str | Fraction | Decimal
 
+# a finite decimal as LP files, solution files, flags and coefficient
+# sets spell it: an optional sign, digits with an optional point (or a
+# point and digits) and an optional exponent; no underscores, no
+# "inf" or "nan"
+NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM_RE = re.compile(NUM)
+
 
 def to_fraction(x: Numeric) -> Fraction:
     """Exact value of x, reading floats and strings as decimals.  A
-    string that is not a finite decimal raises ConfigError."""
+    string that is not, once stripped, a whole match of NUM raises
+    ConfigError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):  # bool is an int but never a sensible number here
@@ -37,13 +46,10 @@ def to_fraction(x: Numeric) -> Fraction:
             raise ValueError(f"non-finite value {x!r}")
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            dec = Decimal(x.strip())
-        except InvalidOperation:
-            dec = None
-        if dec is None or not dec.is_finite():
+        text = x.strip()
+        if not _NUM_RE.fullmatch(text):
             raise ConfigError(f"not a finite decimal number: {x!r}")
-        return Fraction(dec)
+        return Fraction(Decimal(text))
     raise TypeError(f"cannot interpret {type(x).__name__} as a number")
 
 

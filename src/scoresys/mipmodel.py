@@ -30,7 +30,7 @@ import numpy as np
 from .coefset import CoefficientSet, Tier
 from .data import Dataset
 from .errors import ConfigError, VerifyError
-from .exactnum import fraction_str, pow10_denominator, to_fraction
+from .exactnum import NUM, fraction_str, pow10_denominator, to_fraction
 from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, score_ints
 
 ZERO = Fraction(0)
@@ -349,32 +349,28 @@ def write_lp(m: MipModel, path=None) -> str:
     return text
 
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUM_RE = re.compile(_NUM)
 # a term and the whitespace after it, or else any one character: every
 # match starts where the last one ended, so the terms tile the text
-_TERM_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)\s*|[\s\S]")
-_BOUND_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
-_BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
+_TERM_RE = re.compile(rf"([+-])?\s*({NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)\s*|[\s\S]")
+_BOUND_BOTH = re.compile(rf"^({NUM})\s*<=\s*(\S+)\s*<=\s*({NUM})$")
+_BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({NUM})$")
 
 
 class _Tokens(dict):
     """to_fraction of each distinct numeric token, computed once (one
     per parse_lp call).  A term's key is its (sign, digits) pair, with
     digits None for no number; a string key, or a pair's digits, that
-    is not a whole match of _NUM maps to None."""
+    to_fraction rejects (not a whole match of NUM) maps to None."""
 
     def __missing__(self, key):
-        if isinstance(key, str):
-            got = to_fraction(key) if _NUM_RE.fullmatch(key) else None
+        sign, num = (None, key) if isinstance(key, str) else key
+        try:
+            got = ONE if num is None else to_fraction(num)
+        except ConfigError:
+            got = None
         else:
-            sign, num = key
-            if num is not None and not _NUM_RE.fullmatch(num):
-                got = None
-            else:
-                got = to_fraction(num) if num else ONE
-                if sign == "-":
-                    got = -got
+            if sign == "-":
+                got = -got
         self[key] = got
         return got
 
@@ -385,7 +381,7 @@ def _parse_terms(text: str, tokens: _Tokens):
     term starts, only whitespace may follow.
 
     Text whose whitespace-separated tokens are whole terms of a sign
-    (+ or -), a number (a whole match of _NUM) and a name, in that order
+    (+ or -), a number (a whole match of NUM) and a name, in that order
     with either or both of the first two left out, is read token by
     token: a name is a token for which isidentifier and isascii hold,
     which is exactly [A-Za-z_][A-Za-z0-9_]*, and a term's coefficient is
@@ -425,7 +421,7 @@ def _parse_terms(text: str, tokens: _Tokens):
 def _bound_line(line: str, tokens: _Tokens) -> tuple:
     """(name, lower, upper) of a bounds line in any spacing, None for a
     missing bound: "lo <= name <= hi", "name free", "name >= lo" or
-    "name <= hi", the numbers whole matches of _NUM.  A free variable's
+    "name <= hi", the numbers whole matches of NUM.  A free variable's
     name is one ASCII identifier, as _parse_terms reads names."""
     mm = _BOUND_BOTH.match(line)
     if mm:
@@ -536,7 +532,7 @@ def read_solution(text: str) -> dict:
     """Solution files are whitespace-separated name value pairs, one
     per line; blank lines and lines starting with # are skipped.  A name
     given twice is an error.  A value is a number as LP files spell
-    them (a whole match of _NUM).  Each distinct value string is
+    them (a whole match of NUM).  Each distinct value string is
     converted once, and names with equal strings share one Fraction."""
     out = {}
     line_of = {}
@@ -555,9 +551,10 @@ def read_solution(text: str) -> dict:
         line_of[name] = lineno
         x = values.get(val)
         if x is None:
-            if not _NUM_RE.fullmatch(val):
-                raise VerifyError(f"solution line {lineno}: bad value {val!r}")
-            x = values[val] = to_fraction(val)
+            try:
+                x = values[val] = to_fraction(val)
+            except ConfigError:
+                raise VerifyError(f"solution line {lineno}: bad value {val!r}") from None
         out[name] = x
     return out
 

@@ -97,7 +97,7 @@ class ScoringSystem:
         try:
             feats = doc["features"]
             names = [f["name"] for f in feats]
-            coefs = [to_fraction(f["coef"]) for f in feats]
+            coefs = [_read_json_num(f["coef"]) for f in feats]
             meta = dict(doc.get("meta") or {})
             ranges = meta.pop("feature_ranges", None)
             intercept_index = None
@@ -105,7 +105,7 @@ class ScoringSystem:
                 ii = meta.pop("intercept_index", 0)
                 name = meta.pop("intercept_name", "(Intercept)")
                 names.insert(ii, name)
-                coefs.insert(ii, to_fraction(doc["intercept"]))
+                coefs.insert(ii, _read_json_num(doc["intercept"]))
                 intercept_index = ii
             else:
                 meta.pop("intercept_index", None)
@@ -132,6 +132,15 @@ def _json_num(c: Fraction):
         return int(c)
     # keep exactness for rationals with no terminating decimal (1/3)
     return float(c) if pow10_denominator(c) else f"{c.numerator}/{c.denominator}"
+
+
+_RATIO_RE = re.compile(r"([+-]?\d+)/([1-9]\d*)")
+
+
+def _read_json_num(v) -> Fraction:
+    """Invert _json_num: a number, or an "n/d" string with d > 0."""
+    m = _RATIO_RE.fullmatch(v) if isinstance(v, str) else None
+    return Fraction(int(m[1]), int(m[2])) if m else to_fraction(v)
 
 
 def _sheet_num(c: Fraction) -> str:

@@ -20,13 +20,14 @@ nonzero free levels pays at least the two least such penalties; when
 that prunes, the child is closed: its all-zero completion and every
 completion with exactly one nonzero free level are scored exactly, a
 chunk of levels per comparison block, and it is not searched (the
-lookahead of CORELS and OSDT).  Objective ties resolve
-to the smallest l1 norm, then to the lexicographically smallest
-coefficient vector; pruning is careful to respect that rule, so the
-returned vector is a pure function of the problem and not of traversal
-order.  One solve runs serially in one thread.  A time budget makes
-the solver anytime: the incumbent is always a feasible model and the
-reported lower bound never exceeds it.
+lookahead of CORELS and OSDT).  Every prune compares a bound with the
+incumbent's objective alone, so a completion that ties the incumbent is
+always searched; the incumbent update alone resolves objective ties, to
+the smallest l1 norm, then to the lexicographically smallest
+coefficient vector, so the returned vector is a pure function of the
+problem and not of traversal order.  One solve runs serially in one
+thread.  A time budget makes the solver anytime: the incumbent is
+always a feasible model and the reported lower bound never exceeds it.
 """
 
 from __future__ import annotations
@@ -93,11 +94,11 @@ class TracePoint:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solve's model and certificate.  nodes_explored counts search
-    nodes: expansions (nodes whose children were bounded) plus leaves
-    (complete vectors scored at the last level, which is expanded only
-    when it is the root).  A closed child is not counted, nor are the
-    completions with one nonzero free level that it scores."""
+    """A solve's model and certificate.  nodes_explored counts the
+    search's expansions: nodes whose children were bounded.  A
+    completion scored exactly (a leaf, a child's all-zero completion, or
+    one that a closed child scores) is not counted, nor is a closed
+    child."""
 
     best: ScoringSystem
     objective: ObjectiveValue
@@ -132,12 +133,13 @@ def _class_mean_diffs(d: Dataset) -> tuple[list[int], int]:
     return out, den * n_pos * n_neg
 
 
-def _snap(dom, target: Fraction) -> Fraction:
-    """Nearest domain value; ties prefer small |v|, then small v.  The
-    values are ascending, so only the two around target can be nearest."""
-    vals = dom.values
-    i = bisect.bisect_left(vals, target)
-    return min(vals[max(i - 1, 0):i + 1], key=lambda v: (abs(v - target), abs(v), v))
+def _nearest_index(vals, num: int, den: int) -> int:
+    """Index of the value of vals (ascending ints) nearest num / den,
+    den > 0; ties prefer small |value|, then small value.  Only the two
+    values around the target can be nearest."""
+    i = bisect.bisect_left(vals, num, key=lambda w: w * den)
+    return min(range(max(i - 1, 0), min(i + 1, len(vals))),
+               key=lambda k: (abs(vals[k] * den - num), abs(vals[k]), vals[k]))
 
 
 def warm_start(d: Dataset, s: CoefficientSet) -> tuple[Fraction, ...]:
@@ -149,30 +151,23 @@ def warm_start(d: Dataset, s: CoefficientSet) -> tuple[Fraction, ...]:
     """
     if s.p != d.p:
         raise ConfigError(f"coefficient set has {s.p} domains for {d.p} columns")
-    return _snap_diffs(_class_mean_diffs(d), s)
+    return tuple(dom.values[k] for k, dom
+                 in zip(_snap_diffs(_class_mean_diffs(d), s), s.domains))
 
 
-def _snap_diffs(diffs: tuple[list[int], int], s: CoefficientSet) -> tuple[Fraction, ...]:
-    """warm_start from the class-mean differences diffs, as
-    _class_mean_diffs gives them, in integers: with scale the largest
+def _snap_diffs(diffs: tuple[list[int], int], s: CoefficientSet) -> tuple[int, ...]:
+    """warm_start as value indexes, from the class-mean differences
+    diffs as _class_mean_diffs gives them: with scale the largest
     |a_j| and w_i the values of column j's domain times their common
-    denominator (CoefficientDomain.scaled_values), the target of column
-    j times scale, at that denominator, is a_j * max |w_i|, and the
-    distance of value i from it is |w_i * scale - a_j * max |w_i||
-    over a positive constant.  Ties prefer small |value|, then small
-    value, as in _snap."""
+    denominator (CoefficientDomain.scaled_values), column j's target
+    at that denominator is a_j * max |w_i| / scale (0 when every a_j
+    is)."""
     nums = diffs[0]
-    scale = max(map(abs, nums), default=0)
-    if scale == 0:
-        return tuple(Fraction(0) for _ in nums)
+    scale = max(map(abs, nums), default=0) or 1
     out = []
     for a, dom in zip(nums, s.domains):
         vals, _ = dom.scaled_values()
-        target = a * max(-vals[0], vals[-1])
-        i = bisect.bisect_left(vals, target, key=lambda w: w * scale)
-        k = min(range(max(i - 1, 0), min(i + 1, len(vals))),
-                key=lambda k: (abs(vals[k] * scale - target), abs(vals[k]), vals[k]))
-        out.append(dom.values[k])
+        out.append(_nearest_index(vals, a * max(-vals[0], vals[-1]), scale))
     return tuple(out)
 
 
@@ -261,8 +256,9 @@ class _Prep:
     COST holds its two cost columns for CompiledInstance.lost_costs,
     the costs with those pairs priced up front and the plain ones;
     root_bound is the root's bound, priced the same way.  PENB, PENL
-    and L1 hold Python ints, PENL and L1 the penalties and l1 norms,
-    for the search's per-child bookkeeping.  B, VI, zeros_margin and
+    and L1 hold Python ints: PENL the penalties, for the search's
+    per-child bookkeeping, and L1 the l1 norms, with which the
+    incumbent update breaks objective ties.  B, VI, zeros_margin and
     lost_at hold margins in ci.margin_dtype, as do the threshold blocks
     THR keeps (see thresholds) and the chunks CHUNK keeps (see chunk).
     diffs holds the class-mean differences by column, which also give
@@ -408,7 +404,7 @@ class _Prep:
         node at level w + 1 (levels u..w set to 0).  Returns (block,
         COST[w], offs, tail, w + 1, zconst): offs holds each
         completion's penalty less that of the all-zero completion, tail
-        its (level, value index, l1 norm), and zconst the zero node's
+        its (level, value index), and zconst the zero node's
         bound less the all-zero completion's penalty and less the
         priced cost.  A chunk has at most the rows of level u's block,
         so it is kept exactly when that block is, and the kept chunks
@@ -424,7 +420,7 @@ class _Prep:
             rows.append(self.thresholds(w)[-k:][1:])
             pens = self.PENL[w]
             offs += [pens[kk] - pens[0] for kk in range(1, k)]
-            tail += [(w, kk, self.L1[w][kk]) for kk in range(1, k)]
+            tail += [(w, kk) for kk in range(1, k)]
             w += 1
         if w < self.p:  # the last level has no zero node below it
             rows.append(self.lost_at[w][None, :])
@@ -484,14 +480,18 @@ class _Engine:
         zi = self.prep.ci.zero_index
         return sum(1 for j, k in enumerate(korig) if k != zi[j])
 
-    def consider(self, obj: int, l1: int, prefix: list):
-        """Make prefix (a full vector of level value indexes) the
-        incumbent if it is less in the (objective, l1, vector) order;
-        the vector is built only when (obj, l1) can win."""
+    def consider(self, obj: int, prefix: list):
+        """Make prefix (the level value indexes of a vector, the levels
+        after it at index 0, value 0) the incumbent if it is less in the
+        (objective, l1, vector) order.  This is the only place that
+        breaks objective ties: the l1 norm is summed only when obj can
+        win, the vector built only when (obj, l1) can."""
         cur = self.best
-        if cur is not None:
-            if obj > cur[0] or (obj == cur[0] and l1 > cur[1]):
-                return
+        if cur is not None and obj > cur[0]:
+            return
+        l1 = sum(map(list.__getitem__, self.prep.L1, prefix))
+        if cur is not None and (obj, l1) > cur[:2]:
+            return
         korig = self._korig(prefix)
         if cur is not None and (obj, l1, korig) >= cur[:3]:
             return
@@ -521,29 +521,27 @@ class _Engine:
         if now - self.last_emit >= TRACE_EVERY_S:
             self._emit(now)
 
-    def dfs(self, t: int, margin, fpen: int, fl1: int, prefix: list):
+    def dfs(self, t: int, margin, fpen: int, prefix: list):
         """Expand the level-t node at prefix, whose fixed levels give the
-        margins margin, penalty fpen and l1 norm fl1: bound its children,
-        then prune, score or search each in turn.
+        margins margin and the penalty fpen: bound its children, then
+        prune, score or search each in turn.
 
-        Pruning keeps the returned vector a pure function of the
-        problem: a subtree is dropped only when none of its completions
-        beats the incumbent in the (objective, l1, vector) order.  With
-        incumbent (obj, l1), child k's completions cost at least its
-        bound bk and have l1 >= l1k, so the child is dropped when
-        bk > obj, or bk == obj and l1k > l1.  Every completion but the
-        all-zero one costs at least bk + sufnz[t + 1] and has l1 > l1k,
-        so those are dropped when bk + sufnz[t + 1] > obj, or when it
-        equals obj and l1k >= l1; the all-zero completion is then scored
-        exactly, from the loss child_bounds gives it along with the
-        bounds.  A child that is searched reaches that completion anyway.
-        Likewise every completion with two or more nonzero free levels
-        costs at least bk + sufnz2[t + 1] and has l1 > l1k; when those
-        are dropped by the same rule, the child is closed: its all-zero
-        completion is scored as above, and close scores the rest that
-        can win, those with exactly one nonzero free level.  At the last
-        level the bounds are the exact objectives, and only those at or
-        below the incumbent's can replace it."""
+        Every test compares a bound with the incumbent's objective obj
+        alone, and a completion whose objective equals obj is always
+        searched or offered: consider alone breaks ties, so the returned
+        vector is a pure function of the problem.  Child k's completions
+        cost at least its bound bk, so the child is dropped when
+        bk > obj.  Every completion but the all-zero one costs at least
+        bk + sufnz[t + 1]; when that exceeds obj, the all-zero
+        completion is scored exactly, from the loss child_bounds gives
+        it along with the bounds.  A child that is searched reaches that
+        completion anyway.  Likewise every completion with two or more
+        nonzero free levels costs at least bk + sufnz2[t + 1]; when that
+        exceeds obj, the child is closed: its all-zero completion is
+        scored as above, and close scores the rest that can win, those
+        with exactly one nonzero free level.  At the last level sufnz is
+        infinite and the bounds are the exact objectives, so each leaf
+        is scored as its own all-zero completion."""
         self.nodes += 1
         if self.work >= WORK_QUANTUM:
             self.work = 0
@@ -553,51 +551,41 @@ class _Engine:
         pr = self.prep
         bounds, zloss, neg_out = pr.child_bounds(t, margin, fpen)
         self.work += len(bounds) * pr.ci.n_rows
-        l1s = pr.L1[t]
-        if t == pr.p - 1:
-            self.nodes += len(bounds)
-            for k, obj in enumerate(bounds):
-                if obj <= self.best[0]:
-                    self.consider(obj, fl1 + l1s[k], prefix + [k])
-            return
         self.frames[t] = bounds
         pens, zpen = pr.PENL[t], pr.sufzeropen[t + 1]
         nzpen, nz2pen = pr.sufnz[t + 1], pr.sufnz2[t + 1]
-        obj, l1 = self.best[0], self.best[1]  # read again after each call
+        obj = self.best[0]  # read again after each call
         for k, bk in enumerate(bounds):
             if bk > obj:
-                continue
-            l1k = fl1 + l1s[k]
-            if bk == obj and l1k > l1:
                 continue
             pk = fpen + pens[k]
             # bk + step > obj, with no int + INF: objectives may lie
             # beyond float range
             slack = obj - bk
-            if nzpen > slack or (nzpen == slack and l1k >= l1):
+            if nzpen > slack:
                 zobj = pk + zpen + zloss[k]
-                if zobj < obj or (zobj == obj and l1k <= l1):
-                    self.consider(zobj, l1k, prefix + [k])
-                    obj, l1 = self.best[0], self.best[1]
+                if zobj <= obj:
+                    self.consider(zobj, prefix + [k])
+                    obj = self.best[0]
                 continue
-            if nz2pen > slack or (nz2pen == slack and l1k >= l1):
-                self.consider(pk + zpen + zloss[k], l1k, prefix + [k])
-                self.close(t + 1, margin - neg_out[k], pk + zpen, l1k, prefix + [k])
+            if nz2pen > slack:
+                self.consider(pk + zpen + zloss[k], prefix + [k])
+                self.close(t + 1, margin - neg_out[k], pk + zpen, prefix + [k])
             else:
-                self.dfs(t + 1, margin - neg_out[k], pk, l1k, prefix + [k])
+                self.dfs(t + 1, margin - neg_out[k], pk, prefix + [k])
             if self.stop:
                 return
-            obj, l1 = self.best[0], self.best[1]
+            obj = self.best[0]
 
-    def close(self, u: int, margin, zpen: int, l1: int, prefix: list):
+    def close(self, u: int, margin, zpen: int, prefix: list):
         """Score exactly, and offer to consider, every completion that
         sets one free level of the level-u node at prefix to a nonzero
-        value and the others to 0, the node's margins being margin, its
-        all-zero completion's penalty zpen and its l1 norm l1.  The walk
-        takes the node's chain of zero values a chunk at a time
-        (_Prep.chunk) and stops once the bound of the chunk's zero node
-        plus sufnz of the levels below it prunes (by the rule of dfs):
-        the completions left all lie below that node.  The clock is read
+        value and the others to 0, the node's margins being margin and
+        its all-zero completion's penalty zpen.  The walk takes the
+        node's chain of zero values a chunk at a time (_Prep.chunk) and
+        stops once the bound of the chunk's zero node plus sufnz of the
+        levels below it exceeds the incumbent's objective: the
+        completions left all lie below that node.  The clock is read
         once per WORK_QUANTUM block cells, as in dfs."""
         pr = self.prep
         while True:
@@ -611,15 +599,13 @@ class _Engine:
             self.work += len(block) * pr.ci.n_rows
             objs = (loss[:len(offs), 1] + offs).tolist()
             if objs and min(objs) <= self.best[0] - zpen:
-                for extra, (v, kk, l1v) in zip(objs, tail):
+                for extra, (v, kk) in zip(objs, tail):
                     if extra <= self.best[0] - zpen:
-                        self.consider(zpen + extra, l1 + l1v,
+                        self.consider(zpen + extra,
                                       prefix + [0] * (v - len(prefix)) + [kk])
             if u == pr.p:
                 return
-            obj, l1_best = self.best[0], self.best[1]
-            slack = obj - (zpen + zconst + int(loss[-1, 0]))
-            if pr.sufnz[u] > slack or (pr.sufnz[u] == slack and l1 >= l1_best):
+            if pr.sufnz[u] > self.best[0] - (zpen + zconst + int(loss[-1, 0])):
                 return
 
 
@@ -633,10 +619,9 @@ def _margins(prep: _Prep, assign) -> np.ndarray:
 
 
 def _offers(prep: _Prep, assign, margin) -> list:
-    """(objective, l1, assignment) of each row of assign, whose margins
-    are margin, at pen_den and l1_den scale: one loss over all rows."""
-    return [(loss + sum(map(list.__getitem__, prep.PENL, a)),
-             sum(map(list.__getitem__, prep.L1, a)), a)
+    """(objective, assignment) of each row of assign, whose margins are
+    margin, the objective at pen_den scale: one loss over all rows."""
+    return [(loss + sum(map(list.__getitem__, prep.PENL, a)), a)
             for a, loss in zip(assign.tolist(), prep.ci.loss(margin).tolist())]
 
 
@@ -649,7 +634,7 @@ def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
     start stops after a sweep in which it did not move, or after 60
     sweeps.  Past the deadline every start stops mid-sweep; every step
     leaves a valid assignment.  Returns, in the order of starts, each
-    descent's (objective, l1, assignment) as _offers scores it, from
+    descent's (objective, assignment) as _offers scores it, from
     the margins the descent ends with.  Used only to seed the
     incumbent."""
     out = np.array(starts, dtype=np.intp)
@@ -680,7 +665,7 @@ def _polish(prep: _Prep, starts: list, deadline: float | None = None) -> list:
 
 
 def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
-    """Offer the all-zero vector and the warm start warm (domain values
+    """Offer the all-zero vector and the warm start warm (value indexes
     by column) to the incumbent, then the coordinate descent from each
     distinct start of this list, in order, each as it is found:
 
@@ -705,9 +690,9 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
     the deadline no new batch starts."""
     ci, p = prep.ci, prep.p
     zero = (0,) * p
-    w = tuple(prep.KIDX[t].index(bisect.bisect_left(ci.values[j], warm[j]))
-              for t, j in enumerate(prep.order))
-    ranked = sorted(range(p), key=lambda t: (-abs(warm[prep.order[t]]), t))
+    w = tuple(prep.KIDX[t].index(warm[j]) for t, j in enumerate(prep.order))
+    mag = [abs(ci.values[j][warm[j]]) for j in prep.order]
+    ranked = sorted(range(p), key=lambda t: (-mag[t], t))
     t_bias = p - 1
     if ci.d.intercept_index is not None:
         t_bias = prep.order.index(ci.d.intercept_index)
@@ -756,10 +741,14 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
         if len(warm) != d.p:
             raise ConfigError(f"warm start has {len(warm)} entries for {d.p} "
                               "coefficients")
-        warm = tuple(_snap(dom, to_fraction(v)) for v, dom in zip(warm, s.domains))
+        snapped = []
+        for v, dom in zip(map(to_fraction, warm), s.domains):
+            vals, den = dom.scaled_values()
+            snapped.append(_nearest_index(vals, v.numerator * den, v.denominator))
+        warm = tuple(snapped)
     _seed_incumbent(prep, eng, warm, eng.deadline)
     eng._emit(time.monotonic())
-    eng.dfs(0, prep.zeros_margin, 0, 0, [])
+    eng.dfs(0, prep.zeros_margin, 0, [])
 
     best = eng.best
     if best is None:

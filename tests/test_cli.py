@@ -214,7 +214,10 @@ def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     (["cv", "--c0-grid", "0.1,,0.2"], None),
     (["train", "--c0", "0.1"], {"type": "set", "values": [0, "x"]}),
     (["train", "--c0", "0.1"], {"type": "integer", "max": "abc"}),
-], ids=["c0", "c0_inf", "weights", "c0_grid", "set_values", "integer_max"])
+    (["train", "--c0", "0_5"], None),
+    (["train", "--c0", "0.1"], {"type": "set", "values": [0, "1_0"]}),
+], ids=["c0", "c0_inf", "weights", "c0_grid", "set_values", "integer_max",
+        "c0_underscore", "set_values_underscore"])
 def test_malformed_number_is_exit_1(tmp_path, footnote_csv, coefset_one,
                                     capsys, flags, coefset):
     if coefset is not None:

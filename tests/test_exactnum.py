@@ -33,7 +33,7 @@ def test_to_fraction_rejects_junk():
         to_fraction(float("inf"))
     with pytest.raises(ValueError):
         to_fraction("1/2ish")
-    for text in ("inf", "nan"):
+    for text in ("inf", "nan", "1_0"):
         with pytest.raises(ValueError):
             to_fraction(text)
     with pytest.raises(TypeError):

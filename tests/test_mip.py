@@ -11,8 +11,8 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               digit_values, explicit_values, uniform)
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
-from scoresys.exactnum import fraction_str, to_fraction
-from scoresys.mipmodel import (_NUM, TOL, VARIANTS, _dec, _layout,
+from scoresys.exactnum import NUM, fraction_str, to_fraction
+from scoresys.mipmodel import (TOL, VARIANTS, _dec, _layout,
                                _parse_terms, _Tokens, _violations,
                                big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
@@ -258,7 +258,7 @@ def _one_row_lp(coef="2", bound="20", rhs="1"):
 
 @pytest.mark.parametrize("num", ["2_0", "2e", "inf", "0x14"])
 def test_parse_lp_reads_every_number_by_one_grammar(num):
-    """A bound and a right-hand side are each a whole match of _NUM, as
+    """A bound and a right-hand side are each a whole match of NUM, as
     a term's coefficient is; Decimal alone would also read 2_0 as 20.
     (In a term, 2_0 x is the two terms 2 _0 and x.)"""
     with pytest.raises(ConfigError, match="^cannot parse bounds line"):
@@ -270,7 +270,7 @@ def test_parse_lp_reads_every_number_by_one_grammar(num):
     assert m.linear_constraints[0].rhs == m.variables[0].upper == Fraction(20)
 
 
-_TERM_LOOP_RE = re.compile(rf"([+-])?\s*({_NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
+_TERM_LOOP_RE = re.compile(rf"([+-])?\s*({NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _reference_parse_terms(text, tokens):
@@ -366,8 +366,8 @@ def test_read_solution_rejects_a_name_given_twice():
         read_solution("z_0 1\nlam_0 -2\n# z_0 0\nz_0 0\n")
 
 
-_REF_BOTH = re.compile(rf"^({_NUM})\s*<=\s*(\S+)\s*<=\s*({_NUM})$")
-_REF_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({_NUM})$")
+_REF_BOTH = re.compile(rf"^({NUM})\s*<=\s*(\S+)\s*<=\s*({NUM})$")
+_REF_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({NUM})$")
 
 
 def _bound_reference(line):

@@ -37,15 +37,18 @@ def test_predict_zero_total_is_negative():
 
 
 def test_json_round_trip():
-    m = _model([Fraction(1, 2), -3, 0], names=("a", "b", "(Intercept)"),
-               icpt=2, ranges=((0, 10), (1, 5), None))
-    doc = m.to_json_dict()
-    back = ScoringSystem.from_json_dict(json.loads(json.dumps(doc)))
-    assert back.coefficients == m.coefficients
-    assert back.feature_names == m.feature_names
-    assert back.intercept_index == 2
-    assert back.feature_ranges == m.feature_ranges
-    assert ScoringSystem.from_json(m.to_json()).coefficients == m.coefficients
+    # the second model has no finite decimals: to_json writes "1/3" and
+    # the intercept "-2/7"
+    for coefs in ([Fraction(1, 2), -3, 0], [Fraction(1, 3), 2, Fraction(-2, 7)]):
+        m = _model(coefs, names=("a", "b", "(Intercept)"),
+                   icpt=2, ranges=((0, 10), (1, 5), None))
+        doc = m.to_json_dict()
+        back = ScoringSystem.from_json_dict(json.loads(json.dumps(doc)))
+        assert back.coefficients == m.coefficients
+        assert back.feature_names == m.feature_names
+        assert back.intercept_index == 2
+        assert back.feature_ranges == m.feature_ranges
+        assert ScoringSystem.from_json(m.to_json()).coefficients == m.coefficients
 
 
 def test_from_json_rejects_garbage():
@@ -54,6 +57,10 @@ def test_from_json_rejects_garbage():
     with pytest.raises(ReportError):
         ScoringSystem.from_json(json.dumps({
             "coefficients": ["1", "2"], "feature_names": ["a"]}))
+    for coef in ("1/0", "1/x", "1_0", "1/3/2"):
+        with pytest.raises(ReportError):
+            ScoringSystem.from_json(json.dumps({
+                "features": [{"name": "a", "coef": coef}], "intercept": None}))
 
 
 def test_active_rows_order():

@@ -14,7 +14,7 @@ from scoresys.errors import ConfigError, DomainError
 from scoresys.exactnum import to_fraction
 from scoresys.objective import TrainConfig, evaluate
 from scoresys.solver import (BUDGET, OPTIMAL, SearchState, SolveResult,
-                             _snap, lower_bound_of, solve, warm_start)
+                             _nearest_index, lower_bound_of, solve, warm_start)
 
 from helpers import (bench_path, brute_check, brute_solve, footnote_dataset,
                      rand_coefset, rand_dataset, rand_dup_dataset)
@@ -622,36 +622,51 @@ def test_stacked_shuffled_table_searches_the_same():
 
 def test_returned_vector_is_the_oracle_tie_break():
     # not just the optimal objective: the very vector brute_solve picks
-    # with the (total, l1, values) order, ties included
+    # with the (total, l1, values) order, ties included.  In the first
+    # case lambda = -1, 0 and 1 all have objective 1 (loss 1/2 + c0 +
+    # c1, loss 1, loss 1/2 + c0 + c1) with l1 norms 1, 0 and 1, so the
+    # l1 rule, not the vector order, picks 0
+    tie = Dataset(x=np.array([[1.0], [1.0]]), y=np.array([1, -1]),
+                  feature_names=("f0",), intercept_index=None)
+    s = uniform(bounded_integers(2), 1)
+    cfg = TrainConfig(c0=Fraction(3, 8), c1=Fraction(1, 8)).resolve(tie.n, s)
+    assert [evaluate(tie, [lam], cfg).total for lam in (-1, 0, 1)] == [1, 1, 1]
+    assert brute_solve(tie, s, cfg) == (1, (0,))
+    cases = [(tie, s, cfg)]
     rng = np.random.default_rng(7)
     for trial in range(300):
         n = int(rng.integers(2, 16))
         p = int(rng.integers(1, 4))
         d = (rand_dup_dataset if trial % 2 else rand_dataset)(rng, n, p)
         s = rand_coefset(rng, p)
-        cfg = _cfg(rng, n, s)
+        cases.append((d, s, _cfg(rng, n, s)))
+    for trial, (d, s, cfg) in enumerate(cases):
         _, combo = brute_solve(d, s, cfg)
         assert solve(d, s, cfg).best.coefficients == tuple(combo), trial
 
 
 def _scored(prep, a):
-    """(objective, l1, assignment) of the level value indexes a, as the
-    search keeps them: evaluate()'s objective at pen_den scale and the
-    l1 norm at l1_den scale."""
+    """(objective, assignment) of the level value indexes a, as the
+    search offers them: evaluate()'s objective at pen_den scale."""
     ci = prep.ci
     lam = [None] * ci.p
     for t, j in enumerate(prep.order):
         lam[j] = ci.values[j][prep.KIDX[t][a[t]]]
     total = evaluate(ci.d, lam, ci.cfg, tiers=ci.s.tiers).total * ci.pen_den
-    l1 = sum(map(abs, lam)) * ci.l1_den
-    assert total.denominator == l1.denominator == 1
-    return int(total), int(l1), list(a)
+    assert total.denominator == 1
+    return int(total), list(a)
+
+
+def _value_indexes(s, lam):
+    """The index of each coefficient of lam in its domain's values."""
+    return tuple(dom.values.index(v) for v, dom in zip(lam, s.domains))
 
 
 def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     # seed the mirror model (0, 1) of the footnote instance: its
     # objective and l1 equal those of the answer (-1, 0), whose subtree
-    # has bound == incumbent, so only the tie rule can still reach it
+    # has bound == incumbent, so it is reached only because ties are
+    # searched, and won only by consider's vector order
     from scoresys.objective import CompiledInstance
     from scoresys.solver import _Engine, _Prep
     d = footnote_dataset()
@@ -663,7 +678,7 @@ def test_search_replaces_an_incumbent_that_only_loses_the_tie():
     mirror = [prep.KIDX[t].index(ci.values[j].index((0, 1)[j]))
               for t, j in enumerate(prep.order)]
     eng.consider(*_scored(prep, mirror))
-    eng.dfs(0, prep.zeros_margin, 0, 0, [])
+    eng.dfs(0, prep.zeros_margin, 0, [])
     korig = eng.best[2]
     assert tuple(ci.values[j][korig[j]] for j in range(2)) == (-1, 0)
 
@@ -689,7 +704,7 @@ def test_close_scores_every_one_nonzero_completion(monkeypatch):
     """Against an incumbent nothing beats, so that its walk never stops,
     _Engine.close offers each completion of a node that sets exactly one
     free level to a nonzero value, once, with evaluate()'s objective
-    and its l1 norm, from any level, across chunk boundaries, on both
+    (consider works out its l1 norm), from any level, across chunk boundaries, on both
     integer paths and with tier costs."""
     from scoresys import solver
     from scoresys.objective import CompiledInstance
@@ -701,17 +716,16 @@ def test_close_scores_every_one_nonzero_completion(monkeypatch):
         pr = solver._Prep(ci)
         u = int(rng.integers(0, ci.p))
         prefix = [int(rng.integers(0, len(pr.VI[t]))) for t in range(u)]
-        margin, fpen, fl1 = pr.zeros_margin, 0, 0
+        margin, fpen = pr.zeros_margin, 0
         for t, k in enumerate(prefix):
             margin = margin + pr.VI[t][k] * pr.B[t]
             fpen += pr.PENL[t][k]
-            fl1 += pr.L1[t][k]
         eng = solver._Engine(pr, cfg, time.monotonic(), None)
         eng.best, eng.work = (10**40, 0, (), 0), 0  # no checkpoint: no frames
         offered = []
-        monkeypatch.setattr(eng, "consider", lambda obj, l1, a: offered.append(
-            (obj, l1, a + [0] * (ci.p - len(a)))))
-        eng.close(u, margin, fpen + pr.sufzeropen[u], fl1, prefix)
+        monkeypatch.setattr(eng, "consider", lambda obj, a: offered.append(
+            (obj, a + [0] * (ci.p - len(a)))))
+        eng.close(u, margin, fpen + pr.sufzeropen[u], prefix)
         want = [_scored(pr, prefix + [0] * (v - u) + [k] + [0] * (ci.p - v - 1))
                 for v in range(u, ci.p) for k in range(1, len(pr.VI[v]))]
         assert sorted(offered) == sorted(want), trial
@@ -775,17 +789,17 @@ def test_search_closes_every_child_the_two_step_charge_prunes(monkeypatch):
     more nonzero free levels are pruned: its lower_bound_of plus the two
     least steps from a free level's least penalty to its least nonzero
     one, worked out here from the compiled penalties, exceeds the
-    incumbent, or equals it and the node's l1 norm is not below the
-    incumbent's.  Such a child must be closed instead."""
+    incumbent.  Such a child must be closed instead; one whose sum ties
+    the incumbent is searched."""
     from scoresys import solver
     from scoresys.objective import CompiledInstance
     dfs = solver._Engine.dfs
     expanded = []
 
-    def record(eng, t, margin, fpen, fl1, prefix):
+    def record(eng, t, margin, fpen, prefix):
         if t:
-            expanded.append((tuple(prefix), fl1, eng.best[0], eng.best[1]))
-        return dfs(eng, t, margin, fpen, fl1, prefix)
+            expanded.append((tuple(prefix), eng.best[0]))
+        return dfs(eng, t, margin, fpen, prefix)
 
     monkeypatch.setattr(solver._Engine, "dfs", record)
     rng = np.random.default_rng(167)
@@ -800,7 +814,7 @@ def test_search_closes_every_child_the_two_step_charge_prunes(monkeypatch):
             steps.append(min(nonzero) - int(ci.pen[j].min()) if nonzero else math.inf)
         expanded.clear()
         solve(d, s, cfg)
-        for prefix, l1, obj, l1_best in expanded:
+        for prefix, obj in expanded:
             values = [None] * ci.p
             for t, k in enumerate(prefix):
                 j = pr.order[t]
@@ -809,7 +823,7 @@ def test_search_closes_every_child_the_two_step_charge_prunes(monkeypatch):
             two = sum(sorted(steps[pr.order[t]] for t in range(len(prefix), ci.p))[:2])
             if len(prefix) == ci.p - 1:
                 two = math.inf
-            assert bound + two < obj or (bound + two == obj and l1 < l1_best), trial
+            assert bound + two <= obj, trial
             checked += 1
     assert checked >= 200, checked
 
@@ -1056,8 +1070,10 @@ def test_snap_matches_the_linear_scan():
         targets += [vals[0] - 1, vals[-1] + 1, Fraction(0)]
         targets += [Fraction(int(rng.integers(-2000, 2000)), int(rng.integers(1, 20)))
                     for _ in range(200)]
+        vals, den = dom.scaled_values()
         for target in targets:
-            assert _snap(dom, target) == _snap_linear(dom, target), (dom, target)
+            k = _nearest_index(vals, target.numerator * den, target.denominator)
+            assert dom.values[k] == _snap_linear(dom, target), (dom, target)
 
 
 def _polish_reference(prep, assign):
@@ -1134,7 +1150,7 @@ def test_seeding_past_the_deadline_offers_only_the_plain_starts(monkeypatch):
     monkeypatch.setattr(solver, "_polish", lambda prep, batch, deadline=None:
                         descents.extend(batch) or [_scored(prep, a) for a in batch])
     warm = warm_start(d, s)
-    solver._seed_incumbent(prep, eng, warm, time.monotonic() - 1)
+    solver._seed_incumbent(prep, eng, _value_indexes(s, warm), time.monotonic() - 1)
     assert descents == []
     want = min(evaluate(d, lam, cfg).total for lam in ([0] * 4, warm))
     assert Fraction(eng.best[0], prep.ci.pen_den) == want
@@ -1163,7 +1179,7 @@ def test_seeding_descends_each_distinct_start_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_polish", record)
     warm = warm_start(d, s)
-    solver._seed_incumbent(prep, eng, warm, None)
+    solver._seed_incumbent(prep, eng, _value_indexes(s, warm), None)
 
     def at_levels(lam):
         # level t's values run small |value| first, then small value
@@ -1226,7 +1242,7 @@ def test_seeding_is_the_same_in_smaller_batches(monkeypatch):
                                 quantum if size is None else size * cells + cells - 1)
             eng = solver._Engine(prep, cfg, time.monotonic(), None)
             batches.clear()
-            solver._seed_incumbent(prep, eng, warm_start(d, s), None)
+            solver._seed_incumbent(prep, eng, _value_indexes(s, warm_start(d, s)), None)
             if size is not None:
                 assert batches[:-1] == [size] * (len(batches) - 1), batches
                 assert 0 < batches[-1] <= size, batches
