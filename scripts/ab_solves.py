@@ -25,8 +25,8 @@ With --cli the problems are whole in-process cli.main calls, as
 slimbench makes them: for each c0 of the path, a train call, and an
 export-mip call followed by a verify call in each of four forms: the
 workload's coefficient set and the budgeted solve's set
-(workloads.BUDGET_SET, -100..100), each in the standard variant and
-under --variant weighted --weights auto.  Each worker runs in its own
+(workloads.BUDGET_SET, -100..100), each under the default class
+weights 1,1 and under --weights auto.  Each worker runs in its own
 scratch directory, to which the calls write their files under the same
 relative names; the solution file verify reads is made before the first
 call, untimed, from the tree's own model JSON and LP.  For each
@@ -206,25 +206,23 @@ def run_cli(name: str, inp, trees: list, pairs: int, work: str) -> bool:
     from run import num
     files = ["--data", inp.csv, "--coefset", inp.coefset]
     # export-mip + verify forms: each coefficient set (the workload's,
-    # the budgeted solve's) in each variant (export-mip's variant
-    # flags, both calls' weight flags)
-    exports = [(kind + suffix, stem + suffix, coefset, variant, weights)
+    # the budgeted solve's) under each class weighting (both calls'
+    # weight flags)
+    exports = [(kind + suffix, stem + suffix, coefset, weights)
                for kind, stem, coefset in (("export-verify", "model", inp.coefset),
                                            ("export-verify-budget-set", "budget",
                                             inp.budget_coefset))
-               for suffix, variant, weights in (
-                   ("", [], []),
-                   ("-weighted", ["--variant", "weighted"], ["--weights", "auto"]))]
+               for suffix, weights in (("", []), ("-weighted", ["--weights", "auto"]))]
     calls, kinds, solutions = [], [], {}
     for i, c0 in enumerate(inp.spec.path):
         c0_flag = ["--c0", num(c0)]
         model = f"model-{i}.json"
         calls.append([["train", *files, *c0_flag, "--jobs", "1", "--out", model]])
         kinds.append("train")
-        for kind, stem, coefset, variant, weights in exports:
+        for kind, stem, coefset, weights in exports:
             lp, sol = f"{stem}-{i}.lp", f"{stem}-{i}.sol"
             both = ["--data", inp.csv, "--coefset", coefset, *c0_flag, *weights]
-            calls.append([["export-mip", *both, *variant, "--out", lp],
+            calls.append([["export-mip", *both, "--out", lp],
                           ["verify", "--model", lp, "--solution", sol, *both]])
             kinds.append(kind)
             solutions[sol] = (model, lp)

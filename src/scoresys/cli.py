@@ -6,9 +6,11 @@ reports its status), 1 on missing, unreadable or non-UTF-8 files or
 any validation/verification failure, 2 on unknown or abbreviated flags
 (argparse prints usage).  train and cv take the solve flags --budget
 and --gap-tol; cv takes a --c0-grid and no --c0, and only export-mip
-takes the margin --gamma of the MIP's loss rows.  cv's --seed (default
-0) picks the folds and is always printed so runs can be reproduced
-verbatim; train uses no randomness and takes no seed.
+takes the margin --gamma of the MIP's loss rows.  export-mip takes no
+flag for the MIP's formulation: the coefficient set picks it
+(build_model).  cv's --seed (default 0) picks the folds and is always
+printed so runs can be reproduced verbatim; train uses no randomness
+and takes no seed.
 
 main builds the parser of the command in argv[0] only, and all six
 when argv[0] names none (no arguments, --help, a typo), so the usage,
@@ -146,15 +148,12 @@ def _cmd_cv(args) -> int:
 def _cmd_export_mip(args) -> int:
     d = _load_dataset(args)
     s = load_domains(args.coefset, d.feature_names)
-    cfg = _config(args, d, c0=args.c0, gamma=args.gamma)
-    if args.variant == "standard" and args.weights == "auto":
-        raise ConfigError("auto weights need --variant weighted")
-    m = build_model(d, s, cfg, args.variant)
+    m = build_model(d, s, _config(args, d, c0=args.c0, gamma=args.gamma))
     write_lp(m, args.out)
     nvar = len(m.variables)
     ncon = len(m.linear_constraints)
     print(f"wrote {args.out}: {nvar} variables, {ncon} constraints "
-          f"({args.variant})")
+          f"({'standard' if s.tiers is None else 'pilm'})")
     return 0
 
 
@@ -244,8 +243,6 @@ def _add_export_mip(sp):
     _add_config_flags(sp)
     sp.add_argument("--gamma", default="0.1",
                     help="margin the loss rows ask of a correct prediction")
-    sp.add_argument("--variant", default="standard",
-                    choices=["standard", "weighted", "pilm"])
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_export_mip)
 

@@ -25,11 +25,16 @@ Numeric = int | float | str | Fraction | Decimal
 # "inf" or "nan"
 NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _NUM_RE = re.compile(NUM)
+# the largest decimal exponent (of the leading digit) a string may
+# carry: Fraction(Decimal("1e-10000000")) alone builds a ten-million-
+# digit integer, seconds before any range check could refuse it
+MAX_EXPONENT = 9999
 
 
 def to_fraction(x: Numeric) -> Fraction:
     """Exact value of x, reading floats and strings as decimals.  A
-    string that is not, once stripped, a whole match of NUM raises
+    string that is not, once stripped, a whole match of NUM, or whose
+    leading digit's exponent lies beyond +-MAX_EXPONENT, raises
     ConfigError."""
     if isinstance(x, Fraction):
         return x
@@ -49,7 +54,11 @@ def to_fraction(x: Numeric) -> Fraction:
         text = x.strip()
         if not _NUM_RE.fullmatch(text):
             raise ConfigError(f"not a finite decimal number: {x!r}")
-        return Fraction(Decimal(text))
+        dec = Decimal(text)
+        if abs(dec.adjusted()) > MAX_EXPONENT:
+            raise ConfigError(f"number out of range (exponent beyond "
+                              f"+-{MAX_EXPONENT}): {x!r}")
+        return Fraction(dec)
     raise TypeError(f"cannot interpret {type(x).__name__} as a number")
 
 

@@ -37,8 +37,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TOL = Fraction(1, 10**6)
 
-VARIANTS = ("standard", "weighted", "pilm")
-
 
 def _dec(f: Fraction) -> Fraction:
     """Nearest fraction with a terminating decimal expansion (identity
@@ -111,43 +109,34 @@ def big_m_for(d: Dataset, s: CoefficientSet, gamma: Fraction, i: int) -> Fractio
     return total
 
 
-def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
-                variant: str = "standard") -> MipModel:
+def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig) -> MipModel:
     """Exact MIP over the coefficient set.
 
     The loss rows are the rows of CompiledInstance(d, s, cfg): examples
     with equal signed rows y_i x_i have equal margins under every lam,
-    so they share one loss indicator z_i and one loss row, named after
-    the first of them (i, CompiledInstance.first) and ordered by it.
-    The row's objective weight is its compiled cost, the class weights
-    of its examples summed over n, and its big-M is gamma minus its
-    least margin over the coefficient set (margin_extrema), the value
-    big_m_for gives its first example.  A table with no repeated signed
-    row gets one row per example.
+    so they share one loss indicator z_i and one loss row loss_i, named
+    after the first of them (i, CompiledInstance.first) and ordered by
+    it.  The row's objective weight is its compiled cost, the class
+    weights of its examples summed over n, and its big-M is gamma minus
+    its least margin over the coefficient set (margin_extrema), the
+    value big_m_for gives its first example.  A table with no repeated
+    signed row gets one row per example.
 
-    standard: loss indicators weighted (examples in the row)/n, penalty
-    variables I_j = c0 alpha_j + c1 beta_j.  weighted: the same with
-    (w_pos * positives + w_neg * negatives)/n loss coefficients, loss
-    rows named by the class of their first example.
-    pilm: loss plus per-tier costs only, coefficients picked through
-    one-of-K indicators u_j_r_k and tier indicators s_j_r.  Domains
-    with gaps use the one-of-K encoding in every variant.
+    The coefficient set picks the formulation.  A set with no tiers
+    gets penalty variables I_j = c0 alpha_j + c1 beta_j ("standard").
+    A set with tiers for every coefficient prices loss plus per-tier
+    costs only, coefficients picked through one-of-K indicators u_j_r_k
+    and tier indicators s_j_r ("pilm"); a set with tiers for some
+    coefficients only is refused.  Domains with gaps use the one-of-K
+    encoding in both.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
     cfg = cfg.resolve(d.n, s)
     if s.p != d.p:
         raise ConfigError(f"coefficient set has {s.p} domains for {d.p} columns")
-    if variant == "standard" and not (cfg.w_pos == 1 and cfg.w_neg == 1):
-        raise ConfigError("standard variant requires unit class weights; "
-                          "use variant='weighted'")
-    if variant == "pilm":
-        if s.tiers is None:
-            raise ConfigError("pilm variant needs a tiered coefficient set")
-        for j in range(s.p):
-            if s.tiers[j] is None:
-                raise ConfigError("pilm variant needs tiers for every coefficient; "
-                                  f"coefficient {j} ({d.feature_names[j]!r}) has none")
+    if s.tiers is not None and None in s.tiers:
+        j = s.tiers.index(None)
+        raise ConfigError("a tiered coefficient set needs tiers for every coefficient; "
+                          f"coefficient {j} ({d.feature_names[j]!r}) has none")
 
     gamma = _dec(cfg.gamma)
     p = d.p
@@ -171,7 +160,7 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         lo, hi = dom.values[0], dom.values[-1]
         kind = "integer" if dom.is_contiguous_integers() else "continuous"
         variables.append(Variable(f"lam_{j}", kind, _dec(lo), _dec(hi)))
-    if variant != "pilm":
+    if s.tiers is None:
         for j in range(p):
             variables.append(Variable(f"alpha_{j}", "binary", ZERO, ONE))
         for j in range(p):
@@ -205,15 +194,11 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig,
         term = {num: (f"lam_{j}", _dec(Fraction(num, den))) if num else None
                 for num in set(nums)}
         lam_cols.append(list(map(term.__getitem__, nums)))
-    for i, yi, lo, row in zip(firsts, y_rows.tolist(), least, zip(*lam_cols)):
-        if variant == "weighted":
-            name = f"loss_pos_{i}" if yi == 1 else f"loss_neg_{i}"
-        else:
-            name = f"loss_{i}"
+    for i, lo, row in zip(firsts, least, zip(*lam_cols)):
         constraints.append(Constraint(
-            name, ((f"z_{i}", big_m[lo]), *filter(None, row)), ">=", gamma))
+            f"loss_{i}", ((f"z_{i}", big_m[lo]), *filter(None, row)), ">=", gamma))
 
-    if variant != "pilm":
+    if s.tiers is None:
         c0, c1 = _dec(cfg.c0), _dec(cfg.c1)
         for j in range(p):
             lam_cap = _dec(s.domains[j].max_abs)

@@ -473,16 +473,10 @@ def _merge_rows(b_cols: list):
     ranks read from a dict of the sorted distinct magnitudes; the code
     is equal where b is equal and negated where b is negated.
     Each row is keyed with the sign that makes its first nonzero entry
-    positive, so one sort finds both.
-
-    The key is a mixed-radix integer: the sign is its lowest digit and
-    each column's offset from the column's least entry a digit above
-    it, column 0 the most significant.  It is cut into as few int64
-    words as hold it (one when twice the product of the columns' spans
-    is at most 2**63), and a stable lexsort of the words orders the
-    rows, so groups are numbered in key order and a key's positive
-    group comes just before its negated twin.  Cells lie below 2**61 in
-    magnitude: the margin and data bounds keep them there."""
+    positive, so one sort finds both: a stable lexsort of the keyed
+    columns, column 0 the most significant and the sign the least,
+    numbers the groups in key order, and a key's positive group comes
+    just before its negated twin."""
     coded = []
     for b in b_cols:
         if b.dtype == object:
@@ -491,27 +485,13 @@ def _merge_rows(b_cols: list):
             b = np.sign(b).astype(np.int64) * np.array([rank[m] for m in mags])
         coded.append(b)
     cols = np.stack(coded)
-    p, n = cols.shape
+    n = cols.shape[1]
     neg = cols[(cols != 0).argmax(axis=0), np.arange(n)] < 0
-    keyed = np.where(neg, -cols, cols).astype(np.int64, copy=False)
-    digits = keyed - keyed.min(axis=1)[:, None]
-    # each column's word and place value, the last column first
-    place, word, scale = [], 0, 2
-    for span in (digits.max(axis=1) + 1).tolist()[::-1]:
-        if scale * span > 2**63:
-            word, scale = word + 1, 1
-        place.append((word, scale))
-        scale *= span
-    scales = np.zeros((word + 1, p), dtype=np.int64)
-    for j, (k, v) in enumerate(reversed(place)):
-        scales[k, j] = v
-    words = scales @ digits
-    words[0] += neg
-    order = np.lexsort(words)
-    words = words[:, order]
-    new = (words[:, 1:] != words[:, :-1]).any(axis=0)
-    words[0] >>= 1
-    same = (words[:, 1:] == words[:, :-1]).all(axis=0)  # equal unsigned keys
+    keyed = np.where(neg, -cols, cols)
+    order = np.lexsort((neg, *keyed[::-1]))
+    keyed, neg = keyed[:, order], neg[order]
+    same = (keyed[:, 1:] == keyed[:, :-1]).all(axis=0)  # equal unsigned keys
+    new = ~same | (neg[1:] != neg[:-1])
     gid = np.concatenate(([0], np.cumsum(new)))
     group = np.empty(n, dtype=gid.dtype)
     group[order] = gid

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import Dataset
-from .errors import ReportError
+from .errors import ConfigError, ReportError
 from .exactnum import fraction_str, pow10_denominator, to_fraction
 from .objective import score_ints
 
@@ -97,7 +97,7 @@ class ScoringSystem:
         try:
             feats = doc["features"]
             names = [f["name"] for f in feats]
-            coefs = [_read_json_num(f["coef"]) for f in feats]
+            coefs = [_read_num(f["coef"]) for f in feats]
             meta = dict(doc.get("meta") or {})
             ranges = meta.pop("feature_ranges", None)
             intercept_index = None
@@ -105,7 +105,7 @@ class ScoringSystem:
                 ii = meta.pop("intercept_index", 0)
                 name = meta.pop("intercept_name", "(Intercept)")
                 names.insert(ii, name)
-                coefs.insert(ii, _read_json_num(doc["intercept"]))
+                coefs.insert(ii, _read_num(doc["intercept"]))
                 intercept_index = ii
             else:
                 meta.pop("intercept_index", None)
@@ -137,10 +137,17 @@ def _json_num(c: Fraction):
 _RATIO_RE = re.compile(r"([+-]?\d+)/([1-9]\d*)")
 
 
-def _read_json_num(v) -> Fraction:
-    """Invert _json_num: a number, or an "n/d" string with d > 0."""
+def _read_num(v) -> Fraction:
+    """Invert _json_num and _sheet_num: a number, or a string that is a
+    decimal or an "n/d" fraction with d > 0.  Any other string raises
+    ReportError."""
     m = _RATIO_RE.fullmatch(v) if isinstance(v, str) else None
-    return Fraction(int(m[1]), int(m[2])) if m else to_fraction(v)
+    if m:
+        return Fraction(int(m[1]), int(m[2]))
+    try:
+        return to_fraction(v)
+    except ConfigError:
+        raise ReportError(f"not a decimal or an n/d fraction with d > 0: {v!r}") from None
 
 
 def _sheet_num(c: Fraction) -> str:
@@ -198,15 +205,6 @@ _ICPT_RE = re.compile(rf"^({_NUM_RE})$")
 _TRAIL_RANGE_RE = re.compile(r"\s*\([^()]*\bto\b[^()]*\)$")
 
 
-def _parse_signed(s: str) -> Fraction:
-    sign = -1 if s[0] == "-" else 1
-    body = s[1:]
-    if "/" in body:
-        num, den = body.split("/")
-        return Fraction(sign * int(num), int(den))
-    return sign * to_fraction(body)
-
-
 def parse_score_sheet(text: str) -> tuple[dict, Fraction]:
     """Invert render_score_sheet: ({feature: coefficient}, intercept).
     Features absent from the sheet have coefficient 0."""
@@ -229,11 +227,11 @@ def parse_score_sheet(text: str) -> tuple[dict, Fraction]:
                 raise ReportError(f"score-sheet row with empty name: {raw!r}")
             if name in coefs:
                 raise ReportError(f"feature {name!r} appears twice in sheet")
-            coefs[name] = _parse_signed(tail.strip())
+            coefs[name] = _read_num(tail.strip())
             continue
         m = _ICPT_RE.match(line)
         if m:
-            intercept += _parse_signed(m.group(1))
+            intercept += _read_num(m.group(1))
             continue
         raise ReportError(f"unparseable score-sheet line: {raw!r}")
     if not saw_total:

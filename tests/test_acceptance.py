@@ -250,8 +250,7 @@ def test_criterion_10_mip_export_equivalence():
         s = CoefficientSet(domains=tuple(doms))
         cfg = TrainConfig(c0=Fraction(1, 100),
                           c1=Fraction(1, 10**4)).resolve(n, s)
-        variant = "weighted" if trial % 4 == 0 else "standard"
-        m = build_model(d, s, cfg, variant=variant)
+        m = build_model(d, s, cfg)
         best = None
         for combo in itertools.product(*[dom.values for dom in s.domains]):
             a = complete_assignment(m, d, list(combo))

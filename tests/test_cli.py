@@ -16,6 +16,7 @@ from scoresys.cli import build_parser, main
 from scoresys.data import load_csv
 from scoresys.exactnum import fraction_str
 from scoresys.mipmodel import complete_assignment, parse_lp
+from scoresys.objective import default_weights
 from scoresys.report import ScoringSystem
 
 from helpers import DATA, first_of_signed_rows, write_csv
@@ -216,8 +217,9 @@ def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     (["train", "--c0", "0.1"], {"type": "integer", "max": "abc"}),
     (["train", "--c0", "0_5"], None),
     (["train", "--c0", "0.1"], {"type": "set", "values": [0, "1_0"]}),
+    (["train", "--c0", "1e-10000000"], None),
 ], ids=["c0", "c0_inf", "weights", "c0_grid", "set_values", "integer_max",
-        "c0_underscore", "set_values_underscore"])
+        "c0_underscore", "set_values_underscore", "c0_exponent"])
 def test_malformed_number_is_exit_1(tmp_path, footnote_csv, coefset_one,
                                     capsys, flags, coefset):
     if coefset is not None:
@@ -264,7 +266,7 @@ _SURFACE = {
     "cv": "--data --label --no-intercept --missing --one-hot --coefset --c1 --weights "
           "--budget --gap-tol --c0-grid --k --jobs --seed --out-csv --out-json",
     "export-mip": "--data --label --no-intercept --missing --one-hot --coefset --c0 "
-                  "--c1 --weights --gamma --variant --out",
+                  "--c1 --weights --gamma --out",
     "bound": "--theorem --lambda --p --n --delta",
     "report": "--model --labels --decision-table --data --label --no-intercept "
               "--missing --one-hot",
@@ -376,8 +378,9 @@ def test_command_help_is_that_commands_help(monkeypatch, capsys):
     ["verify", "--model", "m.lp", "--solution", "s.txt", "--c0", "0.05", "--gamma", "0.5"],
     ["train", "--c0", "0.05", "--bud", "1"],
     ["export-mip", "--c0", "0.05", "--out", "m.lp", "--gam", "0.5"],
+    ["export-mip", "--c0", "0.05", "--out", "m.lp", "--variant", "standard"],
 ], ids=["cv_c0", "cv_c0_prefix", "train_gamma", "verify_gamma", "train_bud",
-        "export_mip_gam"])
+        "export_mip_gam", "export_mip_variant"])
 def test_a_removed_or_abbreviated_flag_is_exit_2(small_csv, coefset_one, argv, capsys):
     # without allow_abbrev=False, cv --c0 0.05 would run as --c0-grid 0.05
     files = ["--data", str(small_csv), "--coefset", str(coefset_one)]
@@ -513,13 +516,25 @@ def test_export_mip_gamma_is_the_loss_rows_right_hand_side(tmp_path, small_csv,
     assert rhs == [gamma] * 19
 
 
-def test_export_mip_standard_rejects_auto_weights(tmp_path, small_csv,
-                                                  coefset_one, capsys):
+def test_export_mip_takes_auto_weights(tmp_path, small_csv, coefset_one, capsys):
+    """Class weights change the z weights alone: the loss rows keep their
+    loss_i names, and the z weights sum to the loss of the all-miss
+    model, (w_pos n_pos + w_neg n_neg)/n, each within the rounding of a
+    weight with no terminating decimal (w_neg/n = 1/24 here)."""
+    lp = tmp_path / "m.lp"
     rc = main(["export-mip", "--data", str(small_csv), "--coefset",
-               str(coefset_one), "--c0", "0.05", "--weights", "auto",
-               "--out", str(tmp_path / "m.lp")])
-    assert rc == 1
-    assert "weighted" in capsys.readouterr().err
+               str(coefset_one), "--c0", "0.05", "--weights", "auto", "--out", str(lp)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith(" constraints (standard)\n")
+    d = load_csv(small_csv)
+    m = parse_lp(lp.read_text())
+    firsts = sorted(set(first_of_signed_rows(d)))
+    assert [c.name for c in m.linear_constraints if c.name.startswith("loss")] == \
+        [f"loss_{i}" for i in firsts]
+    w_pos, w_neg = default_weights(d.n, d.n_pos)
+    want = (w_pos * d.n_pos + w_neg * (d.n - d.n_pos)) / d.n
+    got = sum(w for name, w in m.objective if name.startswith("z_"))
+    assert abs(got - want) <= len(firsts) * Fraction(1, 10**15)
 
 
 def test_bound_theorem_1(capsys):
@@ -628,7 +643,7 @@ def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(
     lp = tmp_path / "m.lp"
     flags = ["--data", str(small_csv), "--no-intercept", "--coefset", str(cs),
              "--c0", "0.001"]
-    assert main(["export-mip", *flags, "--variant", "pilm", "--out", str(lp)]) == 0
+    assert main(["export-mip", *flags, "--out", str(lp)]) == 0
     text = lp.read_text()
     assert " - 0.03 s_1_1" in text
     lp.write_text(text.replace(" - 0.03 s_1_1", ""))
@@ -643,17 +658,33 @@ def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(
     assert err == "error: tier_1_1: s_1_1 has no cost in def_I_1\n"
 
 
+def test_export_mip_writes_a_tiered_set_as_tier_rows(tmp_path, small_csv, capsys):
+    """A set with tiers on every coefficient exports the tier (pilm)
+    formulation with no flag: one tier_j_r row per tier, and no
+    alpha or beta variables."""
+    cs = tmp_path / "tiers.json"
+    cs.write_text(json.dumps({"default": {"type": "integer", "max": 1, "tiers": [
+        {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]}]}}))
+    lp = tmp_path / "m.lp"
+    assert main(["export-mip", "--data", str(small_csv), "--no-intercept", "--coefset",
+                 str(cs), "--c0", "0.001", "--out", str(lp)]) == 0
+    assert capsys.readouterr().out.endswith(" constraints (pilm)\n")
+    m = parse_lp(lp.read_text())
+    assert sorted(c.name for c in m.linear_constraints if c.name.startswith("tier_")) == \
+        ["tier_0_0", "tier_0_1", "tier_1_0", "tier_1_1"]
+    assert not any(v.name.startswith(("alpha_", "beta_")) for v in m.variables)
+
+
 def test_export_mip_pilm_rejects_an_untiered_coefficient(tmp_path, small_csv, capsys):
     cs = tmp_path / "tiers.json"
     cs.write_text(json.dumps({"default": {"type": "integer", "max": 1}, "a": {
         "type": "integer", "max": 1, "tiers": [
             {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]}]}}))
     rc = main(["export-mip", "--data", str(small_csv), "--no-intercept", "--coefset",
-               str(cs), "--c0", "0.001", "--variant", "pilm",
-               "--out", str(tmp_path / "m.lp")])
+               str(cs), "--c0", "0.001", "--out", str(tmp_path / "m.lp")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == ("error: pilm variant needs tiers for every coefficient; "
+    assert err == ("error: a tiered coefficient set needs tiers for every coefficient; "
                    "coefficient 1 ('b') has none\n")
     assert not (tmp_path / "m.lp").exists()
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scoresys.errors import ConfigError
 from scoresys.exactnum import (common_denominator, fraction_str,
                                pow10_denominator, scaled_int, to_fraction)
 
@@ -36,6 +37,12 @@ def test_to_fraction_rejects_junk():
     for text in ("inf", "nan", "1_0"):
         with pytest.raises(ValueError):
             to_fraction(text)
+    # an exponent beyond +-9999 is refused before the Fraction is built
+    for text in ("1e-10000000", "1e10000", "-0.001e-9997", "1000e9997"):
+        with pytest.raises(ConfigError, match="^number out of range"):
+            to_fraction(text)
+    assert to_fraction("1e-9999") == Fraction(1, 10**9999)
+    assert to_fraction("-9.5e9999") == -Fraction(95, 10) * 10**9999
     with pytest.raises(TypeError):
         to_fraction([1])
 

@@ -12,7 +12,7 @@ from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
 from scoresys.data import Dataset
 from scoresys.errors import ConfigError, VerifyError
 from scoresys.exactnum import NUM, fraction_str, to_fraction
-from scoresys.mipmodel import (TOL, VARIANTS, _dec, _layout,
+from scoresys.mipmodel import (TOL, _dec, _layout,
                                _parse_terms, _Tokens, _violations,
                                big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
@@ -20,6 +20,12 @@ from scoresys.mipmodel import (TOL, VARIANTS, _dec, _layout,
 from scoresys.objective import CompiledInstance, TrainConfig, default_weights, evaluate
 
 from helpers import brute_solve, first_of_signed_rows, rand_dataset, rand_dup_dataset
+
+# the kinds of instance whose exports the tests compare: an untiered set
+# under unit class weights, the same under other class weights (the
+# same rows, other z weights), and a set with tiers for every
+# coefficient, which build_model writes as the tier (pilm) formulation
+KINDS = ("standard", "weighted", "pilm")
 
 
 def _resolved(d, s, **kw):
@@ -64,19 +70,19 @@ def _per_cell_instance(table):
                                       explicit_values([0, 1, -1, 10, -10])))
 
 
-@pytest.mark.parametrize("variant, table", [
-    pytest.param(v, t, id=v if t == "mixed" else f"{v}-{t}")
-    for t in ("mixed", "dup", "dup_1e18") for v in ("standard", "weighted")])
-def test_loss_rows_match_per_cell_reference(variant, table):
+@pytest.mark.parametrize("kind, table", [
+    pytest.param(k, t, id=k if t == "mixed" else f"{k}-{t}")
+    for t in ("mixed", "dup", "dup_1e18") for k in ("standard", "weighted")])
+def test_loss_rows_match_per_cell_reference(kind, table):
     """The loss rows read from the compiled instance equal the per-example
     references: each is named after and ordered by the first example of
     its signed row, its z weight is the class weights of its examples
     over n, its big-M is big_m_for of its first example, and its terms
     are the per-cell Fractions; gamma has no terminating decimal."""
     d, s = _per_cell_instance(table)
-    w = (1, 1) if variant == "standard" else default_weights(d.n, d.n_pos)
+    w = (1, 1) if kind == "standard" else default_weights(d.n, d.n_pos)
     cfg = _resolved(d, s, gamma=Fraction(1, 3), w_pos=w[0], w_neg=w[1])
-    m = build_model(d, s, cfg, variant)
+    m = build_model(d, s, cfg)
     ci = CompiledInstance(d, s, cfg)
     assert (ci.margin_dtype == object) == (table == "dup_1e18")
     gamma = _dec(cfg.gamma)
@@ -93,8 +99,7 @@ def test_loss_rows_match_per_cell_reference(variant, table):
     assert len(rows) == len(firsts)
     for i, row, (_, z) in zip(firsts, rows, zs):
         y = int(d.y[i])
-        cls = "" if variant == "standard" else "pos_" if y == 1 else "neg_"
-        assert row.name == f"loss_{cls}{i}"
+        assert row.name == f"loss_{i}"
         pos, neg = count[i]
         assert z == _dec((cfg.w_pos * pos + cfg.w_neg * neg) / d.n)
         terms = dict(row.terms)
@@ -152,39 +157,34 @@ def test_gapped_domain_uses_one_of_k():
     assert "def_lam_0" in cons and "pick_0" in cons
 
 
-def test_weighted_variant_names_and_guard():
+def test_class_weights_change_only_the_z_weights():
+    """Class weights apart from 1 give the unit-weight model's variables
+    and rows, the loss rows named loss_i after the first example of
+    their signed row, in example order; only the z weights differ."""
     rng = np.random.default_rng(3)
     d = rand_dataset(rng, 4, 1)
     s = uniform(bounded_integers(2), 1)
     cfg = _resolved(d, s, w_pos=Fraction(2), w_neg=Fraction(1, 2))
-    with pytest.raises(ConfigError):
-        build_model(d, s, cfg, variant="standard")
-    m = build_model(d, s, cfg, variant="weighted")
+    m = build_model(d, s, cfg)
+    unit = build_model(d, s, _resolved(d, s))
+    assert (m.variables, m.linear_constraints) == (unit.variables, unit.linear_constraints)
     loss_names = [c.name for c in m.linear_constraints
                   if c.name.startswith("loss_")]
-    # one row per distinct signed row, named by the class and the index
-    # of its first example, in example order
     firsts = sorted(set(first_of_signed_rows(d)))
     assert firsts != list(range(d.n))  # the table repeats a signed row
-    assert loss_names == [f"loss_{'pos' if d.y[i] == 1 else 'neg'}_{i}" for i in firsts]
+    assert loss_names == [f"loss_{i}" for i in firsts]
+    assert m.objective != unit.objective
+    assert [name for name, _ in m.objective] == [name for name, _ in unit.objective]
 
 
-def test_unknown_variant():
-    rng = np.random.default_rng(4)
-    d = rand_dataset(rng, 2, 1)
-    s = uniform(bounded_integers(1), 1)
-    with pytest.raises(ConfigError):
-        build_model(d, s, _resolved(d, s), variant="fancy")
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_lp_round_trip_identity(variant):
+@pytest.mark.parametrize("kind", KINDS)
+def test_lp_round_trip_identity(kind):
     rng = np.random.default_rng(5)
     for trial in range(12):
         n = int(rng.integers(2, 8))
         p = int(rng.integers(1, 4))
         d = rand_dataset(rng, n, p)
-        if variant == "pilm":
+        if kind == "pilm":
             s = _tiered_set(p)
             cfg = _resolved(d, s, c0=Fraction(1, 100))
         else:
@@ -192,9 +192,9 @@ def test_lp_round_trip_identity(variant):
                     else explicit_values([0, 1, -2, 5]) for _ in range(p)]
             s = CoefficientSet(domains=tuple(doms))
             w = ({"w_pos": Fraction(2), "w_neg": Fraction(1, 3)}
-                 if variant == "weighted" else {})
+                 if kind == "weighted" else {})
             cfg = _resolved(d, s, c0=Fraction(1, 100), c1=Fraction(1, 10**6), **w)
-        m = build_model(d, s, cfg, variant)
+        m = build_model(d, s, cfg)
         text = write_lp(m)
         back = parse_lp(text)
         assert back == m, trial
@@ -436,17 +436,16 @@ def test_exported_model_minimum_matches_objective():
                 else explicit_values([0, 1, -1, 3]) for _ in range(p)]
         s = CoefficientSet(domains=tuple(doms))
         cfg = _resolved(d, s, c0=Fraction(1, 100), c1=Fraction(1, 10**4))
-        variant = "weighted" if trial % 3 == 0 else "standard"
-        m = build_model(d, s, cfg, variant=variant)
+        m = build_model(d, s, cfg)
         want, _ = brute_solve(d, s, cfg)
         assert _lattice_min(m, d, s, cfg) == want, trial
 
 
-def _dup_instance(rng, variant):
+def _dup_instance(rng, kind):
     """A table with repeated signed rows, and rows merging (x, +1) with
     (-x, -1) (no intercept), its cells integers (int64 columns) or
-    quarters (Python-int columns); a coefficient set and config for the
-    variant, with class weights apart from 1 outside the standard one."""
+    quarters (Python-int columns); a coefficient set and config of the
+    kind (KINDS)."""
     n = int(rng.choice([8, 10, 16, 20, 25]))  # terminating 1/n
     p = int(rng.integers(1, 4))
     d = rand_dup_dataset(rng, n, p, lo=-2, hi=2)
@@ -454,30 +453,30 @@ def _dup_instance(rng, variant):
     x = np.where(flip[:, None], -d.x, d.x) * (0.25 if rng.random() < 0.5 else 1)
     d = Dataset(x=x, y=np.where(flip, -d.y, d.y), feature_names=d.feature_names,
                 intercept_index=None)
-    if variant == "pilm":
+    if kind == "pilm":
         s = _tiered_set(p)
         return d, s, _resolved(d, s, c0=Fraction(1, 100))
     doms = [bounded_integers(2) if rng.random() < 0.6
             else explicit_values([0, 1, -1, 3]) for _ in range(p)]
     s = CoefficientSet(domains=tuple(doms))
-    w = (Fraction(3, 2), Fraction(1, 2)) if variant == "weighted" else (1, 1)
+    w = (Fraction(3, 2), Fraction(1, 2)) if kind == "weighted" else (1, 1)
     return d, s, _resolved(d, s, c1=Fraction(1, 10**4), w_pos=w[0], w_neg=w[1])
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_loss_rows_are_the_distinct_signed_rows(variant):
+@pytest.mark.parametrize("kind", KINDS)
+def test_loss_rows_are_the_distinct_signed_rows(kind):
     """One loss row and one z per row of CompiledInstance, named after
     the first example of its signed row, in example order; the z weights
     sum to the loss of the all-miss model, (w_pos n_pos + w_neg n_neg)/n."""
     rng = np.random.default_rng(41)
     merged = 0
     for trial in range(15):
-        d, s, cfg = _dup_instance(rng, variant)
-        m = build_model(d, s, cfg, variant)
+        d, s, cfg = _dup_instance(rng, kind)
+        m = build_model(d, s, cfg)
         firsts = sorted(set(first_of_signed_rows(d)))
         rows = [c.name for c in m.linear_constraints if c.name.startswith("loss")]
         assert len(rows) == CompiledInstance(d, s, cfg).n_rows == len(firsts), trial
-        assert [nm.rsplit("_", 1)[1] for nm in rows] == [str(i) for i in firsts]
+        assert rows == [f"loss_{i}" for i in firsts]
         zs = [(name, w) for name, w in m.objective if name.startswith("z_")]
         assert [name for name, _ in zs] == [f"z_{i}" for i in firsts]
         assert sum(w for _, w in zs) == (cfg.w_pos * d.n_pos
@@ -486,15 +485,15 @@ def test_loss_rows_are_the_distinct_signed_rows(variant):
     assert merged > 50
 
 
-@pytest.mark.parametrize("variant", ["standard", "weighted"])
-def test_merged_model_minimum_matches_brute_force(variant):
+@pytest.mark.parametrize("kind", ["standard", "weighted"])
+def test_merged_model_minimum_matches_brute_force(kind):
     """On tables with repeated signed rows the exported MIP's minimum is
     the training optimum: each merged row carries the weight of all its
     examples, and verify accepts the completed optimum."""
     rng = np.random.default_rng(43)
     for trial in range(12):
-        d, s, cfg = _dup_instance(rng, variant)
-        m = build_model(d, s, cfg, variant)
+        d, s, cfg = _dup_instance(rng, kind)
+        m = build_model(d, s, cfg)
         want, lam = brute_solve(d, s, cfg)
         assert _lattice_min(m, d, s, cfg) == want, trial
         assert verify_solution(m, complete_assignment(m, d, lam), d, cfg).total == want
@@ -610,7 +609,7 @@ def test_pilm_structure():
     d = rand_dataset(rng, 4, 2)
     s = _tiered_set(2)
     cfg = _resolved(d, s, c0=Fraction(1, 1000))
-    m = build_model(d, s, cfg, variant="pilm")
+    m = build_model(d, s, cfg)
     names = {v.name for v in m.variables}
     # per coefficient: 4 nonzero-value picks + pick for 0 via tiers
     assert sum(1 for nm in names if nm.startswith("u_0_")) == 5
@@ -625,19 +624,23 @@ def test_pilm_structure():
 
 
 def test_pilm_requires_tiers():
+    """The tier rows come with tiers on every coefficient: a set with no
+    tiers gets the standard rows, and one with tiers on some
+    coefficients only is refused, naming the first untiered one."""
     rng = np.random.default_rng(15)
     d = rand_dataset(rng, 3, 1)
     s = uniform(bounded_integers(1), 1)
-    with pytest.raises(ConfigError):
-        build_model(d, s, _resolved(d, s), variant="pilm")
-    # tiers on one coefficient only: the untiered one is named
+    names = {v.name for v in build_model(d, s, _resolved(d, s)).variables}
+    assert "alpha_0" in names and not any(nm.startswith("s_") for nm in names)
     d = Dataset(x=np.array([[1.0, 2.0], [1.0, -1.0]]), y=np.array([1, -1]),
                 feature_names=("a", "b"))
     t = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
          Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})))
     s = CoefficientSet(domains=(bounded_integers(1),) * 2, tiers=(t, None))
-    with pytest.raises(ConfigError, match="coefficient 1 \\('b'\\) has none"):
-        build_model(d, s, _resolved(d, s), variant="pilm")
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            "a tiered coefficient set needs tiers for every coefficient; "
+            "coefficient 1 ('b') has none") + "$"):
+        build_model(d, s, _resolved(d, s))
 
 
 def test_pilm_minimum_matches_loss_plus_tiers():
@@ -647,7 +650,7 @@ def test_pilm_minimum_matches_loss_plus_tiers():
         d = rand_dataset(rng, n, 2)
         s = _tiered_set(2)
         cfg = _resolved(d, s, c0=Fraction(1, 1000))
-        m = build_model(d, s, cfg, variant="pilm")
+        m = build_model(d, s, cfg)
         best = None
         for combo in itertools.product(*[dom.values for dom in s.domains]):
             ov = evaluate(d, list(combo), cfg, tiers=s.tiers)
@@ -662,7 +665,7 @@ def test_pilm_verify_round_trip():
     d = rand_dataset(rng, 5, 2)
     s = _tiered_set(2)
     cfg = _resolved(d, s, c0=Fraction(1, 1000))
-    m = build_model(d, s, cfg, variant="pilm")
+    m = build_model(d, s, cfg)
     a = complete_assignment(m, d, [Fraction(2), Fraction(-1)])
     ov = verify_solution(m, a, d, cfg)
     direct = evaluate(d, [2, -1], cfg, tiers=s.tiers)
@@ -691,7 +694,7 @@ def test_model_that_breaks_the_naming_scheme_is_rejected(old, new, completing,
     d = rand_dataset(rng, 5, 2)
     s = _tiered_set(2)
     cfg = _resolved(d, s, c0=Fraction(1, 1000))
-    m = build_model(d, s, cfg, variant="pilm")
+    m = build_model(d, s, cfg)
     text = write_lp(m)
     assert old in text
     bad = parse_lp(text.replace(old, new))
@@ -774,19 +777,20 @@ def _outcome(fn, *args):
         return str(e), e.violations
 
 
-def _random_instance(rng, variant):
-    """A small model of the variant with fine-denominator c0, c1 and
-    weights, and the completed assignment of a random coefficient vector."""
+def _random_instance(rng, kind):
+    """A small model of the kind (KINDS) with fine-denominator c0, c1
+    and weights, and the completed assignment of a random coefficient
+    vector."""
     d = rand_dataset(rng, int(rng.integers(3, 9)), 2)
-    if variant == "pilm":
+    if kind == "pilm":
         s = _tiered_set(2)
         cfg = _resolved(d, s, c0=FINE[0])
     else:
         s = CoefficientSet(domains=(bounded_integers(2),
                                     explicit_values([0, 1, -1, 3])))
-        w = (FINE[1], Fraction(1)) if variant == "weighted" else (1, 1)
+        w = (FINE[1], Fraction(1)) if kind == "weighted" else (1, 1)
         cfg = _resolved(d, s, c0=FINE[0], c1=FINE[1] / 100, w_pos=w[0], w_neg=w[1])
-    m = build_model(d, s, cfg, variant)
+    m = build_model(d, s, cfg)
     lam = [dom.values[int(rng.integers(0, len(dom.values)))] for dom in s.domains]
     return d, cfg, m, complete_assignment(m, d, lam)
 
@@ -854,14 +858,14 @@ def _missed_row(m, c, vals, off):
         c if r.name == c.name else r for r in m.linear_constraints))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_integer_checks_equal_fraction_reference(variant):
+@pytest.mark.parametrize("kind", KINDS)
+def test_integer_checks_equal_fraction_reference(kind):
     """The integer checks give the violation list of the Fraction
     checks at every kind of edge, and the edge is TOL itself."""
     rng = np.random.default_rng(30)
     flagged = {False: 0, True: 0}
     for trial in range(12):
-        _, _, m, a = _random_instance(rng, variant)
+        _, _, m, a = _random_instance(rng, kind)
         assert model_objective_value(m, a) == _dot(m.objective, a)
         for mm, vals, name, outside in _cases(rng, m, a):
             got = _violations(mm, vals)
@@ -873,16 +877,16 @@ def test_integer_checks_equal_fraction_reference(variant):
     assert min(flagged.values()) > 50
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_objective_check_is_exact_at_tol(variant):
+@pytest.mark.parametrize("kind", KINDS)
+def test_objective_check_is_exact_at_tol(kind):
     """verify_solution equals its Fraction reference, and accepts a
     model objective exactly TOL off the exact one but not TOL + 1e-12."""
     rng = np.random.default_rng(31)
     for trial in range(8):
-        d, cfg, m, a = _random_instance(rng, variant)
+        d, cfg, m, a = _random_instance(rng, kind)
         want = evaluate(d, [a[name] for name in _layout(m).lams.values()], cfg,
                         tiers=tiers_from_model(m))
-        encoded = want.loss_term + want.tier_term if variant == "pilm" else want.total
+        encoded = want.loss_term + want.tier_term if kind == "pilm" else want.total
         drift = _dot(m.objective, a) - encoded
         name = next(k for k, x in a.items() if x != 0)
         for off, outside in ((TOL, False), (TOL + EPS, True)):

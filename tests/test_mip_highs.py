@@ -24,6 +24,10 @@ opt = pytest.importorskip("scipy.optimize")
 sparse = pytest.importorskip("scipy.sparse")
 
 
+def _exported(d, s, cfg):
+    return parse_lp(write_lp(build_model(d, s, cfg)))
+
+
 def _highs(m, time_limit: float = 60) -> dict:
     """HiGHS's optimal assignment of m, as name -> float."""
     names = [v.name for v in m.variables]
@@ -57,26 +61,25 @@ def _tiered_set(p):
     return CoefficientSet(domains=(bounded_integers(2),) * p, tiers=(tier,) * p)
 
 
-# variant, seed, n, coefficient set, class weights
+# seed, n, coefficient set, class weights; a tiered set exports the
+# tier (pilm) formulation, any other set the standard one
 CASES = {
-    "standard": ("standard", 7, 50, uniform(bounded_integers(2), 4), (1, 1)),
-    "weighted": ("weighted", 7, 64, uniform(bounded_integers(2), 4),
-                 (Fraction(3, 2), Fraction(1, 2))),
-    "pilm": ("pilm", 7, 50, _tiered_set(4), (1, 1)),
-    "one_of_k": ("standard", 7, 40, uniform(explicit_values([0, 1, -1, 10, -10]), 4),
-                 (1, 1)),
+    "standard": (7, 50, uniform(bounded_integers(2), 4), (1, 1)),
+    "weighted": (7, 64, uniform(bounded_integers(2), 4), (Fraction(3, 2), Fraction(1, 2))),
+    "pilm": (7, 50, _tiered_set(4), (1, 1)),
+    "one_of_k": (7, 40, uniform(explicit_values([0, 1, -1, 10, -10]), 4), (1, 1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_highs_optimum_of_the_exported_mip_is_the_exact_optimum(case):
-    variant, seed, n, s, (w_pos, w_neg) = CASES[case]
+    seed, n, s, (w_pos, w_neg) = CASES[case]
     d = rand_dataset(np.random.default_rng(seed), n, s.p, intercept=True)
     cfg = TrainConfig(c0=Fraction(1, 100), c1=Fraction(1, 10**4),
                       w_pos=w_pos, w_neg=w_neg).resolve(n, s)
-    m = parse_lp(write_lp(build_model(d, s, cfg, variant)))
+    m = _exported(d, s, cfg)
     got = verify_solution(m, _highs(m), d, cfg)
-    if variant == "pilm":
+    if s.tiers is not None:
         # the tier model prices loss plus tier costs only
         want = min(ov.loss_term + ov.tier_term for ov in (
             evaluate(d, list(lam), cfg, tiers=s.tiers)
@@ -86,10 +89,6 @@ def test_highs_optimum_of_the_exported_mip_is_the_exact_optimum(case):
         res = solve(d, s, cfg)
         assert res.status == OPTIMAL and res.gap == 0
         assert got.total == res.objective.total
-
-
-def _exported(d, s, cfg, variant="standard"):
-    return parse_lp(write_lp(build_model(d, s, cfg, variant)))
 
 
 def test_highs_certifies_mammo_through_its_merged_rows():
@@ -121,7 +120,7 @@ def test_highs_certifies_a_row_merged_across_the_classes():
     s = uniform(bounded_integers(2), d.p)
     cfg = TrainConfig(c0=Fraction(1, 100), w_pos=Fraction(3, 2),
                       w_neg=Fraction(1, 2)).resolve(d.n, s)
-    m = _exported(d, s, cfg, "weighted")
+    m = _exported(d, s, cfg)
     members: dict = {}
     for i, f in enumerate(first_of_signed_rows(d)):
         members.setdefault(f, []).append(i)

@@ -252,7 +252,7 @@ def test_row_merge_groups_and_twins(merge):
     twin pairs are exactly the groups of opposite tuples, the one whose
     first nonzero entry is positive first.  Python-int columns, the
     beyond_int64 ones with magnitudes int64 cannot hold, group and pair
-    as int64 ones do; int64_wide keys span more than one int64 word."""
+    as int64 ones do, and so do int64 cells up to 3 * 2**58 (int64_wide)."""
     rng = np.random.default_rng(67)
     scale = {"beyond_int64": 10**30, "int64_wide": 2**58}.get(merge, 1)
     dtype = {"object": object, "beyond_int64": object, "int16": np.int16}.get(merge, np.int64)

@@ -107,6 +107,18 @@ def test_score_sheet_round_trip():
             assert got_icpt == 0
 
 
+@pytest.mark.parametrize("line, read", [
+    ("a ... +1/", ({"a": Fraction(1, 3)}, 0)), ("+1/", ({}, Fraction(1, 3)))],
+    ids=["row", "intercept"])
+def test_score_sheet_zero_denominator_is_a_report_error(line, read):
+    """An "n/d" number on a sheet is read as the model JSON reads one,
+    with d > 0; a zero denominator is a ReportError, not a
+    ZeroDivisionError."""
+    assert parse_score_sheet(f"{line}3\nTotal = ...\n") == read
+    with pytest.raises(ReportError, match="n/d fraction with d > 0: '\\+1/0'$"):
+        parse_score_sheet(f"{line}0\nTotal = ...\n")
+
+
 def test_parse_label_map():
     assert parse_label_map(None) is None
     assert parse_label_map("malignant,benign") == {1: "malignant", -1: "benign"}
