@@ -6,11 +6,10 @@ reports its status), 1 on missing, unreadable or non-UTF-8 files or
 any validation/verification failure, 2 on unknown or abbreviated flags
 (argparse prints usage).  train and cv take the solve flags --budget
 and --gap-tol; cv takes a --c0-grid and no --c0, and only export-mip
-takes the margin --gamma of the MIP's loss rows.  export-mip takes no
-flag for the MIP's formulation: the coefficient set picks it
-(build_model).  cv's --seed (default 0) picks the folds and is always
-printed so runs can be reproduced verbatim; train uses no randomness
-and takes no seed.
+takes the margin --gamma of the MIP's loss rows.  export-mip writes
+one formulation for every coefficient set (build_model).  cv's --seed
+(default 0) picks the folds and is always printed so runs can be
+reproduced verbatim; train uses no randomness and takes no seed.
 
 main builds the parser of the command in argv[0] only, and all six
 when argv[0] names none (no arguments, --help, a typo), so the usage,
@@ -152,19 +151,26 @@ def _cmd_export_mip(args) -> int:
     write_lp(m, args.out)
     nvar = len(m.variables)
     ncon = len(m.linear_constraints)
-    print(f"wrote {args.out}: {nvar} variables, {ncon} constraints "
-          f"({'standard' if s.tiers is None else 'pilm'})")
+    print(f"wrote {args.out}: {nvar} variables, {ncon} constraints")
     return 0
 
 
 def _cmd_bound(args) -> int:
+    for flag, value in (("--lambda", args.max_coef), ("--p", args.p)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.theorem == "1":
         count = (2 * args.max_coef + 1) ** args.p
         rep = finite_class_gap(count, args.n, args.delta)
     else:
         rep = coprime_class_gap(args.max_coef, args.p, args.n, args.delta)
+    try:
+        digits = str(rep.hypothesis_count)
+    except ValueError:  # more digits than str() writes (4300 by default)
+        raise ConfigError(f"the hypothesis count for --lambda {args.max_coef} --p {args.p} "
+                          f"has too many digits to print") from None
     print(f"kind: {rep.kind}")
-    print(f"hypothesis_count: {rep.hypothesis_count}")
+    print(f"hypothesis_count: {digits}")
     print(f"n: {rep.n}")
     print(f"delta: {rep.delta!r}")
     print(f"bound_gap: {rep.bound_gap!r}")

@@ -288,17 +288,31 @@ def _domain_from_descriptor(desc: dict, where: str) -> tuple[CoefficientDomain, 
     try:
         if kind == "integer":
             sign = desc.get("sign", "free")
-            dom = signed_integers(sign, desc.get("max", 100))
+            dom = signed_integers(sign, _integer(desc, "max", 100))
         elif kind == "digits":
-            dom = digit_values(desc.get("digits", 1),
-                               desc.get("min_exp", -3), desc.get("max_exp", 2))
+            dom = digit_values(_integer(desc, "digits", 1), _integer(desc, "min_exp", -3),
+                               _integer(desc, "max_exp", 2))
         else:
             if "values" not in desc:
                 raise DomainError("a 'set' descriptor needs 'values'")
-            dom = explicit_values(desc["values"])
-    except (TypeError, ValueError) as e:  # DomainError included
+            dom = explicit_values(_values(desc))
+    except (TypeError, ValueError) as e:  # DomainError and ConfigError included
         raise DomainError(f"{where}: {e}") from None
     return dom, desc.get("tiers")
+
+
+def _integer(desc: dict, key: str, default: int) -> int:
+    v = desc.get(key, default)  # a JSON integer; bool is an int in Python
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise DomainError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _values(desc: dict) -> list:
+    v = desc["values"]  # a JSON list: a string would be read character by character
+    if not isinstance(v, list):
+        raise DomainError(f"'values' must be a list, got {v!r}")
+    return v
 
 
 def _tiers_from_descriptor(raw, where: str) -> tuple[Tier, ...]:
@@ -308,8 +322,11 @@ def _tiers_from_descriptor(raw, where: str) -> tuple[Tier, ...]:
     for r, t in enumerate(raw, start=1):
         if not isinstance(t, dict) or "cost" not in t or "values" not in t:
             raise DomainError(f"{where}: tier {r} needs 'cost' and 'values'")
-        out.append(Tier(cost=to_fraction(t["cost"]),
-                        values=frozenset(to_fraction(v) for v in t["values"])))
+        try:
+            out.append(Tier(cost=to_fraction(t["cost"]),
+                            values=frozenset(map(to_fraction, _values(t)))))
+        except (TypeError, ValueError) as e:  # DomainError and ConfigError included
+            raise DomainError(f"{where}: tier {r}: {e}") from None
     return tuple(out)
 
 

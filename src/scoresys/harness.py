@@ -156,6 +156,9 @@ def run_cv(d: Dataset, s: CoefficientSet, cfg: TrainConfig, c0_grid=None,
                                           default_c0_grid(d.n)))
     if not grid:
         raise ConfigError("c0 grid must be nonempty")
+    if len(set(grid)) < len(grid):
+        dup = next(c0 for i, c0 in enumerate(grid) if c0 in grid[:i])
+        raise ConfigError(f"c0 grid repeats {fraction_str(dup)}")
     if cfg.time_budget_s is None:
         cfg = replace(cfg, time_budget_s=DEFAULT_BUDGET_S)
     folds = split_folds(d, k, seed=seed, stratify=True)

@@ -15,7 +15,7 @@ fraction: values with no terminating decimal form (a weight of 1/3,
 say) are rounded to their shortest float representation when the model
 is built, so writing and re-parsing a model is lossless by
 construction.  The one-of-K encoding covers domains with gaps, which
-integer bounds cannot express.
+integer bounds cannot express, and tiered coefficients.
 """
 
 from __future__ import annotations
@@ -122,24 +122,20 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig) -> MipModel:
     value big_m_for gives its first example.  A table with no repeated
     signed row gets one row per example.
 
-    The coefficient set picks the formulation.  A set with no tiers
-    gets penalty variables I_j = c0 alpha_j + c1 beta_j ("standard").
-    A set with tiers for every coefficient prices loss plus per-tier
-    costs only, coefficients picked through one-of-K indicators u_j_r_k
-    and tier indicators s_j_r ("pilm"); a set with tiers for some
-    coefficients only is refused.  Domains with gaps use the one-of-K
-    encoding in both.
+    Every coefficient gets alpha_j, beta_j, the l0/l1 rows and
+    I_j = c0 alpha_j + c1 beta_j + sum_r cost_r s_j_r, with tier terms
+    only where it has tiers.  A gapped untiered domain picks at most one
+    nonzero value (u_j_k, pick_j <= 1); a tiered coefficient picks
+    exactly one value, 0 included so that lam_j = 0 pays its tier
+    (u_j_r_k, pick_j = 1), and s_j_r sums tier r's picks (tier_j_r).
     """
     cfg = cfg.resolve(d.n, s)
     if s.p != d.p:
         raise ConfigError(f"coefficient set has {s.p} domains for {d.p} columns")
-    if s.tiers is not None and None in s.tiers:
-        j = s.tiers.index(None)
-        raise ConfigError("a tiered coefficient set needs tiers for every coefficient; "
-                          f"coefficient {j} ({d.feature_names[j]!r}) has none")
 
     gamma = _dec(cfg.gamma)
     p = d.p
+    tiers = s.tiers or (None,) * p
     variables: list[Variable] = []
     constraints: list[Constraint] = []
     objective: list[tuple] = []
@@ -160,12 +156,9 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig) -> MipModel:
         lo, hi = dom.values[0], dom.values[-1]
         kind = "integer" if dom.is_contiguous_integers() else "continuous"
         variables.append(Variable(f"lam_{j}", kind, _dec(lo), _dec(hi)))
-    if s.tiers is None:
-        for j in range(p):
-            variables.append(Variable(f"alpha_{j}", "binary", ZERO, ONE))
-        for j in range(p):
-            variables.append(Variable(f"beta_{j}", "continuous", ZERO,
-                                      _dec(s.domains[j].max_abs)))
+    variables += [Variable(f"alpha_{j}", "binary", ZERO, ONE) for j in range(p)]
+    variables += [Variable(f"beta_{j}", "continuous", ZERO, _dec(s.domains[j].max_abs))
+                  for j in range(p)]
     for j in range(p):
         variables.append(Variable(f"I_{j}", "continuous", ZERO, None))
 
@@ -198,73 +191,51 @@ def build_model(d: Dataset, s: CoefficientSet, cfg: TrainConfig) -> MipModel:
         constraints.append(Constraint(
             f"loss_{i}", ((f"z_{i}", big_m[lo]), *filter(None, row)), ">=", gamma))
 
-    if s.tiers is None:
-        c0, c1 = _dec(cfg.c0), _dec(cfg.c1)
-        for j in range(p):
-            lam_cap = _dec(s.domains[j].max_abs)
-            terms = [(f"I_{j}", ONE)]
-            if c0 != 0:
-                terms.append((f"alpha_{j}", -c0))
-            if c1 != 0:
-                terms.append((f"beta_{j}", -c1))
-            constraints.append(Constraint(f"def_I_{j}", tuple(terms), "=", ZERO))
-            cap_term = ((f"alpha_{j}", lam_cap),) if lam_cap != 0 else ()
-            constraints.append(Constraint(
-                f"l0_pos_{j}", cap_term + ((f"lam_{j}", -ONE),), ">=", ZERO))
-            constraints.append(Constraint(
-                f"l0_neg_{j}", cap_term + ((f"lam_{j}", ONE),), ">=", ZERO))
-            constraints.append(Constraint(
-                f"l1_pos_{j}", ((f"beta_{j}", ONE), (f"lam_{j}", -ONE)),
-                ">=", ZERO))
-            constraints.append(Constraint(
-                f"l1_neg_{j}", ((f"beta_{j}", ONE), (f"lam_{j}", ONE)),
-                ">=", ZERO))
+    c0, c1 = _dec(cfg.c0), _dec(cfg.c1)
+    for j in range(p):
+        lam_cap = _dec(s.domains[j].max_abs)
+        terms = [(f"I_{j}", ONE)]
+        if c0 != 0:
+            terms.append((f"alpha_{j}", -c0))
+        if c1 != 0:
+            terms.append((f"beta_{j}", -c1))
+        terms.extend((f"s_{j}_{r}", -_dec(t.cost)) for r, t in enumerate(tiers[j] or ()))
+        constraints.append(Constraint(f"def_I_{j}", tuple(terms), "=", ZERO))
+        cap_term = ((f"alpha_{j}", lam_cap),) if lam_cap != 0 else ()
+        constraints.append(Constraint(
+            f"l0_pos_{j}", cap_term + ((f"lam_{j}", -ONE),), ">=", ZERO))
+        constraints.append(Constraint(
+            f"l0_neg_{j}", cap_term + ((f"lam_{j}", ONE),), ">=", ZERO))
+        constraints.append(Constraint(
+            f"l1_pos_{j}", ((f"beta_{j}", ONE), (f"lam_{j}", -ONE)),
+            ">=", ZERO))
+        constraints.append(Constraint(
+            f"l1_neg_{j}", ((f"beta_{j}", ONE), (f"lam_{j}", ONE)),
+            ">=", ZERO))
 
-        # domains with gaps: lam_j = sum_k value_k u_j_k, at most one pick
-        uvars, ucons = [], []
-        for j in range(p):
-            dom = s.domains[j]
-            if dom.is_contiguous_integers():
-                continue
-            nz = [v for v in dom.values if v != 0]
-            terms = [(f"lam_{j}", ONE)]
-            pick = []
-            for k, v in enumerate(nz):
-                uvars.append(Variable(f"u_{j}_{k}", "binary", ZERO, ONE))
-                terms.append((f"u_{j}_{k}", -_dec(v)))
-                pick.append((f"u_{j}_{k}", ONE))
-            ucons.append(Constraint(f"def_lam_{j}", tuple(terms), "=", ZERO))
-            ucons.append(Constraint(f"pick_{j}", tuple(pick), "<=", ONE))
-        variables.extend(uvars)
-        constraints.extend(ucons)
-    else:
-        uvars, svars, ucons = [], [], []
-        for j in range(p):
-            tiers_j = s.tiers[j]
-            terms = [(f"lam_{j}", ONE)]
-            pick = []
-            pen_terms = [(f"I_{j}", ONE)]
-            for r, tier in enumerate(tiers_j):
-                tier_terms = [(f"s_{j}_{r}", ONE)]
-                for k, v in enumerate(sorted(tier.values)):
-                    uvars.append(Variable(f"u_{j}_{r}_{k}", "binary", ZERO, ONE))
-                    coef = _dec(v)
-                    if coef != 0:
-                        terms.append((f"u_{j}_{r}_{k}", -coef))
-                    pick.append((f"u_{j}_{r}_{k}", ONE))
-                    tier_terms.append((f"u_{j}_{r}_{k}", -ONE))
-                svars.append(Variable(f"s_{j}_{r}", "binary", ZERO, ONE))
-                ucons.append(Constraint(f"tier_{j}_{r}", tuple(tier_terms), "=", ZERO))
-                pen_terms.append((f"s_{j}_{r}", -_dec(tier.cost)))
-            ucons.append(Constraint(f"def_I_{j}", tuple(pen_terms), "=", ZERO))
-            ucons.append(Constraint(
-                f"tiers_{j}", tuple((f"s_{j}_{r}", ONE) for r in range(len(tiers_j))),
-                "=", ONE))
-            ucons.append(Constraint(f"def_lam_{j}", tuple(terms), "=", ZERO))
-            ucons.append(Constraint(f"pick_{j}", tuple(pick), "<=", ONE))
-        variables.extend(uvars)
-        variables.extend(svars)
-        constraints.extend(ucons)
+    # one-of-K pickers, lam_j = sum value_k u_k over the nonzero values
+    uvars, svars, ucons = [], [], []
+    for j in range(p):
+        dom = s.domains[j]
+        if tiers[j] is None and dom.is_contiguous_integers():
+            continue
+        # (tier, value, name) of each picker, tier None where there are none
+        us = ([(None, v, f"u_{j}_{k}") for k, v in enumerate(v for v in dom.values if v)]
+              if tiers[j] is None else
+              [(r, v, f"u_{j}_{r}_{k}") for r, t in enumerate(tiers[j])
+               for k, v in enumerate(sorted(t.values))])
+        uvars.extend(Variable(u, "binary", ZERO, ONE) for _, _, u in us)
+        for r in range(len(tiers[j] or ())):
+            svars.append(Variable(f"s_{j}_{r}", "binary", ZERO, ONE))
+            ucons.append(Constraint(f"tier_{j}_{r}", ((f"s_{j}_{r}", ONE), *(
+                (u, -ONE) for q, _, u in us if q == r)), "=", ZERO))
+        ucons.append(Constraint(f"def_lam_{j}", ((f"lam_{j}", ONE), *(
+            (u, -_dec(v)) for _, v, u in us if v)), "=", ZERO))
+        ucons.append(Constraint(f"pick_{j}", tuple((u, ONE) for _, _, u in us),
+                                "<=" if tiers[j] is None else "=", ONE))
+    variables.extend(uvars)
+    variables.extend(svars)
+    constraints.extend(ucons)
 
     return MipModel(
         variables=tuple(variables),
@@ -558,25 +529,29 @@ class _Layout:
     gamma: Fraction | None  # right-hand side of the first loss row
     pickers: dict           # u name -> (j, value of lam_j it selects), model order
     domains: dict           # j -> values lam_j may take; None: an integer range
-    tiers: dict | None      # j -> ((s name, cost, picker names), ...), one per tier
+    tiers: dict             # j -> ((s name, cost, picker names), ...), one per tier;
+                            # tiered coefficients only
     penalties: dict         # j -> terms of def_I_j
 
     def tier_sets(self):
-        """tiers as CoefficientSet.tiers holds them."""
-        if self.tiers is None:
+        """tiers as CoefficientSet.tiers holds them: None for a model
+        with no tiers, else one entry per lam, None where it has none."""
+        if not self.tiers:
             return None
-        return tuple(tuple(Tier(cost, frozenset(self.pickers[u][1] for u in members))
-                           for _, cost, members in rows) for rows in self.tiers.values())
+        return tuple(None if j not in self.tiers else
+                     tuple(Tier(cost, frozenset(self.pickers[u][1] for u in members))
+                           for _, cost, members in self.tiers[j]) for j in self.lams)
 
 
 def _layout(m: MipModel) -> _Layout:
     """Read the naming scheme back from m, in one pass over its
     variables and one over its rows.  lam_j is coefficient j; the u
     terms of def_lam_j give the value each picker selects (a picker in
-    no def_lam row selects 0 for the coefficient its name gives); the
-    s terms of def_I_j give the tier costs and the u terms of tier_j_r
-    the members of tier r.  The first of equally named rows counts.  A
-    model that breaks the scheme raises VerifyError."""
+    no def_lam row selects 0 for the coefficient its name gives).  A
+    coefficient has tiers when its def_I_j has s terms: they give the
+    tier costs, and the u terms of tier_j_r the members of tier r.  The
+    first of equally named rows counts.  A model that breaks the scheme
+    raises VerifyError."""
     lams, u_names = {}, []
     for v in m.variables:
         if v.name.startswith("u_"):
@@ -606,10 +581,11 @@ def _layout(m: MipModel) -> _Layout:
             selects[name] = (int(mm[1]), ZERO)
         pickers[name] = selects[name]
     penalties = {j: rows[f"def_I_{j}"] for j in lams if f"def_I_{j}" in rows}
-    cost = {name: -coef for terms in penalties.values() for name, coef in terms
-            if name.startswith("s_")}
-    tiers = {} if cost else None
-    for j in lams if cost else ():
+    tiers = {}
+    for j, terms in penalties.items():
+        cost = {name: -coef for name, coef in terms if name.startswith("s_")}
+        if not cost:
+            continue
         tiers[j], r = (), 0
         while (terms := rows.get(f"tier_{j}_{r}")) is not None:
             s = f"s_{j}_{r}"
@@ -618,23 +594,18 @@ def _layout(m: MipModel) -> _Layout:
             tiers[j] += ((s, cost[s], tuple(n for n, _ in terms if n.startswith("u_"))),)
             r += 1
         if not tiers[j]:
-            raise VerifyError(f"pilm model lacks tier rows for coefficient {j}")
+            raise VerifyError(f"def_I_{j} has tier costs but the model has no "
+                              f"tier_{j}_r rows")
     return _Layout(lams, gamma, pickers, domains, tiers, penalties)
-
-
-def tiers_from_model(m: MipModel):
-    """Rebuild per-coefficient tier structures from a pilm model (costs
-    from the I_j definition rows, membership from the tier rows)."""
-    return _layout(m).tier_sets()
 
 
 def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
     """The cheapest feasible assignment that realizes the coefficient
     vector lam: loss indicators exactly where the margin misses gamma,
-    every auxiliary variable at its forced value.  Only the variables
-    the model declares get a value: z_i, for each z_i declared, is set
-    from example i's margin, which serves a model with one loss row per
-    example and one with a row per distinct signed row alike."""
+    every auxiliary variable at its forced value.  z_i, for each z_i
+    the model declares, is set from example i's margin, which serves a
+    model with one loss row per example and one with a row per distinct
+    signed row alike."""
     lam = [to_fraction(v) for v in lam]
     lay = _layout(m)
     if len(lam) != len(lay.lams):
@@ -643,7 +614,6 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
         raise ConfigError("model has no loss rows")
     out = dict(zip(lay.lams.values(), lam))
     value = dict(zip(lay.lams, lam))
-    declared = {v.name for v in m.variables}
     # margin_i = y_i score_i / q < gamma, compared as integers (q > 0)
     score, q = score_ints(d, lam)
     cut = lay.gamma.numerator * q
@@ -656,16 +626,15 @@ def complete_assignment(m: MipModel, d: Dataset, lam) -> dict:
                                   f"{d.n} examples")
             out[var.name] = ONE if ys[i] * scores[i] * lay.gamma.denominator < cut else ZERO
     for j, v in value.items():
-        if f"alpha_{j}" in declared:
-            out[f"alpha_{j}"] = ONE if v != 0 else ZERO
-            out[f"beta_{j}"] = abs(v)
+        out[f"alpha_{j}"] = ONE if v != 0 else ZERO
+        out[f"beta_{j}"] = abs(v)
     picked: set = set()
     for name, (j, val) in lay.pickers.items():
-        want = value[j] == val and (val != 0 or lay.tiers is not None) and j not in picked
+        want = value[j] == val and (val != 0 or j in lay.tiers) and j not in picked
         out[name] = ONE if want else ZERO
         if want:
             picked.add(j)
-    for rows in (lay.tiers or {}).values():
+    for rows in lay.tiers.values():
         for s, _, members in rows:
             out[s] = ONE if any(out[u] == ONE for u in members) else ZERO
     for j, terms in lay.penalties.items():
@@ -788,16 +757,11 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
             raise VerifyError(f"{name} = {float(x)} is not a domain value",
                               violations=[name])
         lam.append(snapped)
-    tiers = lay.tier_sets()
-    true_obj = evaluate(d, lam, cfg, tiers=tiers)
-    # a tier model's penalty is the tier costs alone; otherwise the
-    # model encodes the full total
-    encoded = (true_obj.loss_term + true_obj.tier_term if tiers is not None
-               else true_obj.total)
+    true_obj = evaluate(d, lam, cfg, tiers=lay.tier_sets())
     model_obj = model_objective_value(m, vals)
-    if abs(model_obj - encoded) > TOL:
+    if abs(model_obj - true_obj.total) > TOL:
         raise VerifyError(
             f"objective mismatch: model {float(model_obj)} vs exact "
-            f"{float(encoded)}",
+            f"{float(true_obj.total)}",
             violations=["objective"])
     return true_obj

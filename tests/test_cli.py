@@ -218,8 +218,12 @@ def test_train_bad_config_is_exit_1(footnote_csv, coefset_one, capsys):
     (["train", "--c0", "0_5"], None),
     (["train", "--c0", "0.1"], {"type": "set", "values": [0, "1_0"]}),
     (["train", "--c0", "1e-10000000"], None),
+    (["cv", "--c0-grid", "0.1,0.2,0.1"], None),
+    (["train", "--c0", "0.1"], {"type": "integer", "max": 1, "tiers": [
+        {"cost": [1], "values": [0]}, {"cost": 1, "values": [1, -1]}]}),
 ], ids=["c0", "c0_inf", "weights", "c0_grid", "set_values", "integer_max",
-        "c0_underscore", "set_values_underscore", "c0_exponent"])
+        "c0_underscore", "set_values_underscore", "c0_exponent", "c0_grid_repeat",
+        "tier_cost"])
 def test_malformed_number_is_exit_1(tmp_path, footnote_csv, coefset_one,
                                     capsys, flags, coefset):
     if coefset is not None:
@@ -227,7 +231,8 @@ def test_malformed_number_is_exit_1(tmp_path, footnote_csv, coefset_one,
     rc = main(flags[:1] + ["--data", str(footnote_csv), "--coefset",
                            str(coefset_one)] + flags[1:])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_unknown_flag_is_exit_2(footnote_csv, coefset_one, capsys):
@@ -525,9 +530,10 @@ def test_export_mip_takes_auto_weights(tmp_path, small_csv, coefset_one, capsys)
     rc = main(["export-mip", "--data", str(small_csv), "--coefset",
                str(coefset_one), "--c0", "0.05", "--weights", "auto", "--out", str(lp)])
     assert rc == 0
-    assert capsys.readouterr().out.endswith(" constraints (standard)\n")
     d = load_csv(small_csv)
     m = parse_lp(lp.read_text())
+    assert capsys.readouterr().out == (f"wrote {lp}: {len(m.variables)} variables, "
+                                       f"{len(m.linear_constraints)} constraints\n")
     firsts = sorted(set(first_of_signed_rows(d)))
     assert [c.name for c in m.linear_constraints if c.name.startswith("loss")] == \
         [f"loss_{i}" for i in firsts]
@@ -554,6 +560,34 @@ def test_bound_theorem_2(capsys):
     out = capsys.readouterr().out
     assert "coprime_class" in out
     assert "hypothesis_count: 10" in out
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+@pytest.mark.parametrize("flag, value", [("--lambda", "0"), ("--lambda", "-1"),
+                                         ("--p", "0"), ("--p", "-3")])
+def test_bound_refuses_a_lambda_or_p_below_1(theorem, flag, value, capsys):
+    args = {"--lambda": "2", "--p": "2", flag: value}
+    rc = main(["bound", "--theorem", theorem, *(x for kv in args.items() for x in kv),
+               "--n", "100", "--delta", "0.05"])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= 1, got {value}\n")
+
+
+@pytest.mark.parametrize("theorem, p, printed", [
+    ("1", "3252", True), ("1", "3253", False), ("1", "1000000", False),
+    ("2", "1000000", False)])
+def test_bound_refuses_a_count_too_large_to_print(theorem, p, printed, capsys):
+    """21^3252 has 4300 digits, the most str() writes by default;
+    21^3253 has 4302."""
+    rc = main(["bound", "--theorem", theorem, "--lambda", "10", "--p", p,
+               "--n", "100", "--delta", "0.05"])
+    out, err = capsys.readouterr()
+    if printed:
+        assert rc == 0 and f"hypothesis_count: {21 ** int(p)}\n" in out
+    else:
+        assert rc == 1 and out == ""
+        assert err == (f"error: the hypothesis count for --lambda 10 --p {p} "
+                       f"has too many digits to print\n")
 
 
 def test_report_subcommand(tmp_path, footnote_csv, coefset_one, capsys):
@@ -659,34 +693,47 @@ def test_verify_rejects_a_tier_model_that_breaks_the_naming_scheme(
 
 
 def test_export_mip_writes_a_tiered_set_as_tier_rows(tmp_path, small_csv, capsys):
-    """A set with tiers on every coefficient exports the tier (pilm)
-    formulation with no flag: one tier_j_r row per tier, and no
-    alpha or beta variables."""
+    """A set with tiers on every coefficient exports the standard rows
+    (alpha and beta included) and one tier_j_r row per tier."""
     cs = tmp_path / "tiers.json"
     cs.write_text(json.dumps({"default": {"type": "integer", "max": 1, "tiers": [
         {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]}]}}))
     lp = tmp_path / "m.lp"
     assert main(["export-mip", "--data", str(small_csv), "--no-intercept", "--coefset",
                  str(cs), "--c0", "0.001", "--out", str(lp)]) == 0
-    assert capsys.readouterr().out.endswith(" constraints (pilm)\n")
+    assert capsys.readouterr().out.endswith(" constraints\n")
     m = parse_lp(lp.read_text())
     assert sorted(c.name for c in m.linear_constraints if c.name.startswith("tier_")) == \
         ["tier_0_0", "tier_0_1", "tier_1_0", "tier_1_1"]
-    assert not any(v.name.startswith(("alpha_", "beta_")) for v in m.variables)
+    assert {"alpha_0", "alpha_1", "beta_0", "beta_1"} <= {v.name for v in m.variables}
 
 
-def test_export_mip_pilm_rejects_an_untiered_coefficient(tmp_path, small_csv, capsys):
+def test_export_mip_writes_a_partly_tiered_set(tmp_path, small_csv, capsys):
+    """A set with tiers on some coefficients only exports tier rows for
+    those, and the completed assignment of train's model verifies to
+    train's objective."""
     cs = tmp_path / "tiers.json"
     cs.write_text(json.dumps({"default": {"type": "integer", "max": 1}, "a": {
         "type": "integer", "max": 1, "tiers": [
             {"cost": 0.01, "values": [0]}, {"cost": 0.03, "values": [-1, 1]}]}}))
-    rc = main(["export-mip", "--data", str(small_csv), "--no-intercept", "--coefset",
-               str(cs), "--c0", "0.001", "--out", str(tmp_path / "m.lp")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err == ("error: a tiered coefficient set needs tiers for every coefficient; "
-                   "coefficient 1 ('b') has none\n")
-    assert not (tmp_path / "m.lp").exists()
+    lp, model, sol = tmp_path / "m.lp", tmp_path / "model.json", tmp_path / "sol.txt"
+    flags = ["--data", str(small_csv), "--no-intercept", "--coefset", str(cs),
+             "--c0", "0.001"]
+    assert main(["export-mip", *flags, "--out", str(lp)]) == 0
+    m = parse_lp(lp.read_text())
+    assert sorted(c.name for c in m.linear_constraints if c.name.startswith("tier_")) == \
+        ["tier_0_0", "tier_0_1"]
+    capsys.readouterr()
+    assert main(["train", *flags, "--out", str(model)]) == 0
+    trained = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("objective: "))
+    lam = ScoringSystem.from_json(model.read_text()).coefficients
+    a = complete_assignment(m, load_csv(str(small_csv), add_intercept=False), lam)
+    sol.write_text("".join(f"{k} {fraction_str(v)}\n" for k, v in a.items()))
+    assert main(["verify", "--model", str(lp), "--solution", str(sol), *flags]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verification: ok"
+    assert out[1] == trained
 
 
 def test_verify_missing_solution_file(tmp_path, small_csv, coefset_one,

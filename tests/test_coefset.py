@@ -211,6 +211,37 @@ def test_load_domains_with_tiers():
     assert s.tier_cost(1, -1) == Fraction(5, 100)
 
 
+_TIER_REST = {"cost": 1, "values": [1, -1]}
+
+
+@pytest.mark.parametrize("desc, message", [
+    ({"type": "integer", "max": 1, "tiers": [{"cost": [1], "values": [0]}, _TIER_REST]},
+     "tier 1: cannot interpret list as a number"),
+    ({"type": "integer", "max": 1, "tiers": [{"cost": True, "values": [0]}, _TIER_REST]},
+     "tier 1: boolean is not a numeric value"),
+    ({"type": "integer", "max": 1, "tiers": [{"cost": "x", "values": [0]}, _TIER_REST]},
+     "tier 1: not a finite decimal number: 'x'"),
+    ({"type": "integer", "max": 1, "tiers": [
+        {"cost": 0.5, "values": [0]}, {"cost": 1, "values": [[1], -1]}]},
+     "tier 2: cannot interpret list as a number"),
+    ({"type": "set", "values": [0, 1, 10], "tiers": [{"cost": 1, "values": "10"}]},
+     "tier 1: 'values' must be a list, got '10'"),
+    ({"type": "set", "values": "10"}, "'values' must be a list, got '10'"),
+    ({"type": "integer", "max": True}, "'max' must be an integer, got True"),
+    ({"type": "integer", "max": 2.0}, "'max' must be an integer, got 2.0"),
+    ({"type": "digits", "digits": True}, "'digits' must be an integer, got True"),
+    ({"type": "digits", "min_exp": False}, "'min_exp' must be an integer, got False"),
+    ({"type": "digits", "max_exp": "2"}, "'max_exp' must be an integer, got '2'"),
+], ids=["tier_cost_list", "tier_cost_bool", "tier_cost_text", "tier_value_list",
+        "tier_values_text", "set_values_text", "max_bool", "max_float", "digits_bool",
+        "min_exp_bool", "max_exp_text"])
+def test_malformed_descriptor_value_is_one_domain_error(desc, message):
+    """Each malformed value raises DomainError naming the feature (and
+    the tier), never a TypeError, and no text is read as a list."""
+    with pytest.raises(DomainError, match="^" + re.escape(f"feature 'a': {message}") + "$"):
+        load_domains({"default": desc}, ("a",))
+
+
 def _tiered(m, costs=(0.01, 0.05)):
     """An integer descriptor -m..m whose tiers are {0} and the rest."""
     rest = [v for v in range(-m, m + 1) if v]

@@ -79,6 +79,17 @@ def test_run_cv_requires_k_at_least_2():
         run_cv(d, s, TrainConfig(c0=Fraction(1, 10)), k=1)
 
 
+@pytest.mark.parametrize("grid", [("0.1", "0.2", "0.1"), ("0.1", "0.10")])
+def test_run_cv_refuses_a_repeated_c0(grid):
+    """A repeated value (0.1 and 0.10 are one value) would solve its
+    folds twice and print two columns that each aggregate both copies."""
+    rng = np.random.default_rng(7)
+    d = rand_dataset(rng, 10, 1)
+    s = uniform(bounded_integers(1), 1)
+    with pytest.raises(ConfigError, match="^c0 grid repeats 0.1$"):
+        run_cv(d, s, TrainConfig(c0=Fraction(1, 10)), c0_grid=grid, k=2)
+
+
 def test_run_cv_single_class_fold_warns():
     x = np.ones((8, 1))
     y = np.array([1] + [-1] * 7)  # one positive cannot reach every fold

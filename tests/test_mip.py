@@ -16,7 +16,7 @@ from scoresys.mipmodel import (TOL, _dec, _layout,
                                _parse_terms, _Tokens, _violations,
                                big_m_for, build_model, complete_assignment,
                                model_objective_value, parse_lp, read_solution,
-                               tiers_from_model, verify_solution, write_lp)
+                               verify_solution, write_lp)
 from scoresys.objective import CompiledInstance, TrainConfig, default_weights, evaluate
 
 from helpers import brute_solve, first_of_signed_rows, rand_dataset, rand_dup_dataset
@@ -24,7 +24,7 @@ from helpers import brute_solve, first_of_signed_rows, rand_dataset, rand_dup_da
 # the kinds of instance whose exports the tests compare: an untiered set
 # under unit class weights, the same under other class weights (the
 # same rows, other z weights), and a set with tiers for every
-# coefficient, which build_model writes as the tier (pilm) formulation
+# coefficient (tier rows on top of the same standard rows)
 KINDS = ("standard", "weighted", "pilm")
 
 
@@ -605,28 +605,34 @@ def _tiered_set(p):
 
 
 def test_pilm_structure():
+    """A tiered coefficient gets the standard alpha/beta rows, one
+    picker per value (0 included), one s per tier with its tier row, an
+    equality pick_j and no tiers_j row; def_I_j prices alpha, beta and
+    the tiers, and the tiers read back from the model."""
     rng = np.random.default_rng(14)
     d = rand_dataset(rng, 4, 2)
     s = _tiered_set(2)
     cfg = _resolved(d, s, c0=Fraction(1, 1000))
     m = build_model(d, s, cfg)
     names = {v.name for v in m.variables}
-    # per coefficient: 4 nonzero-value picks + pick for 0 via tiers
     assert sum(1 for nm in names if nm.startswith("u_0_")) == 5
-    assert {"s_0_0", "s_0_1", "s_0_2"} <= names
-    assert not any(nm.startswith(("alpha_", "beta_")) for nm in names)
-    cons = {c.name for c in m.linear_constraints}
-    assert {"tiers_0", "tiers_1", "def_lam_0", "def_I_0"} <= cons
-    tiers = tiers_from_model(m)
-    assert tiers is not None
-    costs = [t.cost for t in tiers[0]]
-    assert costs == [Fraction(1, 100), Fraction(3, 100), Fraction(7, 100)]
+    assert {"s_0_0", "s_0_1", "s_0_2", "alpha_0", "beta_1"} <= names
+    cons = {c.name: c for c in m.linear_constraints}
+    assert {"tier_0_0", "tier_1_2", "def_lam_0", "l0_pos_0", "l1_neg_1"} <= cons.keys()
+    assert not any(name.startswith("tiers_") for name in cons)
+    assert cons["pick_0"].sense == "=" and cons["pick_0"].rhs == 1
+    assert cons["def_I_0"].terms == (
+        ("I_0", 1), ("alpha_0", -cfg.c0), ("beta_0", -cfg.c1),
+        ("s_0_0", Fraction(-1, 100)), ("s_0_1", Fraction(-3, 100)),
+        ("s_0_2", Fraction(-7, 100)))
+    assert _layout(m).tier_sets() == s.tiers
 
 
-def test_pilm_requires_tiers():
-    """The tier rows come with tiers on every coefficient: a set with no
-    tiers gets the standard rows, and one with tiers on some
-    coefficients only is refused, naming the first untiered one."""
+def test_partly_tiered_set_gets_tier_rows_where_it_has_tiers():
+    """A set with no tiers gets no tier rows.  A set with tiers on some
+    coefficients only exports: the tiered ones get pickers, s variables,
+    tier rows and an equality pick_j, the untiered ones none of these,
+    and the model's minimum over the lattice is the least total."""
     rng = np.random.default_rng(15)
     d = rand_dataset(rng, 3, 1)
     s = uniform(bounded_integers(1), 1)
@@ -637,13 +643,19 @@ def test_pilm_requires_tiers():
     t = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
          Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})))
     s = CoefficientSet(domains=(bounded_integers(1),) * 2, tiers=(t, None))
-    with pytest.raises(ConfigError, match="^" + re.escape(
-            "a tiered coefficient set needs tiers for every coefficient; "
-            "coefficient 1 ('b') has none") + "$"):
-        build_model(d, s, _resolved(d, s))
+    cfg = _resolved(d, s)
+    m = build_model(d, s, cfg)
+    names = {v.name for v in m.variables}
+    assert {"s_0_0", "s_0_1", "u_0_1_1", "alpha_1", "beta_1"} <= names
+    assert not any(nm.startswith(("s_1_", "u_1_")) for nm in names)
+    cons = {c.name: c for c in m.linear_constraints}
+    assert cons["pick_0"].sense == "=" and "tier_0_1" in cons
+    assert not {"pick_1", "def_lam_1", "tier_1_0"} & cons.keys()
+    assert _layout(m).tier_sets() == s.tiers
+    assert _lattice_min(m, d, s, cfg) == brute_solve(d, s, cfg)[0]
 
 
-def test_pilm_minimum_matches_loss_plus_tiers():
+def test_pilm_minimum_matches_the_least_total():
     rng = np.random.default_rng(16)
     for trial in range(6):
         n = int([4, 5, 8, 10, 16, 20][trial])
@@ -651,12 +663,8 @@ def test_pilm_minimum_matches_loss_plus_tiers():
         s = _tiered_set(2)
         cfg = _resolved(d, s, c0=Fraction(1, 1000))
         m = build_model(d, s, cfg)
-        best = None
-        for combo in itertools.product(*[dom.values for dom in s.domains]):
-            ov = evaluate(d, list(combo), cfg, tiers=s.tiers)
-            val = ov.loss_term + ov.tier_term
-            if best is None or val < best:
-                best = val
+        best = min(evaluate(d, list(combo), cfg, tiers=s.tiers).total
+                   for combo in itertools.product(*[dom.values for dom in s.domains]))
         assert _lattice_min(m, d, s, cfg) == best, trial
 
 
@@ -680,12 +688,12 @@ def test_pilm_verify_round_trip():
      "lam variable", "assignment is missing 1 variables (first: u_x)"),
     ("def_I_0: 1 I_0", "def_I_0: 1 I_0 - 1 I_1", "def_I_0: no value for I_1",
      "infeasible solution: constraint def_I_0:"),
-    ("tier_1_", "other_1_", "pilm model lacks tier rows for coefficient 1",
-     "pilm model lacks tier rows for coefficient 1"),
+    ("tier_1_", "other_1_", "def_I_1 has tier costs but the model has no tier_1_r rows",
+     "def_I_1 has tier costs but the model has no tier_1_r rows"),
 ], ids=["tier-without-cost", "unplaced-picker", "unfillable-penalty", "no-tier-rows"])
 def test_model_that_breaks_the_naming_scheme_is_rejected(old, new, completing,
                                                           verifying):
-    """An edited pilm model whose rows or names break build_model's
+    """An edited tiered model whose rows or names break build_model's
     scheme raises VerifyError from complete_assignment, and from
     verify_solution given the intact model's completed assignment
     (whose rows still hold after the first and last edits), never a
@@ -758,15 +766,12 @@ def _reference_verify(m, vals, d, cfg):
             raise VerifyError(f"{name} = {float(x)} is not a domain value",
                               violations=[name])
         lam.append(snapped)
-    tiers = tiers_from_model(m)
-    true_obj = evaluate(d, lam, cfg, tiers=tiers)
-    encoded = (true_obj.loss_term + true_obj.tier_term if tiers is not None
-               else true_obj.total)
+    true_obj = evaluate(d, lam, cfg, tiers=lay.tier_sets())
     model_obj = _dot(m.objective, vals)
-    if abs(model_obj - encoded) > TOL:
+    if abs(model_obj - true_obj.total) > TOL:
         raise VerifyError(
             f"objective mismatch: model {float(model_obj)} vs exact "
-            f"{float(encoded)}", violations=["objective"])
+            f"{float(true_obj.total)}", violations=["objective"])
     return true_obj
 
 
@@ -885,9 +890,8 @@ def test_objective_check_is_exact_at_tol(kind):
     for trial in range(8):
         d, cfg, m, a = _random_instance(rng, kind)
         want = evaluate(d, [a[name] for name in _layout(m).lams.values()], cfg,
-                        tiers=tiers_from_model(m))
-        encoded = want.loss_term + want.tier_term if kind == "pilm" else want.total
-        drift = _dot(m.objective, a) - encoded
+                        tiers=_layout(m).tier_sets())
+        drift = _dot(m.objective, a) - want.total
         name = next(k for k, x in a.items() if x != 0)
         for off, outside in ((TOL, False), (TOL + EPS, True)):
             for sign in (1, -1):

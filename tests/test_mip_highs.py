@@ -5,7 +5,6 @@ objective must equal the exact optimum.  scipy is not a dependency of
 scoresys, so these tests skip without it.  Every n has a terminating
 1/n, so the LP text encodes the objective exactly."""
 
-import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ import pytest
 from scoresys.coefset import CoefficientSet, Tier, bounded_integers, explicit_values, uniform
 from scoresys.data import Dataset, load_csv
 from scoresys.mipmodel import build_model, parse_lp, verify_solution, write_lp
-from scoresys.objective import CompiledInstance, TrainConfig, evaluate
+from scoresys.objective import CompiledInstance, TrainConfig
 from scoresys.solver import OPTIMAL, solve
 
 from helpers import bench_path, first_of_signed_rows, rand_dataset
@@ -54,41 +53,48 @@ def _highs(m, time_limit: float = 60) -> dict:
     return dict(zip(names, res.x.tolist()))
 
 
-def _tiered_set(p):
-    tier = (Tier(Fraction(1, 100), frozenset({Fraction(0)})),
-            Tier(Fraction(3, 100), frozenset({Fraction(1), Fraction(-1)})),
-            Tier(Fraction(7, 100), frozenset({Fraction(2), Fraction(-2)})))
-    return CoefficientSet(domains=(bounded_integers(2),) * p, tiers=(tier,) * p)
+def _tiers(*groups):
+    """Tiers of the value groups at costs 1/100, 3/100 and 7/100."""
+    return tuple(Tier(Fraction(c, 100), frozenset(map(Fraction, g)))
+                 for c, g in zip((1, 3, 7), groups))
 
 
-# seed, n, coefficient set, class weights; a tiered set exports the
-# tier (pilm) formulation, any other set the standard one
+PM2 = _tiers([0], [1, -1], [2, -2])
+GAPPED = explicit_values([0, 1, -1, 10, -10])
+C1 = Fraction(1, 10**4)
+
+# seed, n, intercept column, coefficient set, config
 CASES = {
-    "standard": (7, 50, uniform(bounded_integers(2), 4), (1, 1)),
-    "weighted": (7, 64, uniform(bounded_integers(2), 4), (Fraction(3, 2), Fraction(1, 2))),
-    "pilm": (7, 50, _tiered_set(4), (1, 1)),
-    "one_of_k": (7, 40, uniform(explicit_values([0, 1, -1, 10, -10]), 4), (1, 1)),
+    "standard": (7, 50, True, uniform(bounded_integers(2), 4),
+                 TrainConfig(c0=Fraction(1, 100), c1=C1)),
+    "weighted": (7, 64, True, uniform(bounded_integers(2), 4),
+                 TrainConfig(c0=Fraction(1, 100), c1=C1, w_pos=Fraction(3, 2),
+                             w_neg=Fraction(1, 2))),
+    "pilm": (7, 50, True, CoefficientSet((bounded_integers(2),) * 4, (PM2,) * 4),
+             TrainConfig(c0=Fraction(1, 100), c1=C1)),
+    "one_of_k": (7, 40, True, uniform(GAPPED, 4), TrainConfig(c0=Fraction(1, 100), c1=C1)),
+    # at c0 = 1/10 a model that prices loss and tiers alone (no c0, c1
+    # terms) takes nnz 2 at total 0.7333 for the optimum's nnz 1, 0.6717
+    "tiered_c0_tenth": (7, 50, False, CoefficientSet((bounded_integers(2),) * 3, (PM2,) * 3),
+                        TrainConfig(c0=Fraction(1, 10))),
+    # tiers on some coefficients, a gapped domain with and one without
+    "partly_tiered": (7, 50, True, CoefficientSet(
+        (bounded_integers(2), bounded_integers(2), GAPPED, GAPPED),
+        (None, PM2, _tiers([0], [1, -1], [10, -10]), None)),
+        TrainConfig(c0=Fraction(1, 100), c1=C1)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_highs_optimum_of_the_exported_mip_is_the_exact_optimum(case):
-    seed, n, s, (w_pos, w_neg) = CASES[case]
-    d = rand_dataset(np.random.default_rng(seed), n, s.p, intercept=True)
-    cfg = TrainConfig(c0=Fraction(1, 100), c1=Fraction(1, 10**4),
-                      w_pos=w_pos, w_neg=w_neg).resolve(n, s)
+    seed, n, intercept, s, cfg = CASES[case]
+    d = rand_dataset(np.random.default_rng(seed), n, s.p, intercept=intercept)
+    cfg = cfg.resolve(n, s)
     m = _exported(d, s, cfg)
     got = verify_solution(m, _highs(m), d, cfg)
-    if s.tiers is not None:
-        # the tier model prices loss plus tier costs only
-        want = min(ov.loss_term + ov.tier_term for ov in (
-            evaluate(d, list(lam), cfg, tiers=s.tiers)
-            for lam in itertools.product(*(dom.values for dom in s.domains))))
-        assert got.loss_term + got.tier_term == want
-    else:
-        res = solve(d, s, cfg)
-        assert res.status == OPTIMAL and res.gap == 0
-        assert got.total == res.objective.total
+    res = solve(d, s, cfg)
+    assert res.status == OPTIMAL and res.gap == 0
+    assert got.total == res.objective.total
 
 
 def test_highs_certifies_mammo_through_its_merged_rows():
