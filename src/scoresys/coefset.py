@@ -322,6 +322,9 @@ def _tiers_from_descriptor(raw, where: str) -> tuple[Tier, ...]:
     for r, t in enumerate(raw, start=1):
         if not isinstance(t, dict) or "cost" not in t or "values" not in t:
             raise DomainError(f"{where}: tier {r} needs 'cost' and 'values'")
+        extra = set(t) - {"cost", "values"}
+        if extra:
+            raise DomainError(f"{where}: tier {r}: unknown key(s) {sorted(extra)}")
         try:
             out.append(Tier(cost=to_fraction(t["cost"]),
                             values=frozenset(map(to_fraction, _values(t)))))

@@ -250,17 +250,11 @@ class FrontierPoint:
 
 
 def frontier(points) -> list:
-    """Flag dominated points: another point at most as bad in both
-    error and size and strictly better in one.  Exact ties dominate
-    nothing, so duplicates all stay on the frontier."""
-    items = []
-    for pt in points:
-        if isinstance(pt, FrontierPoint):
-            items.append((pt.label, float(pt.test_error_mean),
-                          float(pt.model_size_median)))
-        else:
-            label, err, size = pt
-            items.append((str(label), float(err), float(size)))
+    """Flag dominated points among (label, error, size) triples: another
+    point at most as bad in both error and size and strictly better in
+    one.  Exact ties dominate nothing, so duplicates all stay on the
+    frontier."""
+    items = [(str(label), float(err), float(size)) for label, err, size in points]
     if not items:
         raise ConfigError("frontier needs at least one point")
     out = []

@@ -79,6 +79,9 @@ class MipModel:
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate variable names in model")
+        rows = [c.name for c in self.linear_constraints]
+        if len(set(rows)) != len(rows):
+            raise ConfigError("duplicate constraint names in model")
         declared = set(names)
         # one set test; the loops below only name the first unknown
         if declared.issuperset([n for c in self.linear_constraints for n, _ in c.terms]
@@ -305,13 +308,6 @@ def write_lp(m: MipModel, path=None) -> str:
     return text
 
 
-# a term and the whitespace after it, or else any one character: every
-# match starts where the last one ended, so the terms tile the text
-_TERM_RE = re.compile(rf"([+-])?\s*({NUM})?\s*([A-Za-z_][A-Za-z0-9_]*)\s*|[\s\S]")
-_BOUND_BOTH = re.compile(rf"^({NUM})\s*<=\s*(\S+)\s*<=\s*({NUM})$")
-_BOUND_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({NUM})$")
-
-
 class _Tokens(dict):
     """to_fraction of each distinct numeric token, computed once (one
     per parse_lp call).  A term's key is its (sign, digits) pair, with
@@ -331,23 +327,19 @@ class _Tokens(dict):
         return got
 
 
-def _parse_terms(text: str, tokens: _Tokens):
-    """Terms (an optional sign, an optional number and a name, each
-    followed by optional whitespace) from the start of text.  Where no
-    term starts, only whitespace may follow.
-
-    Text whose whitespace-separated tokens are whole terms of a sign
-    (+ or -), a number (a whole match of NUM) and a name, in that order
-    with either or both of the first two left out, is read token by
-    token: a name is a token for which isidentifier and isascii hold,
-    which is exactly [A-Za-z_][A-Za-z0-9_]*, and a term's coefficient is
+def _parse_terms(toks, tokens: _Tokens):
+    """Terms from a list of whitespace-separated tokens: each term is a
+    sign (+ or -), a number (a whole match of NUM) and a name, in that
+    order, with either or both of the first two left out.  A name is a
+    token for which isidentifier and isascii hold, which is exactly
+    [A-Za-z_][A-Za-z0-9_]*, and a term's coefficient is
     tokens[sign, number], which checks and converts each distinct pair
-    once.  str.split and the regex \\s split on the same characters.
-    Any other text, such as a term glued to its number (3x) or to its
-    sign (+-3 x), or an error, goes through the _TERM_RE loop."""
+    once.  Any other token, such as a term glued to its number (3x) or
+    a sign glued to its number (+-3), and a sign or number with no name
+    after it, is an error."""
     terms = []
     sign = coef = None
-    for tok in text.split():
+    for tok in toks:
         if tok.isidentifier() and tok.isascii():
             terms.append((tok, tokens[sign, None] if coef is None else coef))
             sign = coef = None
@@ -362,44 +354,21 @@ def _parse_terms(text: str, tokens: _Tokens):
     else:
         if sign is None and coef is None:
             return tuple(terms)
-    terms = []
-    for mm in _TERM_RE.finditer(text):
-        sign, num, name = mm.groups()
-        if name is None:
-            pos = mm.start()
-            if text[pos:].strip():
-                raise ConfigError(f"cannot parse LP terms near {text[pos:pos+30]!r}")
-            break
-        terms.append((name, tokens[sign, num]))
-    return tuple(terms)
-
-
-def _bound_line(line: str, tokens: _Tokens) -> tuple:
-    """(name, lower, upper) of a bounds line in any spacing, None for a
-    missing bound: "lo <= name <= hi", "name free", "name >= lo" or
-    "name <= hi", the numbers whole matches of NUM.  A free variable's
-    name is one ASCII identifier, as _parse_terms reads names."""
-    mm = _BOUND_BOTH.match(line)
-    if mm:
-        return mm[2], tokens[mm[1]], tokens[mm[3]]
-    if line.endswith(" free"):
-        name = line[:-5].strip()
-        if not (name.isidentifier() and name.isascii()):
-            raise ConfigError(f"cannot parse bounds line {line!r}")
-        return name, None, None
-    mm = _BOUND_ONE.match(line)
-    if not mm:
-        raise ConfigError(f"cannot parse bounds line {line!r}")
-    name, sense, num = mm.groups()
-    return (name, tokens[num], None) if sense == ">=" else (name, None, tokens[num])
+    raise ConfigError(f"cannot parse LP terms near {tok!r}")
 
 
 def parse_lp(text: str) -> MipModel:
-    """Invert write_lp.  Understands the subset this module writes: a
-    Minimize block, named constraints, one Bounds line per variable,
-    Generals/Binaries name lists."""
+    """Invert write_lp.  Reads the subset this module writes, its
+    tokens separated by any whitespace: a Minimize block, one
+    "name: terms sense rhs" line per constraint, one Bounds line per
+    variable ("lo <= name <= hi", "name >= lo", "name <= hi" or
+    "name free", the numbers whole matches of NUM), and Generals and
+    Binaries name lists.  The variables are the Bounds lines, in file
+    order, integer where Generals and binary where Binaries names them;
+    a term naming a variable with no Bounds line is an error, and so is
+    a Generals or Binaries name with none."""
     section = None
-    objective: tuple = ()
+    obj_toks = []
     constraints = []
     bounds: list[tuple] = []      # (name, lower, upper) in file order
     generals: set = set()
@@ -408,7 +377,6 @@ def parse_lp(text: str) -> MipModel:
                "generals": "gen", "binaries": "bin", "end": "end",
                "st": "cons", "st.": "cons", "s.t.": "cons"}
     longest = max(map(len, headers))  # lower() never shortens a line
-    pending_obj = []
     tokens = _Tokens()
     for raw in text.splitlines():
         line = raw.partition("\\")[0].strip()
@@ -419,40 +387,39 @@ def parse_lp(text: str) -> MipModel:
             continue
         if section == "cons":
             name, colon, body = line.partition(":")
+            name = name.strip()
             if not colon:
                 raise ConfigError(f"constraint line without a name: {line!r}")
-            # the last "=" ends the last of the senses <=, >= and =
-            at = body.rfind("=")
-            if at < 0:
-                raise ConfigError(f"constraint {name.strip()!r} has no sense")
-            start = at - 1 if at and body[at - 1] in "<>" else at
-            rhs_text = body[at + 1:].strip()
-            rhs = tokens[rhs_text]
+            parts = body.split()
+            if len(parts) < 2 or parts[-2] not in ("<=", ">=", "="):
+                raise ConfigError(f"constraint {name!r} has no sense before its "
+                                  f"right-hand side")
+            rhs = tokens[parts[-1]]
             if rhs is None:
-                raise ConfigError(f"constraint {name.strip()!r}: bad right-hand side "
-                                  f"{rhs_text!r}")
+                raise ConfigError(f"constraint {name!r}: bad right-hand side "
+                                  f"{parts[-1]!r}")
             constraints.append(Constraint(
-                name.strip(), _parse_terms(body[:start].strip(), tokens),
-                body[start:at + 1], rhs))
+                name, _parse_terms(parts[:-2], tokens), parts[-2], rhs))
         elif section == "bounds":
-            # the spaced forms write_lp writes, read by one split and the
-            # token cache; any other line goes through _bound_line
             parts = line.split()
-            got = None
+            lo = hi = None
             if len(parts) == 5 and parts[1] == parts[3] == "<=":
-                lo, hi = tokens[parts[0]], tokens[parts[4]]
-                if lo is not None and hi is not None:
-                    got = (parts[2], lo, hi)
-            elif len(parts) == 3 and parts[1] in ("<=", ">=") and "=" not in parts[0]:
-                # (a name with "=" in it may hide a glued "lo <=")
-                num = tokens[parts[2]]
-                if num is not None:
-                    got = (parts[0], num, None) if parts[1] == ">=" else (parts[0], None, num)
-            bounds.append(got or _bound_line(line, tokens))
+                name, lo, hi = parts[2], tokens[parts[0]], tokens[parts[4]]
+                ok = lo is not None and hi is not None
+            elif len(parts) == 3 and parts[1] == ">=":
+                name, lo = parts[0], tokens[parts[2]]
+                ok = lo is not None
+            elif len(parts) == 3 and parts[1] == "<=":
+                name, hi = parts[0], tokens[parts[2]]
+                ok = hi is not None
+            else:
+                name, ok = parts[0], len(parts) == 2 and parts[1] == "free"
+            if not (ok and name.isidentifier() and name.isascii()):
+                raise ConfigError(f"cannot parse bounds line {line!r}")
+            bounds.append((name, lo, hi))
         elif section == "obj":
-            body = line.split(":", 1)[1].strip() if ":" in line else line
-            if body:  # a bare name line ("obj:") adds no terms
-                pending_obj.append(body)
+            name, colon, body = line.partition(":")
+            obj_toks += (body if colon else line).split()
         elif section == "gen":
             generals.update(line.split())
         elif section == "bin":
@@ -461,27 +428,16 @@ def parse_lp(text: str) -> MipModel:
             raise ConfigError(f"content after End: {line!r}")
         else:
             raise ConfigError(f"LP line outside any section: {line!r}")
-    if pending_obj:
-        objective = _parse_terms(" ".join(pending_obj), tokens)
-    seen = [b[0] for b in bounds]
-    mentioned = {n for c in constraints for n, _ in c.terms}
-    mentioned.update(n for n, _ in objective)
-    missing = sorted(mentioned - set(seen))
-    order = seen + missing
-    variables = []
-    by_name = {name: (lo, hi) for name, lo, hi in bounds}
-    for name in order:
-        lo, hi = by_name.get(name, (ZERO, None))
-        if name in binaries:
-            variables.append(Variable(name, "binary", lo if lo is not None else ZERO,
-                                      hi if hi is not None else ONE))
-        elif name in generals:
-            variables.append(Variable(name, "integer", lo, hi))
-        else:
-            variables.append(Variable(name, "continuous", lo, hi))
-    return MipModel(variables=tuple(variables),
+    undeclared = (generals | binaries).difference(name for name, _, _ in bounds)
+    if undeclared:
+        raise ConfigError(f"{min(undeclared)} is in Generals or Binaries but has no "
+                          f"Bounds line")
+    variables = tuple(Variable(name, "binary" if name in binaries else
+                               "integer" if name in generals else "continuous", lo, hi)
+                      for name, lo, hi in bounds)
+    return MipModel(variables=variables,
                     linear_constraints=tuple(constraints),
-                    objective=tuple(objective))
+                    objective=_parse_terms(obj_toks, tokens))
 
 
 def read_solution(text: str) -> dict:
@@ -549,9 +505,8 @@ def _layout(m: MipModel) -> _Layout:
     terms of def_lam_j give the value each picker selects (a picker in
     no def_lam row selects 0 for the coefficient its name gives).  A
     coefficient has tiers when its def_I_j has s terms: they give the
-    tier costs, and the u terms of tier_j_r the members of tier r.  The
-    first of equally named rows counts.  A model that breaks the scheme
-    raises VerifyError."""
+    tier costs, and the u terms of tier_j_r the members of tier r.  A
+    model that breaks the scheme raises VerifyError."""
     lams, u_names = {}, []
     for v in m.variables:
         if v.name.startswith("u_"):
@@ -559,11 +514,8 @@ def _layout(m: MipModel) -> _Layout:
         elif mm := _LAM_NAME.fullmatch(v.name):
             lams[int(mm[1])] = v.name
     lams = dict(sorted(lams.items()))
-    rows, gamma = {}, None
-    for c in m.linear_constraints:
-        rows.setdefault(c.name, c.terms)
-        if gamma is None and c.name.startswith("loss"):
-            gamma = c.rhs
+    rows = {c.name: c.terms for c in m.linear_constraints}
+    gamma = next((c.rhs for c in m.linear_constraints if c.name.startswith("loss")), None)
     selects, domains = {}, {}
     for j in lams:
         terms = rows.get(f"def_lam_{j}")
@@ -728,11 +680,11 @@ def verify_solution(m: MipModel, assignment: dict, d: Dataset,
     """
     if cfg.c1 is None:
         raise ConfigError("cfg.c1 is unresolved; call cfg.resolve first")
-    missing = [v.name for v in m.variables if v.name not in assignment]
-    if missing:
+    absent = [v.name for v in m.variables if v.name not in assignment]
+    if absent:
         raise VerifyError(
-            f"assignment is missing {len(missing)} variables "
-            f"(first: {', '.join(missing[:5])})", violations=missing)
+            f"assignment is missing {len(absent)} variables "
+            f"(first: {', '.join(absent[:5])})", violations=absent)
     # model names are distinct, so with none missing the assignment has
     # a name the model lacks exactly when it has more names
     if len(assignment) > len(m.variables):

@@ -713,7 +713,7 @@ def _seed_incumbent(prep: _Prep, eng: _Engine, warm, deadline: float | None):
 
 
 def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
-          jobs: int = 1, warm=None, trace_sink=None) -> SolveResult:
+          jobs: int = 1, trace_sink=None) -> SolveResult:
     """Minimize the objective exactly over the coefficient set.
 
     Returns the optimum with status "optimal" when the tree is
@@ -724,8 +724,7 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     One solve runs serially in one thread: jobs is accepted for
     compatibility and changes nothing, neither the model nor the
     status, bound, gap or node count (run_cv's jobs runs whole solves
-    in worker processes).  warm overrides the built-in warm start (it
-    is snapped into the domains).
+    in worker processes).
     """
     if d.n < 1:
         raise ConfigError("dataset is empty")
@@ -734,19 +733,7 @@ def solve(d: Dataset, s: CoefficientSet, cfg: TrainConfig, *,
     ci = CompiledInstance(d, s, cfg)
     prep = _Prep(ci)
     eng = _Engine(prep, cfg, t0, trace_sink)
-    if warm is None:
-        warm = _snap_diffs(prep.diffs, s)
-    else:
-        warm = tuple(warm)
-        if len(warm) != d.p:
-            raise ConfigError(f"warm start has {len(warm)} entries for {d.p} "
-                              "coefficients")
-        snapped = []
-        for v, dom in zip(map(to_fraction, warm), s.domains):
-            vals, den = dom.scaled_values()
-            snapped.append(_nearest_index(vals, v.numerator * den, v.denominator))
-        warm = tuple(snapped)
-    _seed_incumbent(prep, eng, warm, eng.deadline)
+    _seed_incumbent(prep, eng, _snap_diffs(prep.diffs, s), eng.deadline)
     eng._emit(time.monotonic())
     eng.dfs(0, prep.zeros_margin, 0, [])
 

@@ -489,6 +489,29 @@ def test_verify_refuses_a_solution_naming_an_undeclared_variable(tmp_path, small
     assert main(["verify", "--model", str(lp), "--solution", str(sol), *flags]) == 0
 
 
+_ONE_ROW_LP = "Minimize\n obj: 1 x\nSubject To\n c: 2 x >= 1\nBounds\n 0 <= x <= 1\nEnd\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (" 2 x ", " 3x ", "cannot parse LP terms near '3x'"),
+    (" 0 <= x <= 1", " 0<=x<=1", "cannot parse bounds line '0<=x<=1'"),
+    (" 2 x ", " 2 x + 1 y ", "constraint 'c' references unknown variable 'y'"),
+    (" c: 2 x >= 1\n", " c: 2 x >= 1\n c: 1 x <= 1\n", "duplicate constraint names in model"),
+    ("End\n", "Generals\n y\nEnd\n", "y is in Generals or Binaries but has no Bounds line"),
+], ids=["glued-term", "glued-bounds", "term-without-bounds", "repeated-row",
+        "general-without-bounds"])
+def test_verify_refuses_an_lp_outside_the_written_grammar(tmp_path, small_csv, old, new,
+                                                          message, capsys):
+    lp, sol = tmp_path / "m.lp", tmp_path / "sol.txt"
+    assert old in _ONE_ROW_LP
+    lp.write_text(_ONE_ROW_LP.replace(old, new))
+    sol.write_text("x 1\n")
+    rc = main(["verify", "--model", str(lp), "--solution", str(sol), "--data", str(small_csv),
+               "--c0", "0.05", "--c1", "0.001"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_export_mip_and_verify_take_no_solve_flags(tmp_path, small_csv,
                                                    coefset_one, capsys):
     # neither command solves, so neither takes a budget or a gap tolerance

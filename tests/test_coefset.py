@@ -226,6 +226,9 @@ _TIER_REST = {"cost": 1, "values": [1, -1]}
      "tier 2: cannot interpret list as a number"),
     ({"type": "set", "values": [0, 1, 10], "tiers": [{"cost": 1, "values": "10"}]},
      "tier 1: 'values' must be a list, got '10'"),
+    ({"type": "integer", "max": 1, "tiers": [
+        {"cost": 0.01, "values": [0], "cots": 5}, {"cost": 0.02, "values": [1, -1]}]},
+     "tier 1: unknown key(s) ['cots']"),
     ({"type": "set", "values": "10"}, "'values' must be a list, got '10'"),
     ({"type": "integer", "max": True}, "'max' must be an integer, got True"),
     ({"type": "integer", "max": 2.0}, "'max' must be an integer, got 2.0"),
@@ -233,11 +236,12 @@ _TIER_REST = {"cost": 1, "values": [1, -1]}
     ({"type": "digits", "min_exp": False}, "'min_exp' must be an integer, got False"),
     ({"type": "digits", "max_exp": "2"}, "'max_exp' must be an integer, got '2'"),
 ], ids=["tier_cost_list", "tier_cost_bool", "tier_cost_text", "tier_value_list",
-        "tier_values_text", "set_values_text", "max_bool", "max_float", "digits_bool",
+        "tier_values_text", "tier_unknown_key", "set_values_text", "max_bool", "max_float", "digits_bool",
         "min_exp_bool", "max_exp_text"])
 def test_malformed_descriptor_value_is_one_domain_error(desc, message):
-    """Each malformed value raises DomainError naming the feature (and
-    the tier), never a TypeError, and no text is read as a list."""
+    """Each malformed value, and a tier's unknown key, raises
+    DomainError naming the feature (and the tier), never a TypeError,
+    and no text is read as a list."""
     with pytest.raises(DomainError, match="^" + re.escape(f"feature 'a': {message}") + "$"):
         load_domains({"default": desc}, ("a",))
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scoresys import mipmodel
 from scoresys.coefset import (CoefficientSet, Tier, bounded_integers,
                               digit_values, explicit_values, uniform)
 from scoresys.data import Dataset
@@ -259,8 +258,7 @@ def _one_row_lp(coef="2", bound="20", rhs="1"):
 @pytest.mark.parametrize("num", ["2_0", "2e", "inf", "0x14"])
 def test_parse_lp_reads_every_number_by_one_grammar(num):
     """A bound and a right-hand side are each a whole match of NUM, as
-    a term's coefficient is; Decimal alone would also read 2_0 as 20.
-    (In a term, 2_0 x is the two terms 2 _0 and x.)"""
+    a term's coefficient is; Decimal alone would also read 2_0 as 20."""
     with pytest.raises(ConfigError, match="^cannot parse bounds line"):
         parse_lp(_one_row_lp(bound=num))
     with pytest.raises(ConfigError, match=f"^constraint 'c': bad right-hand side '{num}'$"):
@@ -292,48 +290,55 @@ def _reference_parse_terms(text, tokens):
     return tuple(terms)
 
 
-class _CountingTermRe:
-    """Stands in for mipmodel._TERM_RE and keeps each text that reaches it."""
-
-    def __init__(self, regex):
-        self.regex, self.texts = regex, set()
-
-    def finditer(self, text):
-        self.texts.add(text)
-        return self.regex.finditer(text)
-
-
-# the form write_lp writes, other forms the split path reads and forms
-# only the _TERM_RE loop reads or rejects
+# the form write_lp writes and other forms of whitespace-separated
+# signs, numbers and names
 _SPLIT_FORMS = ("2 x + 3 y - 0.5 z", "-2 x - 1 y + 0.0003333333333333333 z_0",
                 "x + y", "- x", "-3 x", "+3 x", "+ -3 x", "- -3 x", "- +3 x",
                 "2e5 x", "2E-5 x - .5 y + 5. z", "3 e x", "x y", "\t2\tx\t+ 3  y",
                 "2 x\t+\t3 y", "x\u00a0+\u2003y", "\u0663 x", "- \u0663.5 x", "")
-_FALLBACK_FORMS = ("3x", "+3x", "3x + 2y", "+-3 x", "-+3 x", "- -3x", "3e x", "3e5x",
-                   "3ex", "2 x + 3", "x +", "3", "+", "+ - x", "3 4 x", "x * y",
-                   "\u00e9 x", "2 \u00e9", "x \u0394", "\u0663x", "2 x\t+ 3y")
+# glued forms, which one match per term reads, and forms it refuses too
+_REFUSED_FORMS = ("3x", "+3x", "3x + 2y", "+-3 x", "-+3 x", "- -3x", "3e x", "3e5x",
+                  "3ex", "2 x + 3", "x +", "3", "+", "+ - x", "3 4 x", "x * y",
+                  "\u00e9 x", "2 \u00e9", "x \u0394", "\u0663x", "2 x\t+ 3y")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def test_term_tokenizer_matches_loop_reference(monkeypatch):
-    """Same terms, or the same error, as one match per term: on the
-    forms above and on random strings over the characters of the term
-    grammar and a few outside it.  The split path reads every form it
-    accepts and leaves the rest to the _TERM_RE loop."""
-    counting = _CountingTermRe(mipmodel._TERM_RE)
-    monkeypatch.setattr(mipmodel, "_TERM_RE", counting)
+def _split_parse_terms(text, tokens):
+    return _parse_terms(text.split(), tokens)
+
+
+def test_term_tokenizer_matches_loop_reference():
+    """Where _parse_terms reads terms, they are the terms of one match
+    per term; where it raises, one match per term raises too or the
+    text is a glued form: some token is not a sign, a whole match of
+    NUM or an ASCII identifier (3x, +-3 x), or one match per term reads
+    a name out of a number (1E0 as 1 E0).  On the forms above and on
+    random strings over the characters of the term grammar and a few
+    outside it; the first forms are read and the second refused."""
     rng = np.random.default_rng(19)
     chars = list(" \t+-.0123eE_xz!\u0663\u00e9")
     randoms = ["".join(rng.choice(chars, size=int(rng.integers(0, 14))))
                for _ in range(4000)]
-    outcomes = set()
-    for text in _SPLIT_FORMS + _FALLBACK_FORMS + tuple(randoms):
-        got = _parsed_or_error(_parse_terms, text)
-        assert got == _parsed_or_error(_reference_parse_terms, text), repr(text)
-        outcomes.add(type(got))
-    assert outcomes == {tuple, str}
-    assert not counting.texts & set(_SPLIT_FORMS)
-    assert set(_FALLBACK_FORMS) <= counting.texts
-    assert 0 < len(counting.texts & set(randoms)) < len(set(randoms))
+    glued = 0
+    for text in _SPLIT_FORMS + _REFUSED_FORMS + tuple(randoms):
+        got = _parsed_or_error(_split_parse_terms, text)
+        want = _parsed_or_error(_reference_parse_terms, text)
+        if isinstance(got, tuple):
+            assert got == want, repr(text)
+        elif isinstance(want, tuple):
+            # a glued form: a token that is no sign, number or name (3x,
+            # +-3), or a name the reference reads out of a number (1E0 as
+            # the term 1 E0)
+            toks = text.split()
+            assert (not all(tok in ("+", "-") or re.fullmatch(NUM, tok)
+                            or _NAME.fullmatch(tok) for tok in toks)
+                    or [name for name, _ in want] != list(filter(_NAME.fullmatch, toks))
+                    ), repr(text)
+            glued += 1
+    assert glued > 100
+    for text in _SPLIT_FORMS + _REFUSED_FORMS:
+        got = _parsed_or_error(_split_parse_terms, text)
+        assert isinstance(got, tuple) == (text in _SPLIT_FORMS), repr(text)
 
 
 def _parsed_or_error(parse, text):
@@ -366,60 +371,66 @@ def test_read_solution_rejects_a_name_given_twice():
         read_solution("z_0 1\nlam_0 -2\n# z_0 0\nz_0 0\n")
 
 
-_REF_BOTH = re.compile(rf"^({NUM})\s*<=\s*(\S+)\s*<=\s*({NUM})$")
-_REF_ONE = re.compile(rf"^(\S+)\s*(<=|>=)\s*({NUM})$")
+_REF_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_REF_BOTH = re.compile(rf"({NUM})\s+<=\s+{_REF_NAME}\s+<=\s+({NUM})")
+_REF_ONE = re.compile(rf"{_REF_NAME}\s+(<=|>=)\s+({NUM})")
+_REF_FREE = re.compile(rf"{_REF_NAME}\s+free")
 
 
 def _bound_reference(line):
-    """A bounds line read by regex matches alone, as parse_lp once read
-    every line, with a free variable's name one ASCII identifier:
-    (name, lower, upper), or None where it is an error."""
+    """A bounds line read by whole regex matches of the bounds grammar,
+    its tokens separated by whitespace and its name an ASCII
+    identifier: (name, lower, upper), or None where it is an error."""
     line = line.strip()
-    if mm := _REF_BOTH.match(line):
+    if mm := _REF_BOTH.fullmatch(line):
         return mm[2], Fraction(mm[1]), Fraction(mm[3])
-    if line.endswith(" free"):
-        name = line[:-5].strip()
-        return (name, None, None) if re.fullmatch(r"[A-Za-z_]\w*", name, re.A) else None
-    if mm := _REF_ONE.match(line):
+    if mm := _REF_FREE.fullmatch(line):
+        return mm[1], None, None
+    if mm := _REF_ONE.fullmatch(line):
         num = Fraction(mm[3])
         return (mm[1], num, None) if mm[2] == ">=" else (mm[1], None, num)
     return None
 
 
 def _bounds_lp(line):
-    return f"Minimize\n obj: y\nSubject To\n c: y >= 0\nBounds\n {line}\nEnd\n"
+    return (f"Minimize\n obj: y\nSubject To\n c: y >= 0\nBounds\n {line}\n y >= 0\n"
+            f"End\n")
+
+
+def _refused_bounds_line(line):
+    return pytest.raises(ConfigError, match="^cannot parse bounds line "
+                                            f"{re.escape(repr(line.strip()))}$")
+
+
+# names that are not identifiers, and glued forms
+_GLUED_BOUNDS = ("1 <= 2", "0 <= <= <= 1", "x<=1 >= 2", "0<=x<=1", "x>=0", "x<=-1",
+                 "0 <= x<=1", "0<=x <= 1", "0 <= x <=1", "x <=1", "x>= 2", "1<=x >= 2")
 
 
 @pytest.mark.parametrize("line", [
-    "0 <= x <= 1", "-2.5 <= lam_0 <= 1e3", "x >= 0", "x <= -1", "x free",
-    "  x \t >=   .5 ", "1 <= 2", "0 <= <= <= 1", "x<=1 >= 2",
-    # glued forms, which the split does not take
-    "0<=x<=1", "x>=0", "x<=-1", "0 <= x<=1", "0<=x <= 1", "0 <= x <=1", "x <=1",
-    "x>= 2", "1<=x >= 2"])
+    "0 <= x <= 1", "-2.5 <= lam_0 <= 1e3", "x >= 0", "x <= -1", "x free", "x\tfree",
+    "  x \t >=   .5 ", *_GLUED_BOUNDS])
 def test_bounds_lines_read_as_by_the_regex_reference(line):
-    v = parse_lp(_bounds_lp(line)).variables[0]
-    assert (v.name, v.lower, v.upper) == _bound_reference(line)
-
-
-def test_written_bounds_lines_take_the_split(monkeypatch):
-    # every bounds line write_lp writes is read without _bound_line
-    rng = np.random.default_rng(44)
-    d = rand_dataset(rng, 6, 2)
-    s = CoefficientSet(domains=(bounded_integers(2), explicit_values([0, 1, -1, 3])))
-    text = write_lp(build_model(d, s, _resolved(d, s)))
-    monkeypatch.setattr(mipmodel, "_bound_line", None)
-    assert write_lp(parse_lp(text)) == text
+    """A line the reference reads gives its variable, and a glued line
+    is refused, as is a name that is not an identifier."""
+    want = _bound_reference(line)
+    assert (want is None) == (line in _GLUED_BOUNDS)
+    if want is None:
+        with _refused_bounds_line(line):
+            parse_lp(_bounds_lp(line))
+    else:
+        v = parse_lp(_bounds_lp(line)).variables[0]
+        assert (v.name, v.lower, v.upper) == want
 
 
 @pytest.mark.parametrize("line", [
-    "x", "x >=", "<= 5", "free", "x\tfree", "x == 1", "x >= abc", "x >= 1 2",
+    "x", "x >=", "<= 5", "free", "x == 1", "x >= abc", "x >= 1 2",
     "abc <= x <= 1", "0 <= x <= 1_0", "0 <= x >= 1", "0 <= x <= 1 <= 2", "0 <= x",
     # free takes one name, not any text before it
     "a b free", "x >= free"])
 def test_malformed_bounds_lines_are_rejected(line):
     assert _bound_reference(line) is None
-    with pytest.raises(ConfigError,
-                       match=f"^cannot parse bounds line {re.escape(repr(line.strip()))}$"):
+    with _refused_bounds_line(line):
         parse_lp(_bounds_lp(line))
 
 

@@ -189,18 +189,6 @@ def test_warm_start_matches_the_fraction_reference():
     assert {("int64",), ("object",)} <= kinds, kinds
 
 
-def test_solve_accepts_external_warm_start():
-    rng = np.random.default_rng(6)
-    d = rand_dataset(rng, 12, 2)
-    s = uniform(bounded_integers(2), 2)
-    cfg = TrainConfig(c0=Fraction(1, 50))
-    res = solve(d, s, cfg, warm=[Fraction(7, 3), -5])  # snapped into domain
-    want, _ = brute_solve(d, s, cfg.resolve(d.n, s))
-    assert res.objective.total == want
-    with pytest.raises(ConfigError):
-        solve(d, s, cfg, warm=[1])
-
-
 def test_search_state_validation():
     rng = np.random.default_rng(2)
     d = rand_dataset(rng, 6, 2)
