@@ -18,8 +18,9 @@ training split of each of the CV_K stratified folds, under the CLI's
 defaults (class weights 1,1 and the automatic c1; cv solves carry
 run_cv's 60 s budget).  For each workload it prints, per tree, whether
 every solve returned the first tree's vector, status, lower bound, gap
-and objective, the node total over the problems, and the time of a
-pair's solves (median over pairs).
+and objective, the node total over the problems, whether every solve's
+nodes_explored equals the first tree's, and the time of a pair's solves
+(median over pairs).
 
 With --cli the problems are whole in-process cli.main calls, as
 slimbench makes them: for each c0 of the path, a train call, and an
@@ -38,6 +39,9 @@ Both modes then print, per timed group, the median over pairs of the
 time ratio new / old, and in how many pairs the new tree was faster.
 The exit status is 1 when any workload prints a NO (a result, exit
 status or output that differs, or a call that did not exit 0), else 0.
+A node count that differs prints a lowercase "no" and leaves the exit
+status alone: a change to the search may change the tree and not the
+results.
 """
 
 from __future__ import annotations
@@ -196,8 +200,11 @@ def run_solves(name: str, inp, trees: list, pairs: int) -> bool:
         same = all(a["result"] == b["result"] for a, b in zip(first[0], first[w]))
         ok &= same
         nodes = sum(r["nodes"] for r in first[w])
+        same_nodes = all(a["nodes"] == b["nodes"] for a, b in zip(first[0], first[w]))
         print(f"  {tree}: same results {'yes' if same else 'NO'}, "
-              f"nodes {nodes}, median {statistics.median(times[w]):.4f} s")
+              f"nodes {nodes} (each solve's as the first tree's: "
+              f"{'yes' if same_nodes else 'no'}), "
+              f"median {statistics.median(times[w]):.4f} s")
     print_ratio("", times[0], times[-1])
     return ok
 

@@ -20,9 +20,15 @@ nonzero free levels pays at least the two least such penalties; when
 that prunes, the child is closed: its all-zero completion and every
 completion with exactly one nonzero free level are scored exactly, a
 chunk of levels per comparison block, and it is not searched (the
-lookahead of CORELS and OSDT).  Every prune compares a bound with the
-incumbent's objective alone, so a completion that ties the incumbent is
-always searched; the incumbent update alone resolves objective ties, to
+lookahead of CORELS and OSDT).  Before a node closes a child, one
+comparison block bounds the one-nonzero completions of all its
+children: for each free level and each sign, the rows that no value of
+that sign rescues, plus the least penalty step of that sign.  A child
+whose bound exceeds the incumbent is not closed.  The block is built
+only below levels with two or more nonzero values of one sign, since
+otherwise the bound is the exact close.  Every prune compares a bound
+with the incumbent's objective alone, so a completion that ties the
+incumbent is always searched; the incumbent update alone resolves objective ties, to
 the smallest l1 norm, then to the lexicographically smallest
 coefficient vector, so the returned vector is a pure function of the
 problem and not of traversal order.  One solve runs serially in one
@@ -49,9 +55,13 @@ from .objective import CompiledInstance, ObjectiveValue, TrainConfig, evaluate, 
 from .report import ScoringSystem
 
 INF = float("inf")
-# block cells (values x rows) expanded between clock reads: in
-# certified solves on 2 cores, reads come about every 8 ms on mammo's
-# 5 x 74 blocks (-2..2), every 0.6 ms on breastcancer's 5 x 683 (int16
+# block cells expanded between clock reads: a child bound block is
+# values x rows, a close chunk its rows x rows, and a close filter
+# values x sign groups x rows (the clock is read before a filter once
+# the cells are spent).  In certified solves on 2 cores at c0 = 1/500,
+# reads come about every 0.8 ms on mammo under -2..2 (5 x 74 child
+# blocks, filters up to 5 x 22 x 74), every 0.5 ms on breastcancer
+# under {0, +-1, +-10} (5 x 683, filters up to 5 x 18 x 683, int16
 # margins), and after every block of 131072 cells or more, so a block
 # as large as 201 values x 20000 rows (tens of ms, its first use
 # included) never runs twice past the deadline.  Seeding descends as
@@ -260,9 +270,13 @@ class _Prep:
     per-child bookkeeping, and L1 the l1 norms, with which the
     incumbent update breaks objective ties.  B, VI, zeros_margin and
     lost_at hold margins in ci.margin_dtype, as do the threshold blocks
-    THR keeps (see thresholds) and the chunks CHUNK keeps (see chunk).
-    diffs holds the class-mean differences by column, which also give
-    solve its warm start."""
+    THR keeps (see thresholds), the chunks CHUNK keeps (see chunk) and
+    the filter blocks FILT keeps (see filter_block) and the sign
+    groups' rows SIGN keeps (see sign_rows).  filtered[t] tells whether a
+    level below t has two or more nonzero values of one sign, the only
+    levels whose children close_bounds filters.  diffs holds the
+    class-mean differences by column, which also give solve its warm
+    start."""
 
     def __init__(self, ci: CompiledInstance):
         self.ci = ci
@@ -301,8 +315,14 @@ class _Prep:
         self.sufnz = [INF] * (ci.p + 1)
         self.sufnz2 = [INF] * (ci.p + 1)
         steps = [INF, INF]  # the two least steps of the levels below
+        self.filtered = [False] * ci.p
+        pairs = False  # a level below has two nonzero values of one sign
         for t in range(ci.p - 1, -1, -1):
             pens = self.PEN[t]  # value 0 first
+            self.filtered[t] = pairs
+            # ci.vi runs in ascending order: zero_index values lie below 0
+            neg = ci.zero_index[self.order[t]]
+            pairs = pairs or neg > 1 or len(pens) - neg - 1 > 1
             self.lost_at[t] = self.lost_at[t + 1] - mx[t]
             self.sufminpen[t] = self.sufminpen[t + 1] + int(pens.min())
             self.sufzeropen[t] = self.sufzeropen[t + 1] + int(pens[0])
@@ -326,6 +346,8 @@ class _Prep:
         self.thr_bytes = 0
         self.over_cap = [False] * ci.p
         self.CHUNK = [None] * ci.p
+        self.FILT = [None] * ci.p
+        self.SIGN = None
 
     def moving(self, at) -> np.ndarray:
         """The twin pairs whose margins levels t..p-1 can still move, for
@@ -430,6 +452,77 @@ class _Prep:
         if self.THR[u] is not None:
             self.CHUNK[u] = ch
         return ch
+
+    def sign_rows(self) -> tuple:
+        """The sign groups of every level, stacked, built on first use:
+        for each group g of level u's nonzero values of one sign, the
+        row R = -max over v in g of v * B[u] (a row whose margin is at
+        most R is lost at every value of g; v * B[u] is linear in v, so
+        the max is taken at the least or the largest |v| of g) and the
+        step, the least penalty in g less that of value 0 (tier costs
+        can make it negative).  Returns (R, steps, offs): level u's
+        groups are rows offs[u]:offs[u + 1]."""
+        if self.SIGN is None:
+            rows, steps, offs = [], [], [0]
+            for u, vi in enumerate(self.VI):
+                pens = self.PENL[u]
+                # VI runs small |value| first
+                for g in (np.flatnonzero(vi > 0), np.flatnonzero(vi < 0)):
+                    if not len(g):
+                        continue
+                    rows.append(-np.maximum(vi[g[0]] * self.B[u], vi[g[-1]] * self.B[u]))
+                    steps.append(min(pens[k] for k in g) - pens[0])
+                offs.append(len(rows))
+            self.SIGN = (np.stack(rows), np.array(steps, dtype=self.PEN[0].dtype), offs)
+        return self.SIGN
+
+    def filter_block(self, t: int, neg_out):
+        """Level t's filter block, for the -out rows neg_out of its
+        threshold block: neg_out[k] + R for each of its K values and
+        each of the G sign groups of the levels below it (sign_rows),
+        K * G rows in all.  Child k's margin is at most R exactly when
+        the node's margin is at most neg_out[k] + R.  The block is built
+        on first use and kept while the kept blocks of both kinds fit
+        the 64 MiB cap (thr_bytes) with room left for the threshold
+        blocks of the levels below that are not built yet, which every
+        expansion there needs (Python-int blocks are sized at their
+        pointers' bytes until built); a level whose block does not fit
+        is marked False and never filtered."""
+        blk = self.FILT[t]
+        if blk is None:
+            R, _, offs = self.sign_rows()
+            R = R[offs[t + 1]:]
+            cells = len(neg_out) * len(R)
+            for u in range(t + 1, self.p):
+                if self.THR[u] is None and not self.over_cap[u]:
+                    cells += len(self.VI[u]) * (1 + (u < self.p - 1))
+            room = (64 << 20) - self.thr_bytes - cells * self.ci.n_rows * R.itemsize
+            blk = False
+            if room >= 0:
+                full = (neg_out[:, None, :] + R[None, :, :]).reshape(-1, self.ci.n_rows)
+                size = _block_bytes(full)
+                if size - full.nbytes <= room:
+                    blk = full
+                    self.thr_bytes += size
+            self.FILT[t] = blk
+        return blk
+
+    def close_bounds(self, t: int, margin, neg_out) -> list | None:
+        """For each child k of a level-t node with margins margin, a
+        lower bound on the objective of every completion of the child
+        that sets one free level to a nonzero value and the rest to 0,
+        less that of its all-zero completion: the least over the sign
+        groups of the free levels of the group's step plus the plain
+        cost of the child's rows whose margin is at most the group's R
+        row.  One comparison with the level's filter block and one
+        lost_cost product give them all; None when the block does not
+        fit the cap."""
+        blk = self.filter_block(t, neg_out)
+        if blk is False:
+            return None
+        _, steps, offs = self.sign_rows()
+        lost = self.ci.lost_cost(margin <= blk).reshape(len(neg_out), -1)
+        return (lost + steps[offs[t + 1]:]).min(axis=1).tolist()
 
 
 class _Engine:
@@ -539,9 +632,13 @@ class _Engine:
         nonzero free levels costs at least bk + sufnz2[t + 1]; when that
         exceeds obj, the child is closed: its all-zero completion is
         scored as above, and close scores the rest that can win, those
-        with exactly one nonzero free level.  At the last level sufnz is
-        infinite and the bounds are the exact objectives, so each leaf
-        is scored as its own all-zero completion."""
+        with exactly one nonzero free level.  Below a filtered level,
+        the first child to close has close_bounds bound those
+        completions for every child in one block; a child whose bound
+        plus its all-zero penalty exceeds obj has none that can win,
+        and is not closed.  At the last level sufnz is infinite and the
+        bounds are the exact objectives, so each leaf is scored as its
+        own all-zero completion."""
         self.nodes += 1
         if self.work >= WORK_QUANTUM:
             self.work = 0
@@ -554,6 +651,9 @@ class _Engine:
         self.frames[t] = bounds
         pens, zpen = pr.PENL[t], pr.sufzeropen[t + 1]
         nzpen, nz2pen = pr.sufnz[t + 1], pr.sufnz2[t + 1]
+        # True until the first close asks for the children's close
+        # bounds; then their list, or None when the level has no block
+        cheap = pr.filtered[t]
         obj = self.best[0]  # read again after each call
         for k, bk in enumerate(bounds):
             if bk > obj:
@@ -569,13 +669,37 @@ class _Engine:
                     obj = self.best[0]
                 continue
             if nz2pen > slack:
-                self.consider(pk + zpen + zloss[k], prefix + [k])
-                self.close(t + 1, margin - neg_out[k], pk + zpen, prefix + [k])
+                zpk = pk + zpen
+                zobj = zpk + zloss[k]
+                if zobj <= obj:
+                    self.consider(zobj, prefix + [k])
+                    obj = self.best[0]
+                if cheap is True:
+                    cheap = self.close_bounds(t, margin, neg_out, prefix)
+                    if self.stop:
+                        return
+                if not cheap or cheap[k] <= obj - zpk:
+                    self.close(t + 1, margin - neg_out[k], zpk, prefix + [k])
             else:
                 self.dfs(t + 1, margin - neg_out[k], pk, prefix + [k])
             if self.stop:
                 return
             obj = self.best[0]
+
+    def close_bounds(self, t: int, margin, neg_out, prefix: list) -> list | None:
+        """_Prep.close_bounds for the children of the level-t node at
+        prefix, its block's cells counted as work; the clock is read
+        before the block once WORK_QUANTUM cells are spent."""
+        if self.work >= WORK_QUANTUM:
+            self.work = 0
+            self._checkpoint(t, prefix)
+            if self.stop:
+                return None
+        pr = self.prep
+        cheap = pr.close_bounds(t, margin, neg_out)
+        if cheap is not None:
+            self.work += len(pr.FILT[t]) * pr.ci.n_rows
+        return cheap
 
     def close(self, u: int, margin, zpen: int, prefix: list):
         """Score exactly, and offer to consider, every completion that

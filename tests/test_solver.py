@@ -688,6 +688,14 @@ def _closing_case(rng, trial):
     return d, s, _cfg(rng, n, s)
 
 
+def _one_nonzero_completions(pr, prefix):
+    """Every completion of prefix (level value indexes) that sets one
+    free level to a nonzero value and the others to 0."""
+    u = len(prefix)
+    return [prefix + [0] * (v - u) + [k] + [0] * (pr.p - v - 1)
+            for v in range(u, pr.p) for k in range(1, len(pr.VI[v]))]
+
+
 def test_close_scores_every_one_nonzero_completion(monkeypatch):
     """Against an incumbent nothing beats, so that its walk never stops,
     _Engine.close offers each completion of a node that sets exactly one
@@ -714,8 +722,7 @@ def test_close_scores_every_one_nonzero_completion(monkeypatch):
         monkeypatch.setattr(eng, "consider", lambda obj, a: offered.append(
             (obj, a + [0] * (ci.p - len(a)))))
         eng.close(u, margin, fpen + pr.sufzeropen[u], prefix)
-        want = [_scored(pr, prefix + [0] * (v - u) + [k] + [0] * (ci.p - v - 1))
-                for v in range(u, ci.p) for k in range(1, len(pr.VI[v]))]
+        want = [_scored(pr, a) for a in _one_nonzero_completions(pr, prefix)]
         assert sorted(offered) == sorted(want), trial
         seen["offers"] += len(want)
         seen["chunks"] += sum(ch is not None for ch in pr.CHUNK) > 1
@@ -750,6 +757,127 @@ def test_closing_matches_brute_force(monkeypatch):
         assert res.lower_bound == want, trial
         closed += len(closes) > before
     assert closed >= 150, closed
+
+
+_ZERO_DEAREST = (Tier(Fraction(1, 1000), frozenset({Fraction(1), Fraction(-1)})),
+                 Tier(Fraction(1, 50), frozenset({Fraction(2), Fraction(-2)})),
+                 Tier(Fraction(1, 10), frozenset({Fraction(0)})))
+
+
+def test_close_filter_skips_only_children_nothing_can_win(monkeypatch):
+    """Each child's close bound is at most the objective of every
+    completion of the child with one nonzero free level, less that of
+    its all-zero completion; so every child the filter skips has no
+    such completion at or below the incumbent of that moment, and the
+    search still returns brute_solve's vector.  The tables are those of
+    the closing tests, on both integer paths, with two or more nonzero
+    values of one sign, and with value 0 in a tier of its own cost,
+    which in every fourth set is dearer than the +-1 tier (so that a
+    sign group's step is negative)."""
+    from scoresys import solver
+    from scoresys.objective import CompiledInstance
+    events = []
+    close_bounds = solver._Engine.close_bounds
+
+    class Read(list):
+        # dfs reads child k's close bound once, as it decides on k
+        def __getitem__(self, k):
+            events.append((self.eng.best[0], self.prefix + [k], list.__getitem__(self, k)))
+            return list.__getitem__(self, k)
+
+    def record(eng, t, margin, neg_out, prefix):
+        cheap = close_bounds(eng, t, margin, neg_out, prefix)
+        if cheap is None:
+            return None
+        out = Read(cheap)
+        out.eng, out.prefix = eng, list(prefix)
+        return out
+
+    monkeypatch.setattr(solver._Engine, "close_bounds", record)
+    rng = np.random.default_rng(181)
+    seen = {"skips": 0, "object": 0, "tiers": 0, "zero dearest": 0}
+    for trial in range(240):
+        d, s, cfg = _closing_case(rng, trial)
+        if trial % 4 == 3:
+            s = CoefficientSet(domains=(bounded_integers(2),) * d.p,
+                               tiers=(_ZERO_DEAREST,) * d.p)
+            cfg = _cfg(rng, d.n, s)
+        events.clear()
+        res = solve(d, s, cfg)
+        want, combo = brute_solve(d, s, cfg)
+        assert (res.objective.total, res.best.coefficients) == (want, tuple(combo)), trial
+        if not events:
+            continue
+        pr = solver._Prep(CompiledInstance(d, s, cfg))
+        for best, child, cheap in events[:40]:
+            u = len(child)
+            zpen = sum(pr.PENL[v][k] for v, k in enumerate(child)) + pr.sufzeropen[u]
+            objs = [_scored(pr, a)[0] for a in _one_nonzero_completions(pr, child)]
+            assert zpen + cheap <= min(objs), (trial, child)
+            if cheap > best - zpen:
+                assert min(objs) > best, (trial, child)
+                seen["skips"] += 1
+                seen["object"] += not pr.ci.int64_ok
+                seen["tiers"] += s.tiers is not None
+                seen["zero dearest"] += trial % 4 == 3
+    assert seen["skips"] >= 300 and min(seen.values()) >= 20, seen
+
+
+def _rows_like_table(rng, n):
+    """A table like the bench's rows workload: integer cells 0..9 in 7
+    columns and an intercept, labeled by a planted model plus noise."""
+    x = rng.integers(0, 10, size=(n, 7)).astype(np.float64)
+    score = x @ np.array([3, -2, 2, -1, 1, 0, 0]) - 8 + rng.normal(0, 3.0, n)
+    return Dataset(x=np.hstack([x, np.ones((n, 1))]), y=np.where(score > 0, 1, -1),
+                   feature_names=tuple(f"f{j}" for j in range(7)) + ("(Intercept)",),
+                   intercept_index=7)
+
+
+def test_close_filter_runs_only_below_a_level_with_two_values_of_a_sign(monkeypatch):
+    """Under +-1 every sign group has one value, where the close bound
+    is the exact close: no filter block is built and the search closes
+    exactly the children it closes with the filter taken out.  On
+    breastcancer under {0, +-1, +-10} at c0 = 1/20 the five cv folds'
+    solves close at most 2,000 children (16,026 without the filter,
+    over the two c0 of the bench's path)."""
+    from scoresys import solver
+    from scoresys.data import split_folds
+    preps, closes = [], [0]
+    init, close = solver._Prep.__init__, solver._Engine.close
+
+    def kept(prep, ci):
+        init(prep, ci)
+        preps.append(prep)
+
+    def counted(eng, *args):
+        closes[0] += 1
+        return close(eng, *args)
+
+    def count(d, s, c0):
+        closes[0] = 0
+        solve(d, s, TrainConfig(c0=c0))
+        return closes[0]
+
+    monkeypatch.setattr(solver._Prep, "__init__", kept)
+    monkeypatch.setattr(solver._Engine, "close", counted)
+    mammo = load_csv(bench_path("mammo.csv"))
+    cases = [(mammo, Fraction(1, 20)), (mammo, Fraction(1, 100)),
+             (_rows_like_table(np.random.default_rng(191), 600), Fraction(1, 500))]
+    for d, c0 in cases:
+        s = uniform(bounded_integers(1), d.p)
+        filtered = count(d, s, c0)
+        assert not any(preps[-1].filtered) and preps[-1].FILT == [None] * d.p
+        with monkeypatch.context() as m:
+            m.setattr(solver._Prep, "close_bounds", lambda *a: None)
+            assert count(d, s, c0) == filtered > 0, c0
+    d = load_csv(bench_path("breastcancer.csv"))
+    s = uniform(explicit_values([0, 1, -1, 10, -10]), d.p)
+    folds = split_folds(d, 5, seed=0, stratify=True)
+    total = 0
+    for f in range(5):
+        total += count(d.subset(folds.train_indices(f)), s, Fraction(1, 20))
+        assert any(preps[-1].filtered) and any(b is not None for b in preps[-1].FILT)
+    assert 0 < total <= 2000, total
 
 
 def test_search_past_float_range():
@@ -820,8 +948,8 @@ def test_budget_holds_through_closes(monkeypatch):
     """A budgeted -100..100 solve whose search spends its time closing
     children: between two checkpoints (the clock reads that can stop
     the search) the search takes at most WORK_QUANTUM block cells plus
-    one block, closes included, and the solve returns within its
-    budget."""
+    one block, closes and close filters included, and the solve returns
+    within its budget."""
     from scoresys import solver
     rng = np.random.default_rng(173)
     n, p, budget = 600, 6, 0.5
@@ -834,6 +962,7 @@ def test_budget_holds_through_closes(monkeypatch):
     cells, gaps, largest = [0, 0], [], [0]
     chunk, child_bounds, checkpoint = (solver._Prep.chunk, solver._Prep.child_bounds,
                                        solver._Engine._checkpoint)
+    close_bounds = solver._Prep.close_bounds
 
     def add(prep, rows, kind):
         cells[0] += rows * prep.ci.n_rows
@@ -850,6 +979,12 @@ def test_budget_holds_through_closes(monkeypatch):
         add(prep, len(out[0]), 0)
         return out
 
+    def counted_close_bounds(prep, t, *args):
+        out = close_bounds(prep, t, *args)
+        if out is not None:
+            add(prep, len(prep.FILT[t]), 0)
+        return out
+
     def counted_checkpoint(eng, t, prefix):
         gaps.append(cells[0])
         cells[0] = 0
@@ -857,6 +992,7 @@ def test_budget_holds_through_closes(monkeypatch):
 
     monkeypatch.setattr(solver._Prep, "chunk", counted_chunk)
     monkeypatch.setattr(solver._Prep, "child_bounds", counted_bounds)
+    monkeypatch.setattr(solver._Prep, "close_bounds", counted_close_bounds)
     monkeypatch.setattr(solver._Engine, "_checkpoint", counted_checkpoint)
     t0 = time.monotonic()
     res = solve(d, s, cfg)
